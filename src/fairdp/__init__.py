@@ -23,9 +23,9 @@ from .evaluation import (
     predict,
     risk_difference,
     run_experiment,
+    train_method,
 )
 from .mechanisms import (
-    MonomialPartition,
     NoiseDistribution,
     PrivacySpec,
     SplitBudget,
@@ -38,8 +38,8 @@ from .mechanisms import (
     l2_sensitivity_fair,
     l2_sensitivity_lr,
     laplace_sample,
-    partition_monomials,
     perturb,
+    sensitive_mask,
 )
 from .optimizer import (
     QuadraticForm,

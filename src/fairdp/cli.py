@@ -38,16 +38,17 @@ from .evaluation import (
     DEFAULT_EPS_GRID,
     ExperimentConfig,
     ExperimentReport,
-    _resolve_s_index,
     accuracy,
     derive_seed,
     render_table,
     report_csv_lines,
     risk_difference,
     run_experiment,
+    train_method,
 )
 from .mechanisms import split_total_delta
-from .trainers import (
+# Re-exported: scripts that drive single fits import the trainers from here.
+from .trainers import (  # noqa: F401
     train_adfc,
     train_fair_lr,
     train_fm,
@@ -261,33 +262,19 @@ def cmd_train(args) -> int:
     dataset_path = _eff(args, cfg, "dataset")
     out_dir = Path(_eff(args, cfg, "out", "."))
 
+    # The manifest records the split budgets a split-budget method uses.
+    if method in ("PDFC", "ADFC") and (eps_s is None or eps_n is None):
+        eps_s = eps_n = eps
+    if method == "ADFC" and (delta_s is None or delta_n is None):
+        delta_s = delta_n = split_total_delta(delta)
+
     ds, schema, _raw = _resolve_dataset(args, cfg)
     train_ds, test_ds = split(ds, test_fraction, derive_seed("split", seed, 0))
-    run_seed = derive_seed("train", seed, 0, method)
-
-    if method == "LR":
-        model = train_lr(train_ds)
-    elif method == "FairLR":
-        model = train_fair_lr(train_ds, alpha1=alpha1)
-    elif method == "FM":
-        model = train_fm(train_ds, eps, seed=run_seed)
-    elif method == "RelaxedFM":
-        model = train_relaxed_fm(train_ds, eps, delta, seed=run_seed)
-    else:
-        if eps_s is None or eps_n is None:
-            eps_s = eps_n = eps
-        s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", run_seed))
-        if method == "PDFC":
-            model = train_pdfc(
-                train_ds, eps_s, eps_n, s_index, alpha1=alpha1, seed=run_seed
-            )
-        else:
-            if delta_s is None or delta_n is None:
-                delta_s = delta_n = split_total_delta(delta)
-            model = train_adfc(
-                train_ds, eps_s, eps_n, delta_s, delta_n, s_index,
-                alpha1=alpha1, seed=run_seed,
-            )
+    model = train_method(
+        train_ds, method, derive_seed("train", seed, 0, method),
+        eps=eps, delta=delta, eps_s=eps_s, eps_n=eps_n,
+        delta_s=delta_s, delta_n=delta_n, alpha1=alpha1, s_attr=s_attr,
+    )
 
     acc = accuracy(model, test_ds)
     rd = risk_difference(model, test_ds)
@@ -342,7 +329,6 @@ def cmd_sweep(args) -> int:
     alpha1 = float(_eff(args, cfg, "alpha1", 1.0))
     s_attr = _eff(args, cfg, "s-attr", "random")
     test_fraction = float(_eff(args, cfg, "test-fraction", 0.2))
-    jobs = int(_eff(args, cfg, "jobs", 1))
     dataset_path = _eff(args, cfg, "dataset")
     out_dir = Path(_eff(args, cfg, "out", "."))
 
@@ -356,7 +342,6 @@ def cmd_sweep(args) -> int:
         alpha1=alpha1,
         s_attr=s_attr,
         test_fraction=test_fraction,
-        jobs=jobs,
     )
     report = run_experiment(ds, config)
 
@@ -478,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--methods", help="comma-separated method list")
     p_sweep.add_argument("--runs", type=int, help="independent runs per point (default 10)")
-    p_sweep.add_argument("--jobs", type=int, help="parallel grid points (default 1)")
+    p_sweep.add_argument("--jobs", type=int,
+                         help="accepted and ignored: sweeps run serially")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a saved report")

@@ -19,6 +19,7 @@ import math
 import shutil
 import urllib.request
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,9 @@ class EncodedDataset:
     The container itself does not insist on normalized rows (encode and
     normalize are separate steps); :meth:`check_normalized` verifies the
     unit-ball invariant where tests need it.
+
+    The degree-2 objective's sufficient statistics (``logistic_c1``,
+    ``logistic_c2``, ``protected_cov``) are computed on first use and kept.
     """
 
     X: np.ndarray
@@ -153,6 +157,21 @@ class EncodedDataset:
     def z_bar(self) -> float:
         return float(self.z.sum()) / self.n
 
+    @cached_property
+    def logistic_c1(self) -> np.ndarray:
+        """sum_i (1/2 - y_i) x_i, the linear term of the logistic quadratic."""
+        return _frozen(((0.5 - self.y)[:, None] * self.X).sum(axis=0))
+
+    @cached_property
+    def logistic_c2(self) -> np.ndarray:
+        """X^T X / 8, the degree-2 term of the logistic quadratic."""
+        return _frozen((self.X.T @ self.X) / 8.0)
+
+    @cached_property
+    def protected_cov(self) -> np.ndarray:
+        """sum_i (z_i - z_bar) x_i, the decision-boundary covariance direction."""
+        return _frozen(((self.z - self.z_bar)[:, None] * self.X).sum(axis=0))
+
     def check_normalized(self, tol: float = 1e-12) -> None:
         if (self.X < 0).any():
             raise ValueError("negative feature entries")
@@ -168,6 +187,11 @@ class EncodedDataset:
         h.update(self.z.tobytes())
         h.update("|".join(self.feature_names).encode())
         return h.hexdigest()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
@@ -271,24 +295,29 @@ def encode(raw: RawTable, schema: Schema) -> EncodedDataset:
     return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(names))
 
 
-def normalize(X: np.ndarray) -> np.ndarray:
-    """Scale a feature matrix into the nonnegative unit ball.
-
-    Each column is min-max scaled to [0, 1] (constant columns collapse to 0),
-    then every entry is divided by sqrt(d), so each row norm is at most 1.
-    """
+def _min_max(X: np.ndarray) -> np.ndarray:
+    """Per-column min-max scaling to [0, 1]; constant columns collapse to 0."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be a 2-d matrix with at least one column")
     if not np.isfinite(X).all():
         raise ValueError("X contains non-finite entries")
     lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    span = hi - lo
+    span = X.max(axis=0) - lo
     out = np.zeros_like(X)
     live = span > 0
     out[:, live] = (X[:, live] - lo[live]) / span[live]
-    return out / math.sqrt(X.shape[1])
+    return out
+
+
+def normalize(X: np.ndarray) -> np.ndarray:
+    """Scale a feature matrix into the nonnegative unit ball.
+
+    Each column is min-max scaled to [0, 1] (constant columns collapse to 0),
+    then every entry is divided by sqrt(d), so each row norm is at most 1.
+    """
+    unit = _min_max(X)
+    return unit / math.sqrt(unit.shape[1])
 
 
 def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
@@ -299,20 +328,10 @@ def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
     it, preserving the row-norm bound.
     """
     ds = encode(raw, schema)
+    unit, names = _min_max(ds.X), ds.feature_names
     if schema.add_constant_feature:
-        lo = ds.X.min(axis=0)
-        hi = ds.X.max(axis=0)
-        span = hi - lo
-        unit = np.zeros_like(ds.X)
-        live = span > 0
-        unit[:, live] = (ds.X[:, live] - lo[live]) / span[live]
-        unit = np.column_stack([unit, np.ones(ds.n)])
-        X = unit / math.sqrt(unit.shape[1])
-        names = ds.feature_names + ("const",)
-    else:
-        X = normalize(ds.X)
-        names = ds.feature_names
-    return EncodedDataset(X=X, y=ds.y, z=ds.z, feature_names=names)
+        unit, names = np.column_stack([unit, np.ones(ds.n)]), names + ("const",)
+    return EncodedDataset(X=unit / math.sqrt(unit.shape[1]), y=ds.y, z=ds.z, feature_names=names)
 
 
 def split(

@@ -2,16 +2,16 @@
 protocol with aggregation into plot-ready reports.
 
 An experiment takes a grid of (method, epsilon, delta) points and, for each
-point and run index r, re-splits the dataset 80-20 (by default), trains and
-evaluates on the held-out part.  All randomness is derived from one master
-seed, so a report is a pure function of (dataset, config).
+run index r, splits the dataset 80-20 (afresh per run by default), then
+trains every point on that split and evaluates on the held-out part.  All
+randomness is derived from one master seed, so a report is a pure function
+of (dataset, config).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +113,7 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     resplit_each_run: bool = True
     policy: RegularizationPolicy = field(default_factory=RegularizationPolicy)
-    jobs: int = 1
+    jobs: int = 1  # accepted and ignored: a sweep runs serially, one split per run
 
     def __post_init__(self):
         if not self.methods:
@@ -286,49 +286,40 @@ def _effective_key(point: GridPoint, alpha1: float, s_attr: str) -> tuple:
     return (m, eps, dlt, a1, s)
 
 
-def _train_for_point(train_ds, key, run_seed, policy):
-    method, eps, dlt, alpha1, s_attr = key
+def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
+                 eps=None, delta=None, eps_s=None, eps_n=None, delta_s=None, delta_n=None,
+                 alpha1: float = 1.0, s_attr: str = "random",
+                 policy: RegularizationPolicy | None = None) -> TrainedModel:
+    """Train one model of any method; the sweep and ``train`` share this table.
+
+    PDFC and ADFC give the ``s_attr`` column eps_s[/delta_s] and the rest
+    eps_n[/delta_n]; a pair left out becomes eps for both epsilons and
+    1 - sqrt(1 - delta) for both deltas, which composes back to (eps, delta).
+    """
     if method == "LR":
         return train_lr(train_ds, policy=policy)
     if method == "FairLR":
         return train_fair_lr(train_ds, alpha1=alpha1, policy=policy)
     if method == "FM":
-        return train_fm(train_ds, eps, seed=run_seed, policy=policy)
+        return train_fm(train_ds, eps, seed=seed, policy=policy)
     if method == "RelaxedFM":
-        return train_relaxed_fm(train_ds, eps, dlt, seed=run_seed, policy=policy)
-    s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", run_seed))
+        return train_relaxed_fm(train_ds, eps, delta, seed=seed, policy=policy)
+    if method not in ("PDFC", "ADFC"):
+        raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+    s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
+    if eps_s is None or eps_n is None:
+        eps_s = eps_n = eps
     if method == "PDFC":
         return train_pdfc(
-            train_ds, eps_s=eps, eps_n=eps, s_index=s_index,
-            alpha1=alpha1, seed=run_seed, policy=policy,
+            train_ds, eps_s=eps_s, eps_n=eps_n, s_index=s_index,
+            alpha1=alpha1, seed=seed, policy=policy,
         )
-    part = split_total_delta(dlt)
+    if delta_s is None or delta_n is None:
+        delta_s = delta_n = split_total_delta(delta)
     return train_adfc(
-        train_ds, eps_s=eps, eps_n=eps, delta_s=part, delta_n=part,
-        s_index=s_index, alpha1=alpha1, seed=run_seed, policy=policy,
+        train_ds, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n,
+        s_index=s_index, alpha1=alpha1, seed=seed, policy=policy,
     )
-
-
-def _point_runs(ds, key, runs, master_seed, test_fraction, resplit, policy):
-    """All R runs for one effective grid point; module-level so process pools
-    can ship it."""
-    out = []
-    for r in range(runs):
-        split_seed = derive_seed("split", master_seed, r if resplit else 0)
-        train_ds, test_ds = split(ds, test_fraction, split_seed)
-        run_seed = derive_seed("train", master_seed, r, *key)
-        model = _train_for_point(train_ds, key, run_seed, policy)
-        out.append(
-            RunResult(
-                accuracy=accuracy(model, test_ds),
-                risk_difference=risk_difference(model, test_ds),
-                seed=run_seed,
-                method=key[0],
-                params={"epsilon": key[1], "delta": key[2],
-                        "alpha1": key[3], "s_attr": key[4]},
-            )
-        )
-    return out
 
 
 def _aggregate(point: GridPoint, results: list[RunResult]) -> PointAggregate:
@@ -368,21 +359,35 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
     for p in points:
         keys.setdefault(_effective_key(p, config.alpha1, config.s_attr), None)
 
-    args = (config.runs, config.master_seed, config.test_fraction,
-            config.resplit_each_run, config.policy)
-    outcomes: dict[tuple, list[RunResult] | Exception] = {}
-    if config.jobs > 1 and len(keys) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {k: pool.submit(_point_runs, ds, k, *args) for k in keys}
-            for k, fut in futures.items():
-                try:
-                    outcomes[k] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - point-level isolation
-                    outcomes[k] = exc
-    else:
-        for k in keys:
+    # Runs first: one split, and the sufficient statistics of its train part,
+    # serve every key of a run.  A key's first error ends its runs.
+    outcomes: dict[tuple, list[RunResult] | Exception] = {k: [] for k in keys}
+    for r in range(config.runs):
+        live = [k for k in keys if not isinstance(outcomes[k], Exception)]
+        if not live:
+            break
+        if r == 0 or config.resplit_each_run:
             try:
-                outcomes[k] = _point_runs(ds, k, *args)
+                train_ds, test_ds = split(ds, config.test_fraction,
+                                          derive_seed("split", config.master_seed, r))
+            except Exception as exc:  # noqa: BLE001 - fails every key, not the sweep
+                outcomes.update(dict.fromkeys(live, exc))
+                break
+        for k in live:
+            method, eps, dlt, alpha1, s_attr = k
+            run_seed = derive_seed("train", config.master_seed, r, *k)
+            try:
+                model = train_method(
+                    train_ds, method, run_seed, eps=eps, delta=dlt,
+                    alpha1=alpha1, s_attr=s_attr, policy=config.policy,
+                )
+                outcomes[k].append(RunResult(
+                    accuracy=accuracy(model, test_ds),
+                    risk_difference=risk_difference(model, test_ds),
+                    seed=run_seed,
+                    method=method,
+                    params={"epsilon": eps, "delta": dlt, "alpha1": alpha1, "s_attr": s_attr},
+                ))
             except Exception as exc:  # noqa: BLE001 - point-level isolation
                 outcomes[k] = exc
 

@@ -1,19 +1,23 @@
-"""Privacy machinery: sensitivity bounds, calibrated noise, monomial
-partitioning for attribute-wise budgets, coefficient perturbation and budget
+"""Privacy machinery: sensitivity bounds, calibrated noise, the monomial
+mask for attribute-wise budgets, coefficient perturbation and budget
 composition.
 
 Sensitivities are the closed-form worst-case bounds over neighboring datasets
 (one row replaced), never data-dependent quantities.  For rows in the
 nonnegative unit ball the aggregated polynomial coefficients of the logistic
 quadratic differ by at most d^2/4 + d in L1 and sqrt(d^2/16 + d) in L2;
-folding the fairness penalty raises the linear-term bound, giving
-d^2/4 + 3d and sqrt(d^2/16 + 9d).
+folding the fairness penalty with weight alpha1 raises the linear-term bound,
+giving d^2/4 + (1 + 2|alpha1|) d and sqrt(d^2/16 + (1 + 2|alpha1|)^2 d).
 
 Noise is drawn one value per degree-1 coefficient and per ordered degree-2
 cell, in a fixed order (degree-1 ascending, then degree-2 row-major), so a
 seed fully determines the perturbed polynomial.  Both samplers are explicit
 transforms of the generator's uniform stream, which keeps golden tests
-portable across library versions.
+portable across library versions.  The uniforms are drawn as one array (equal
+to the one-at-a-time stream), but log and cos go through the C library
+(``math.log``/``math.cos``), not numpy's ufuncs: numpy's SIMD log differs from
+libm in the last bit on some inputs and CPUs, which would make every private
+output depend on the host.  sqrt is correctly rounded and stays vectorized.
 """
 
 from __future__ import annotations
@@ -24,10 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import PolyObjective
-
-# Monomial ids: (e,) is the degree-1 monomial w_e, (e, l) the ordered
-# degree-2 monomial w_e w_l.
-Monomial = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -75,36 +75,6 @@ class SplitBudget:
                 raise ValueError(f"delta must be in (0, 1), got {dv}")
 
 
-def monomials(d: int) -> list[Monomial]:
-    """All d + d^2 monomial ids in canonical (noise-draw) order."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    out: list[Monomial] = [(e,) for e in range(d)]
-    out.extend((e, l) for e in range(d) for l in range(d))
-    return out
-
-
-@dataclass(frozen=True)
-class MonomialPartition:
-    """Split of the monomials by whether they contain the designated w_s."""
-
-    d: int
-    s_index: int
-    phi_s: frozenset[Monomial]
-    phi_n: frozenset[Monomial]
-
-
-def partition_monomials(d: int, s_index: int) -> MonomialPartition:
-    if not 0 <= s_index < d:
-        raise ValueError(f"s_index {s_index} out of range for d={d}")
-    phi_s = set()
-    phi_n = set()
-    for m in monomials(d):
-        (phi_s if s_index in m else phi_n).add(m)
-    assert len(phi_s) == 2 * d
-    return MonomialPartition(d=d, s_index=s_index, phi_s=frozenset(phi_s), phi_n=frozenset(phi_n))
-
-
 # --- sensitivity bounds -----------------------------------------------------
 
 def _check_dim(d: int) -> None:
@@ -117,9 +87,9 @@ def l1_sensitivity_lr(d: int) -> float:
     return d * d / 4.0 + d
 
 
-def l1_sensitivity_fair(d: int) -> float:
+def l1_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
     _check_dim(d)
-    return d * d / 4.0 + 3.0 * d
+    return d * d / 4.0 + (1.0 + 2.0 * abs(alpha1)) * d
 
 
 def l2_sensitivity_lr(d: int) -> float:
@@ -127,9 +97,9 @@ def l2_sensitivity_lr(d: int) -> float:
     return math.sqrt(d * d / 16.0 + d)
 
 
-def l2_sensitivity_fair(d: int) -> float:
+def l2_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
     _check_dim(d)
-    return math.sqrt(d * d / 16.0 + 9.0 * d)
+    return math.sqrt(d * d / 16.0 + (1.0 + 2.0 * abs(alpha1)) ** 2 * d)
 
 
 # --- noise calibration and sampling -----------------------------------------
@@ -162,34 +132,50 @@ def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float
     )
 
 
-def laplace_sample(rng: np.random.Generator, scale: float) -> float:
-    """One Lap(0, scale) draw via the inverse CDF of a single uniform.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a ``math`` function) applied to every entry of a 1-d array."""
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _flat_scales(scale) -> tuple[tuple, np.ndarray]:
+    flat = np.asarray(scale, dtype=float).reshape(-1)
+    if not (flat > 0).all():
+        raise ValueError(f"scale must be positive, got {flat[~(flat > 0)][0]}")
+    return np.shape(scale), flat
+
+
+def laplace_sample(rng: np.random.Generator, scale):
+    """Lap(0, scale) draws, one per entry of ``scale`` (a float gives one
+    float), each from a single uniform via the inverse CDF.
 
     u < 1/2 maps to scale*log(2u), u >= 1/2 to -scale*log(2(1-u)).  A zero
     uniform (probability 2^-53) is nudged to the next representable value so
     the transform stays finite.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    u = rng.random()
-    if u == 0.0:
-        u = 2.0 ** -53
-    if u < 0.5:
-        return scale * math.log(2.0 * u)
-    return -scale * math.log(2.0 * (1.0 - u))
+    shape, scale = _flat_scales(scale)
+    u = rng.random(scale.size)
+    u[u == 0.0] = 2.0 ** -53
+    low = u < 0.5
+    magnitude = scale * _libm(math.log, np.where(low, 2.0 * u, 2.0 * (1.0 - u)))
+    return np.where(low, magnitude, -magnitude).reshape(shape)[()]
 
 
-def gaussian_sample(rng: np.random.Generator, sigma: float) -> float:
-    """One N(0, sigma^2) draw via Box-Muller on two uniforms.
+def gaussian_sample(rng: np.random.Generator, sigma):
+    """N(0, sigma^2) draws, one per entry of ``sigma`` (a float gives one
+    float), each via Box-Muller on two consecutive uniforms.
 
     The sine twin is discarded so every draw consumes exactly two uniforms,
     keeping the stream position independent of call history.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u1 = 1.0 - rng.random()  # in (0, 1], log stays finite
-    u2 = rng.random()
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    shape, sigma = _flat_scales(sigma)
+    u = rng.random(2 * sigma.size)
+    u1 = 1.0 - u[0::2]  # in (0, 1], log stays finite
+    radius = np.sqrt(-2.0 * _libm(math.log, u1))
+    draws = sigma * radius * _libm(math.cos, 2.0 * math.pi * u[1::2])
+    return draws.reshape(shape)[()]
+
+
+_SAMPLERS = {"laplace": laplace_sample, "gaussian": gaussian_sample}
 
 
 @dataclass(frozen=True)
@@ -201,44 +187,52 @@ class NoiseDistribution:
     scale: float
 
     def __post_init__(self):
-        if self.kind not in ("laplace", "gaussian"):
+        if self.kind not in _SAMPLERS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.scale <= 0:
             raise ValueError(f"noise scale must be positive, got {self.scale}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.kind == "laplace":
-            return laplace_sample(rng, self.scale)
-        return gaussian_sample(rng, self.scale)
+
+def sensitive_mask(d: int, s_index: int) -> np.ndarray:
+    """Boolean flag per monomial, in canonical (noise-draw) order: True for
+    the 2d monomials containing w_s (w_s itself and every degree-2 cell in
+    row or column s), False for the d^2 - d others."""
+    _check_dim(d)
+    if not 0 <= s_index < d:
+        raise ValueError(f"s_index {s_index} out of range for d={d}")
+    is_s = np.arange(d) == s_index
+    return np.concatenate([is_s, (is_s[:, None] | is_s[None, :]).ravel()])
 
 
 def perturb(
     poly: PolyObjective,
     noise_s: NoiseDistribution,
     noise_n: NoiseDistribution,
-    partition: MonomialPartition,
+    s_index: int,
     rng: np.random.Generator,
 ) -> PolyObjective:
     """Add one independent noise draw to every degree-1 and ordered degree-2
-    coefficient; monomials in phi_s draw from noise_s, the rest from noise_n.
+    coefficient; monomials containing w_s draw from noise_s, the rest from
+    noise_n.
 
     Draws happen in canonical order (degree-1 ascending, then degree-2
-    row-major) so a seed pins the exact output.  c0 is never perturbed: the
-    algorithms only touch degrees 1 and 2, and a constant cannot move the
-    minimizer.
+    row-major) so a seed pins the exact output.  Both groups must share one
+    noise kind: the kinds consume different numbers of uniforms per draw.  c0
+    is never perturbed: the algorithms only touch degrees 1 and 2, and a
+    constant cannot move the minimizer.
     """
-    if partition.d != poly.d:
-        raise ValueError(f"partition is for d={partition.d}, polynomial has d={poly.d}")
-    c1 = poly.c1.copy()
-    c2 = poly.c2.copy()
-    for m in monomials(poly.d):
-        dist = noise_s if m in partition.phi_s else noise_n
-        draw = dist.sample(rng)
-        if len(m) == 1:
-            c1[m[0]] += draw
-        else:
-            c2[m[0], m[1]] += draw
-    return PolyObjective(c0=poly.c0, c1=c1, c2=c2)
+    if noise_s.kind != noise_n.kind:
+        raise ValueError(
+            f"noise kinds must match, got {noise_s.kind!r} and {noise_n.kind!r}"
+        )
+    d = poly.d
+    scales = np.where(sensitive_mask(d, s_index), noise_s.scale, noise_n.scale)
+    draws = _SAMPLERS[noise_s.kind](rng, scales)
+    return PolyObjective(
+        c0=poly.c0,
+        c1=poly.c1 + draws[:d],
+        c2=poly.c2 + draws[d:].reshape(d, d),
+    )
 
 
 # --- budget composition ------------------------------------------------------

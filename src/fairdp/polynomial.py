@@ -78,16 +78,13 @@ class FairnessVector:
 
 
 def lr_poly(ds: EncodedDataset) -> PolyObjective:
-    """Quadratic expansion of the plain logistic loss on a dataset."""
-    c0 = ds.n * math.log(2.0)
-    c1 = ((0.5 - ds.y)[:, None] * ds.X).sum(axis=0)
-    c2 = (ds.X.T @ ds.X) / 8.0
-    return PolyObjective(c0=c0, c1=c1, c2=c2)
+    """Quadratic expansion of the plain logistic loss on a dataset (from its
+    cached sufficient statistics)."""
+    return PolyObjective(c0=ds.n * math.log(2.0), c1=ds.logistic_c1, c2=ds.logistic_c2)
 
 
 def fairness_vector(ds: EncodedDataset, alpha1: float = 1.0) -> FairnessVector:
-    c = ((ds.z - ds.z_bar)[:, None] * ds.X).sum(axis=0)
-    return FairnessVector(c=c, alpha1=alpha1)
+    return FairnessVector(c=ds.protected_cov, alpha1=alpha1)
 
 
 def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:

@@ -34,7 +34,6 @@ from .mechanisms import (
     l1_sensitivity_lr,
     l2_sensitivity_fair,
     l2_sensitivity_lr,
-    partition_monomials,
     perturb,
 )
 from .optimizer import (
@@ -128,12 +127,10 @@ def _solve(poly, policy):
     return w, diag.to_dict()
 
 
-def _perturbed_solve(ds, poly, noise_s, noise_n, s_index, seed, policy, disable_noise):
+def _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise):
     if disable_noise:
         return _solve(poly, policy)
-    rng = np.random.default_rng(seed)
-    part = partition_monomials(ds.d, s_index)
-    noisy = perturb(poly, noise_s, noise_n, part, rng)
+    noisy = perturb(poly, noise_s, noise_n, s_index, np.random.default_rng(seed))
     return _solve(noisy, policy)
 
 
@@ -149,7 +146,7 @@ def train_fm(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     delta1 = l1_sensitivity_lr(ds.d)
     noise = NoiseDistribution("laplace", delta1 / epsilon)
-    w, diag = _perturbed_solve(ds, lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
+    w, diag = _perturbed_solve(lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
     return TrainedModel(
         w=w,
         method="FM",
@@ -172,7 +169,7 @@ def train_relaxed_fm(
     """Relaxed functional mechanism: Gaussian noise sized by the L2 sensitivity."""
     delta2 = l2_sensitivity_lr(ds.d)
     noise = NoiseDistribution("gaussian", gaussian_sigma(epsilon, delta, delta2))
-    w, diag = _perturbed_solve(ds, lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
+    w, diag = _perturbed_solve(lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
     return TrainedModel(
         w=w,
         method="RelaxedFM",
@@ -195,12 +192,13 @@ def train_pdfc(
     disable_noise: bool = False,
 ) -> TrainedModel:
     """Purely DP and fair training: fairness-penalized quadratic, Laplace noise
-    Lap(Delta1/eps_s) on monomials containing w_s and Lap(Delta1/eps_n) elsewhere."""
-    delta1 = l1_sensitivity_fair(ds.d)
+    Lap(Delta1/eps_s) on monomials containing w_s and Lap(Delta1/eps_n) elsewhere
+    (Delta1: the fair L1 sensitivity at alpha1)."""
+    delta1 = l1_sensitivity_fair(ds.d, alpha1)
     noise_s = NoiseDistribution("laplace", delta1 / eps_s)
     noise_n = NoiseDistribution("laplace", delta1 / eps_n)
     poly = fair_poly(ds, alpha1)
-    w, diag = _perturbed_solve(ds, poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
+    w, diag = _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
     return TrainedModel(
         w=w,
         method="PDFC",
@@ -231,12 +229,12 @@ def train_adfc(
 ) -> TrainedModel:
     """Approximately DP and fair training: Gaussian noise with per-group sigmas
     calibrated from (eps_s, delta_s) and (eps_n, delta_n) at the fair L2
-    sensitivity."""
-    delta2 = l2_sensitivity_fair(ds.d)
+    sensitivity for this alpha1."""
+    delta2 = l2_sensitivity_fair(ds.d, alpha1)
     noise_s = NoiseDistribution("gaussian", gaussian_sigma(eps_s, delta_s, delta2))
     noise_n = NoiseDistribution("gaussian", gaussian_sigma(eps_n, delta_n, delta2))
     poly = fair_poly(ds, alpha1)
-    w, diag = _perturbed_solve(ds, poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
+    w, diag = _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
     return TrainedModel(
         w=w,
         method="ADFC",

@@ -19,7 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fairdp.cli import main as cli_main
-from fairdp.mechanisms import NoiseDistribution, partition_monomials, perturb
+from fairdp.mechanisms import NoiseDistribution, perturb
 from fairdp.trainers import train_adfc, train_fm, train_pdfc
 
 from toys import FIXTURE_DIR, GOLDEN_DIR, perturb_golden_inputs, toy_d2, toy_d3
@@ -33,12 +33,11 @@ def dump(name, obj):
 
 def regen_perturb():
     poly, s_index, seed = perturb_golden_inputs()
-    part = partition_monomials(poly.d, s_index)
     out = perturb(
         poly,
         NoiseDistribution("laplace", 2.0),
         NoiseDistribution("laplace", 0.5),
-        part,
+        s_index,
         np.random.default_rng(seed),
     )
     dump("perturb_d3.json", out.to_dict())

@@ -133,12 +133,10 @@ def test_criterion_2_sigma_calibration_grid():
 
 def test_criterion_2_sampler_moments():
     rng = np.random.default_rng(777)
-    lap = np.fromiter((laplace_sample(rng, 2.0) for _ in range(1_000_000)),
-                      dtype=float, count=1_000_000)
+    lap = laplace_sample(rng, np.full(1_000_000, 2.0))
     assert lap.std() == pytest.approx(2.0 * math.sqrt(2.0), rel=0.01)
     assert abs(lap.mean()) < 0.01
-    gau = np.fromiter((gaussian_sample(rng, 3.0) for _ in range(1_000_000)),
-                      dtype=float, count=1_000_000)
+    gau = gaussian_sample(rng, np.full(1_000_000, 3.0))
     assert gau.std() == pytest.approx(3.0, rel=0.01)
     assert abs(gau.mean()) < 0.01
     ok(2, f"1e6-draw moments: laplace std {lap.std():.4f} (want {2*math.sqrt(2):.4f}), "

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -230,6 +231,22 @@ class TestBuildDataset:
         assert ds.feature_names[-1] == "const"
         np.testing.assert_allclose(ds.X[:, -1], 1.0 / math.sqrt(2), rtol=1e-15)
         ds.check_normalized()
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_scaling_matches_direct_formula(self, constant):
+        # Bit-exact: per-column min-max of the encoded matrix, the optional
+        # all-ones column, then one division by sqrt(columns).
+        raw = load_csv(FIXTURE_DIR / "toy.csv")
+        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, add_constant_feature=constant)
+        X = encode(raw, schema).X
+        span = X.max(axis=0) - X.min(axis=0)
+        unit = np.zeros_like(X)
+        live = span > 0
+        unit[:, live] = (X[:, live] - X.min(axis=0)[live]) / span[live]
+        if constant:
+            unit = np.column_stack([unit, np.ones(len(X))])
+        expected = unit / math.sqrt(unit.shape[1])
+        np.testing.assert_array_equal(build_dataset(raw, schema).X, expected)
 
 
 BASIC_SCHEMAS_TOY = Schema(

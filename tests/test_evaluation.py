@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fairdp import evaluation
 from fairdp.dataset import EncodedDataset
 from fairdp.evaluation import (
     DEFAULT_DELTA_GRID,
@@ -195,6 +197,76 @@ class TestExperiment:
         serial = run_experiment(ds, self.config())
         parallel = run_experiment(ds, self.config(jobs=2))
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_one_split_and_one_gram_per_run(self, monkeypatch):
+        splits = []
+        grams = []
+        real_split = evaluation.split
+
+        def counted_split(ds, test_fraction, seed):
+            splits.append(seed)
+            return real_split(ds, test_fraction, seed)
+
+        monkeypatch.setattr(evaluation, "split", counted_split)
+        real_gram = EncodedDataset.logistic_c2.func
+
+        def counted_gram(ds):
+            grams.append(ds.n)
+            return real_gram(ds)
+
+        prop = functools.cached_property(counted_gram)
+        prop.__set_name__(EncodedDataset, "logistic_c2")
+        monkeypatch.setattr(EncodedDataset, "logistic_c2", prop)
+        cfg = self.config(methods=("FairLR", "FM", "RelaxedFM", "PDFC", "ADFC"),
+                          delta_grid=(1e-3, 1e-5))
+        rep = run_experiment(toy_d3(), cfg)
+        assert not any(p.failed for p in rep.points)
+        assert len(splits) == len(set(splits)) == cfg.runs
+        assert grams == [6] * cfg.runs  # once per 6-row train part
+        splits.clear()
+        grams.clear()
+        run_experiment(toy_d3(), self.config(resplit_each_run=False))
+        assert len(splits) == 1 and len(grams) == 1
+
+    def test_failure_at_later_run_isolated(self, monkeypatch):
+        calls = []
+
+        def flaky_fm(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:  # FM keys run in grid order: run 1, second eps
+                raise RuntimeError("noise source failed")
+            return train_fm(*args, **kwargs)
+
+        from fairdp.trainers import train_fm
+
+        monkeypatch.setattr(evaluation, "train_fm", flaky_fm)
+        rep = run_experiment(toy_d3(), self.config())
+        clean = run_experiment(toy_d3(), self.config(methods=("FairLR",)))
+        fm = [p for p in rep.points if p.point.method == "FM"]
+        assert not fm[0].failed and len(fm[0].runs) == 3
+        assert fm[1].failed and fm[1].runs == ()
+        assert fm[1].error == "RuntimeError: noise source failed"
+        assert len(calls) == 5  # the failed key is not retried at run 2
+        fair = [p.to_dict() for p in rep.points if p.point.method == "FairLR"]
+        assert fair == [p.to_dict() for p in clean.points]
+
+    @pytest.mark.parametrize("fail_at", [0, 1])
+    def test_split_error_fails_every_point(self, monkeypatch, fail_at):
+        real_split = evaluation.split
+        seen = []
+
+        def bad_split(*args, **kwargs):
+            seen.append(None)
+            if len(seen) > fail_at:
+                raise ValueError("cannot split")
+            return real_split(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "split", bad_split)
+        rep = run_experiment(toy_d3(), self.config())
+        assert len(rep.points) == 4
+        for p in rep.points:
+            assert p.failed and p.runs == ()
+            assert p.error == "ValueError: cannot split"
 
     def test_empty_method_list_rejected(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdp import mechanisms
 from fairdp.dataset import EncodedDataset
 from fairdp.mechanisms import (
-    MonomialPartition,
     NoiseDistribution,
     PrivacySpec,
     SplitBudget,
@@ -21,12 +21,11 @@ from fairdp.mechanisms import (
     l2_sensitivity_fair,
     l2_sensitivity_lr,
     laplace_sample,
-    monomials,
-    partition_monomials,
     perturb,
+    sensitive_mask,
     split_total_delta,
 )
-from fairdp.polynomial import fair_poly, lr_poly
+from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
 
 from conftest import random_unit_rows
 from toys import GOLDEN_DIR, perturb_golden_inputs
@@ -47,6 +46,12 @@ def neighboring_pair(rng, n, d):
     return a, b
 
 
+def monomials(d):
+    """All d + d^2 monomial ids in canonical (noise-draw) order: (e,) is the
+    degree-1 monomial w_e, (e, l) the ordered degree-2 monomial w_e w_l."""
+    return [(e,) for e in range(d)] + [(e, l) for e in range(d) for l in range(d)]
+
+
 def coefficient_diffs(pa, pb):
     dc1 = pa.c1 - pb.c1
     dc2 = pa.c2 - pb.c2
@@ -63,6 +68,17 @@ class TestSensitivityFormulas:
     @pytest.mark.parametrize("d,expected", [(2, 7.0), (4, 16.0)])
     def test_l1_fair(self, d, expected):
         assert l1_sensitivity_fair(d) == expected
+        assert l1_sensitivity_fair(d, 1.0) == expected
+
+    def test_fair_bounds_scale_with_alpha1(self):
+        # d^2/4 + (1 + 2|alpha1|) d and sqrt(d^2/16 + (1 + 2|alpha1|)^2 d);
+        # alpha1 = 0 is the plain logistic bound.
+        assert l1_sensitivity_fair(2, 20.0) == 1.0 + 41.0 * 2
+        assert l1_sensitivity_fair(2, -20.0) == l1_sensitivity_fair(2, 20.0)
+        assert l1_sensitivity_fair(5, 0.0) == l1_sensitivity_lr(5)
+        assert l2_sensitivity_fair(2, 20.0) == pytest.approx(
+            math.sqrt(0.25 + 41.0 ** 2 * 2), rel=1e-15)
+        assert l2_sensitivity_fair(5, 0.0) == l2_sensitivity_lr(5)
 
     def test_l2_lr(self):
         assert l2_sensitivity_lr(4) == pytest.approx(math.sqrt(5.0), rel=1e-15)
@@ -81,15 +97,16 @@ class TestSensitivityFormulas:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_empirical_bounds_on_neighbors(self, rng, d):
         # Quick version of the acceptance sweep: measured coefficient
-        # differences never exceed the closed forms.
+        # differences never exceed the closed forms, for every penalty weight.
         for _ in range(100):
             a, b = neighboring_pair(rng, 5, d)
             l1, l2 = coefficient_diffs(lr_poly(a), lr_poly(b))
             assert l1 <= l1_sensitivity_lr(d)
             assert l2 <= l2_sensitivity_lr(d)
-            l1f, l2f = coefficient_diffs(fair_poly(a), fair_poly(b))
-            assert l1f <= l1_sensitivity_fair(d)
-            assert l2f <= l2_sensitivity_fair(d)
+            for alpha1 in (0.0, 0.5, 1.0, 2.0, 20.0):
+                l1f, l2f = coefficient_diffs(fair_poly(a, alpha1), fair_poly(b, alpha1))
+                assert l1f <= l1_sensitivity_fair(d, alpha1)
+                assert l2f <= l2_sensitivity_fair(d, alpha1)
 
 
 class TestGaussianSigma:
@@ -143,13 +160,13 @@ class TestGaussianSigma:
 class TestSamplers:
     def test_laplace_moments(self):
         rng = np.random.default_rng(99)
-        draws = np.array([laplace_sample(rng, 2.0) for _ in range(200_000)])
+        draws = laplace_sample(rng, np.full(200_000, 2.0))
         assert abs(draws.mean()) < 0.02
         assert draws.std() == pytest.approx(2.0 * math.sqrt(2.0), rel=0.01)
 
     def test_gaussian_moments(self):
         rng = np.random.default_rng(98)
-        draws = np.array([gaussian_sample(rng, 3.0) for _ in range(200_000)])
+        draws = gaussian_sample(rng, np.full(200_000, 3.0))
         assert abs(draws.mean()) < 0.03
         assert draws.std() == pytest.approx(3.0, rel=0.01)
 
@@ -171,57 +188,55 @@ class TestSamplers:
             with pytest.raises(ValueError):
                 gaussian_sample(rng, bad)
             with pytest.raises(ValueError):
+                laplace_sample(rng, np.array([1.0, bad]))
+            with pytest.raises(ValueError):
                 NoiseDistribution("laplace", bad)
 
 
 class TestPartition:
+    """sensitive_mask splits the monomials by whether they contain w_s."""
+
     def test_d2_s0_enumeration(self):
-        part = partition_monomials(2, 0)
-        assert part.phi_s == {(0,), (0, 0), (0, 1), (1, 0)}
-        assert len(part.phi_s) == 4
+        mask = sensitive_mask(2, 0)
+        phi_s = {m for m, flag in zip(monomials(2), mask) if flag}
+        assert phi_s == {(0,), (0, 0), (0, 1), (1, 0)}
 
     def test_d1_degenerate(self):
-        part = partition_monomials(1, 0)
-        assert part.phi_s == {(0,), (0, 0)}
-        assert part.phi_n == frozenset()
+        np.testing.assert_array_equal(sensitive_mask(1, 0), [True, True])
 
     def test_d5_s3_counts_by_enumeration(self):
         # Oracle: brute count over all monomials.
-        part = partition_monomials(5, 3)
+        mask = sensitive_mask(5, 3)
         brute_s = [m for m in monomials(5) if 3 in m]
-        assert len(part.phi_s) == len(brute_s) == 10
-        assert len(part.phi_n) == 20
+        assert mask.sum() == len(brute_s) == 10
+        assert (~mask).sum() == 20
 
     @given(st.integers(1, 12), st.data())
     @settings(max_examples=50, deadline=None)
     def test_disjoint_cover_with_2d_sensitive(self, d, data):
         s = data.draw(st.integers(0, d - 1))
-        part = partition_monomials(d, s)
-        assert part.phi_s | part.phi_n == set(monomials(d))
-        assert not part.phi_s & part.phi_n
-        assert len(part.phi_s) == 2 * d
-        assert len(part.phi_s) + len(part.phi_n) == d + d * d
+        mask = sensitive_mask(d, s)
+        # One flag per monomial in draw order, set exactly where w_s occurs.
+        assert mask.dtype == bool and mask.shape == (d + d * d,)
+        assert mask.tolist() == [s in m for m in monomials(d)]
+        assert mask.sum() == 2 * d
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            partition_monomials(3, 3)
+            sensitive_mask(3, 3)
         with pytest.raises(ValueError):
-            partition_monomials(3, -1)
-
-
-class _ZeroNoise:
-    kind = "test-zero"
-    scale = 0.0
-
-    def sample(self, rng):
-        return 0.0
+            sensitive_mask(3, -1)
+        with pytest.raises(ValueError):
+            sensitive_mask(0, 0)
 
 
 class TestPerturb:
-    def test_zero_noise_identity(self):
+    def test_zero_noise_identity(self, monkeypatch):
+        monkeypatch.setitem(mechanisms._SAMPLERS, "laplace",
+                            lambda rng, scale: np.zeros_like(scale))
         poly, s_index, seed = perturb_golden_inputs()
-        part = partition_monomials(poly.d, s_index)
-        out = perturb(poly, _ZeroNoise(), _ZeroNoise(), part, np.random.default_rng(seed))
+        noise = NoiseDistribution("laplace", 1.0)
+        out = perturb(poly, noise, noise, s_index, np.random.default_rng(seed))
         assert out.c0 == poly.c0
         np.testing.assert_array_equal(out.c1, poly.c1)
         np.testing.assert_array_equal(out.c2, poly.c2)
@@ -231,10 +246,8 @@ class TestPerturb:
         # groups produce the exact same stream for any s_index.
         poly, _, seed = perturb_golden_inputs()
         noise = NoiseDistribution("laplace", 0.8)
-        outs = []
-        for s in range(poly.d):
-            part = partition_monomials(poly.d, s)
-            outs.append(perturb(poly, noise, noise, part, np.random.default_rng(seed)))
+        outs = [perturb(poly, noise, noise, s, np.random.default_rng(seed))
+                for s in range(poly.d)]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0].c1, other.c1)
             np.testing.assert_array_equal(outs[0].c2, other.c2)
@@ -242,12 +255,11 @@ class TestPerturb:
     def test_seeded_golden(self):
         golden = json.loads((GOLDEN_DIR / "perturb_d3.json").read_text())
         poly, s_index, seed = perturb_golden_inputs()
-        part = partition_monomials(poly.d, s_index)
         out = perturb(
             poly,
             NoiseDistribution("laplace", 2.0),
             NoiseDistribution("laplace", 0.5),
-            part,
+            s_index,
             np.random.default_rng(seed),
         )
         assert out.c0 == golden["c0"]
@@ -256,11 +268,10 @@ class TestPerturb:
 
     def test_c0_untouched_and_determinism(self):
         poly, s_index, seed = perturb_golden_inputs()
-        part = partition_monomials(poly.d, s_index)
         ns = NoiseDistribution("gaussian", 1.0)
         nn = NoiseDistribution("gaussian", 3.0)
-        a = perturb(poly, ns, nn, part, np.random.default_rng(seed))
-        b = perturb(poly, ns, nn, part, np.random.default_rng(seed))
+        a = perturb(poly, ns, nn, s_index, np.random.default_rng(seed))
+        b = perturb(poly, ns, nn, s_index, np.random.default_rng(seed))
         assert a.c0 == poly.c0
         np.testing.assert_array_equal(a.c1, b.c1)
         np.testing.assert_array_equal(a.c2, b.c2)
@@ -268,9 +279,107 @@ class TestPerturb:
 
     def test_dimension_mismatch(self):
         poly, _, _ = perturb_golden_inputs()
-        part = partition_monomials(poly.d + 1, 0)
-        with pytest.raises(ValueError):
-            perturb(poly, _ZeroNoise(), _ZeroNoise(), part, np.random.default_rng(0))
+        noise = NoiseDistribution("laplace", 1.0)
+        for s_index in (poly.d, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                perturb(poly, noise, noise, s_index, np.random.default_rng(0))
+
+    def test_mixed_noise_kinds_rejected(self):
+        poly, s_index, _ = perturb_golden_inputs()
+        with pytest.raises(ValueError, match="noise kinds must match"):
+            perturb(poly, NoiseDistribution("laplace", 1.0),
+                    NoiseDistribution("gaussian", 1.0), s_index,
+                    np.random.default_rng(0))
+
+
+def reference_perturb(poly, noise_s, noise_n, s_index, rng):
+    """The original scalar perturbation loop, kept as the bit-exactness
+    reference: monomials in canonical order, one ``rng.random()`` per Laplace
+    draw and two per Gaussian draw, each transformed with ``math``."""
+
+    def laplace(scale):
+        u = rng.random()
+        if u == 0.0:
+            u = 2.0 ** -53
+        if u < 0.5:
+            return scale * math.log(2.0 * u)
+        return -scale * math.log(2.0 * (1.0 - u))
+
+    def gaussian(sigma):
+        u1 = 1.0 - rng.random()
+        u2 = rng.random()
+        return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    sample = {"laplace": laplace, "gaussian": gaussian}
+    c1 = poly.c1.copy()
+    c2 = poly.c2.copy()
+    for m in monomials(poly.d):
+        dist = noise_s if s_index in m else noise_n
+        draw = sample[dist.kind](dist.scale)
+        if len(m) == 1:
+            c1[m[0]] += draw
+        else:
+            c2[m[0], m[1]] += draw
+    return c1, c2
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator whose uniform stream is given up front."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+class TestBitExact:
+    """The vector samplers reproduce the scalar reference bit for bit at the
+    dimensions the trainers use (d = 102 is the Adult encoding)."""
+
+    @pytest.mark.parametrize("d", [1, 7, 102])
+    @pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+    def test_matches_scalar_reference(self, d, kind):
+        gen = np.random.default_rng(d)
+        poly = PolyObjective(c0=1.5, c1=gen.normal(size=d), c2=gen.normal(size=(d, d)))
+        noise_s = NoiseDistribution(kind, 7.25)
+        noise_n = NoiseDistribution(kind, 0.3)
+        for seed in (0, 1, 20240, 2 ** 62 + 7):
+            for s_index in sorted({0, d // 2, d - 1}):
+                out = perturb(poly, noise_s, noise_n, s_index, np.random.default_rng(seed))
+                c1, c2 = reference_perturb(poly, noise_s, noise_n, s_index,
+                                           np.random.default_rng(seed))
+                np.testing.assert_array_equal(out.c1, c1)
+                np.testing.assert_array_equal(out.c2, c2)
+                assert out.c0 == poly.c0
+
+    @pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+    def test_edge_uniforms(self, kind):
+        # u = 0 (nudged), u = 1/2 (upper branch) and u next to 1.
+        stream = [0.0, 0.5, 1.0 - 2.0 ** -53, 0.25, 2.0 ** -53, 0.75] * 2
+        poly = PolyObjective(c0=0.0, c1=np.zeros(2), c2=np.zeros((2, 2)))
+        noise_s = NoiseDistribution(kind, 2.0)
+        noise_n = NoiseDistribution(kind, 0.5)
+        out = perturb(poly, noise_s, noise_n, 1, ScriptedUniforms(stream))
+        c1, c2 = reference_perturb(poly, noise_s, noise_n, 1, ScriptedUniforms(stream))
+        assert np.isfinite(out.c1).all() and np.isfinite(out.c2).all()
+        np.testing.assert_array_equal(out.c1, c1)
+        np.testing.assert_array_equal(out.c2, c2)
+
+    def test_scalar_calls_continue_the_stream(self):
+        # A float scale gives one float; consecutive calls walk the same
+        # uniform stream as one array call.
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        scalars = [laplace_sample(a, 1.5) for _ in range(5)]
+        scalars += [gaussian_sample(a, 0.5) for _ in range(5)]
+        arrays = np.concatenate([laplace_sample(b, np.full(5, 1.5)),
+                                 gaussian_sample(b, np.full(5, 0.5))])
+        assert all(isinstance(x, float) for x in scalars)
+        np.testing.assert_array_equal(scalars, arrays)
 
 
 class TestComposition:
@@ -339,9 +448,3 @@ class TestSpecTypes:
             SplitBudget(0, 0.5, 1.0, 1e-3, None)
         with pytest.raises(ValueError):
             SplitBudget(0, 0.5, 1.0, 1e-3, 1.5)
-
-    def test_partition_type_is_frozen(self):
-        part = partition_monomials(2, 0)
-        assert isinstance(part, MonomialPartition)
-        with pytest.raises(AttributeError):
-            part.d = 5

@@ -10,13 +10,13 @@ from fairdp.mechanisms import (
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sigma,
+    l1_sensitivity_fair,
     l2_sensitivity_fair,
     NoiseDistribution,
-    partition_monomials,
     perturb,
 )
 from fairdp.optimizer import RegularizationPolicy, canonicalize, minimize_quadratic
-from fairdp.polynomial import fair_poly
+from fairdp.polynomial import fair_poly, lr_poly
 from fairdp.trainers import (
     TrainedModel,
     BudgetInfo,
@@ -89,7 +89,11 @@ class TestPdfc:
         m = train_pdfc(conditioned_ds, 0.8, 0.8, s_index=1, seed=2)
         assert m.budgets.epsilon == 0.8
 
-    def test_constant_protected_matches_plain_fair_free(self, rng):
+    def test_constant_protected_same_objective_alpha_aware_noise(self, rng):
+        # With a constant protected attribute the penalty vanishes, so the
+        # clean objective and the noise-free fit do not depend on alpha1; the
+        # noise still does, because the sensitivity bound cannot look at the
+        # data.
         from conftest import random_unit_rows
         from fairdp.dataset import EncodedDataset
 
@@ -97,9 +101,21 @@ class TestPdfc:
         y = rng.integers(0, 2, size=30)
         ds = EncodedDataset(X=X, y=y, z=np.ones(30, dtype=int),
                             feature_names=("a", "b", "c"))
-        with_pen = train_pdfc(ds, 0.5, 0.5, s_index=0, alpha1=5.0, seed=9)
-        without = train_pdfc(ds, 0.5, 0.5, s_index=0, alpha1=0.0, seed=9)
-        np.testing.assert_array_equal(with_pen.w, without.w)
+        with_pen, without = fair_poly(ds, 5.0), fair_poly(ds, 0.0)
+        np.testing.assert_array_equal(with_pen.c1, without.c1)
+        np.testing.assert_array_equal(with_pen.c2, without.c2)
+        np.testing.assert_array_equal(without.c1, lr_poly(ds).c1)
+        for train, args in ((train_pdfc, (0.5, 0.5)),
+                            (train_adfc, (0.5, 0.5, 1e-3, 1e-3))):
+            clean = [train(ds, *args, s_index=0, alpha1=a, seed=9, disable_noise=True)
+                     for a in (5.0, 0.0)]
+            np.testing.assert_array_equal(clean[0].w, clean[1].w)
+        pdfc = train_pdfc(ds, 0.5, 0.5, s_index=0, alpha1=5.0, seed=9)
+        assert pdfc.sensitivity_used == l1_sensitivity_fair(3, 5.0) == 9 / 4 + 11 * 3
+        assert train_pdfc(ds, 0.5, 0.5, s_index=0, alpha1=0.0, seed=9).sensitivity_used \
+            == 9 / 4 + 3
+        adfc = train_adfc(ds, 0.5, 0.5, 1e-3, 1e-3, s_index=0, alpha1=5.0, seed=9)
+        assert adfc.sensitivity_used == l2_sensitivity_fair(3, 5.0)
 
     def test_golden_seeded_run(self):
         golden = load_golden("train_pdfc_d3.json")
@@ -127,9 +143,7 @@ class TestAdfc:
         m = train_adfc(ds, 0.9, 0.9, 1e-3, 1e-3, s_index=1, alpha1=1.0, seed=17)
         sigma = gaussian_sigma(0.9, 1e-3, l2_sensitivity_fair(ds.d))
         noise = NoiseDistribution("gaussian", sigma)
-        part = partition_monomials(ds.d, 0)
-        noisy = perturb(fair_poly(ds, 1.0), noise, noise, part,
-                        np.random.default_rng(17))
+        noisy = perturb(fair_poly(ds, 1.0), noise, noise, 0, np.random.default_rng(17))
         w, _ = minimize_quadratic(canonicalize(noisy))
         np.testing.assert_array_equal(m.w, w)
 
