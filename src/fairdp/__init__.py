@@ -26,34 +26,25 @@ from .evaluation import (
     train_method,
 )
 from .mechanisms import (
-    NoiseDistribution,
-    PrivacySpec,
-    SplitBudget,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sample,
     gaussian_sigma,
     l1_sensitivity_fair,
-    l1_sensitivity_lr,
     l2_sensitivity_fair,
-    l2_sensitivity_lr,
     laplace_sample,
     perturb,
     sensitive_mask,
 )
 from .optimizer import (
-    QuadraticForm,
     RegularizationPolicy,
-    canonicalize,
     minimize_logistic_exact,
     minimize_quadratic,
 )
 from .polynomial import (
-    FairnessVector,
     PolyObjective,
     eval_poly,
     fair_poly,
-    fairness_vector,
     gradient_poly,
     lr_poly,
 )

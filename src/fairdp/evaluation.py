@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -127,6 +127,16 @@ class ExperimentConfig:
             raise ValueError("epsilon grid is empty")
         if not self.delta_grid:
             raise ValueError("delta grid is empty")
+        for e in self.eps_grid:
+            if not 0.0 < e < math.inf:
+                raise ValueError(f"epsilon grid value must be finite and positive, got {e}")
+        for dv in self.delta_grid:
+            if not 0.0 < dv < 1.0:
+                raise ValueError(f"delta grid value must be in (0, 1), got {dv}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not math.isfinite(self.alpha1):
+            raise ValueError(f"alpha1 must be finite, got {self.alpha1}")
 
     def grid(self) -> list[GridPoint]:
         points = []
@@ -147,13 +157,7 @@ class RunResult:
     params: dict
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "risk_difference": self.risk_difference,
-            "seed": self.seed,
-            "method": self.method,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Privacy machinery: sensitivity bounds, calibrated noise, the monomial
 mask for attribute-wise budgets, coefficient perturbation and budget
-composition.
+composition.  The four private trainers share one path through it
+(``trainers._private_fit``): a fair sensitivity bound, ``perturb`` at one
+or two scales of one noise kind, and the composed budget.
 
 Sensitivities are the closed-form worst-case bounds over neighboring datasets
 (one row replaced), never data-dependent quantities.  For rows in the
-nonnegative unit ball the aggregated polynomial coefficients of the logistic
-quadratic differ by at most d^2/4 + d in L1 and sqrt(d^2/16 + d) in L2;
-folding the fairness penalty with weight alpha1 raises the linear-term bound,
-giving d^2/4 + (1 + 2|alpha1|) d and sqrt(d^2/16 + (1 + 2|alpha1|)^2 d).
+nonnegative unit ball, folding the fairness penalty with weight alpha1 into
+the logistic quadratic bounds the coefficient difference by
+d^2/4 + (1 + 2|alpha1|) d in L1 and sqrt(d^2/16 + (1 + 2|alpha1|)^2 d) in
+L2.  alpha1 = 0 is the plain logistic quadratic (d^2/4 + d and
+sqrt(d^2/16 + d), bit for bit), which FM and RelaxedFM use.
 
 Noise is drawn one value per degree-1 coefficient and per ordered degree-2
 cell, in a fixed order (degree-1 ascending, then degree-2 row-major), so a
@@ -23,56 +26,10 @@ output depend on the host.  sqrt is correctly rounded and stays vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomial import PolyObjective
-
-
-@dataclass(frozen=True)
-class PrivacySpec:
-    """A privacy target: pure eps-DP via Laplace noise, or (eps, delta)-DP
-    via Gaussian noise."""
-
-    kind: str  # "laplace" or "gaussian"
-    epsilon: float
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("laplace", "gaussian"):
-            raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.kind == "laplace":
-            if self.delta is not None:
-                raise ValueError("delta must be absent for the Laplace mechanism")
-        else:
-            if self.delta is None or not 0.0 < self.delta < 1.0:
-                raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
-class SplitBudget:
-    """Per-attribute budgets: (eps_s[, delta_s]) for the designated attribute
-    index, (eps_n[, delta_n]) for the rest."""
-
-    s_index: int
-    eps_s: float
-    eps_n: float
-    delta_s: float | None = None
-    delta_n: float | None = None
-
-    def __post_init__(self):
-        if self.s_index < 0:
-            raise ValueError("s_index must be nonnegative")
-        if self.eps_s <= 0 or self.eps_n <= 0:
-            raise ValueError("split epsilons must be positive")
-        if (self.delta_s is None) != (self.delta_n is None):
-            raise ValueError("delta_s and delta_n must be given together")
-        for dv in (self.delta_s, self.delta_n):
-            if dv is not None and not 0.0 < dv < 1.0:
-                raise ValueError(f"delta must be in (0, 1), got {dv}")
 
 
 # --- sensitivity bounds -----------------------------------------------------
@@ -82,19 +39,9 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
 
-def l1_sensitivity_lr(d: int) -> float:
-    _check_dim(d)
-    return d * d / 4.0 + d
-
-
 def l1_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
     _check_dim(d)
     return d * d / 4.0 + (1.0 + 2.0 * abs(alpha1)) * d
-
-
-def l2_sensitivity_lr(d: int) -> float:
-    _check_dim(d)
-    return math.sqrt(d * d / 16.0 + d)
 
 
 def l2_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
@@ -178,21 +125,6 @@ def gaussian_sample(rng: np.random.Generator, sigma):
 _SAMPLERS = {"laplace": laplace_sample, "gaussian": gaussian_sample}
 
 
-@dataclass(frozen=True)
-class NoiseDistribution:
-    """A named zero-mean noise family with its scale parameter
-    (Laplace scale b, or Gaussian sigma)."""
-
-    kind: str  # "laplace" or "gaussian"
-    scale: float
-
-    def __post_init__(self):
-        if self.kind not in _SAMPLERS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError(f"noise scale must be positive, got {self.scale}")
-
-
 def sensitive_mask(d: int, s_index: int) -> np.ndarray:
     """Boolean flag per monomial, in canonical (noise-draw) order: True for
     the 2d monomials containing w_s (w_s itself and every degree-2 cell in
@@ -206,28 +138,26 @@ def sensitive_mask(d: int, s_index: int) -> np.ndarray:
 
 def perturb(
     poly: PolyObjective,
-    noise_s: NoiseDistribution,
-    noise_n: NoiseDistribution,
+    kind: str,
+    scale_s: float,
+    scale_n: float,
     s_index: int,
     rng: np.random.Generator,
 ) -> PolyObjective:
-    """Add one independent noise draw to every degree-1 and ordered degree-2
-    coefficient; monomials containing w_s draw from noise_s, the rest from
-    noise_n.
+    """Add one independent ``kind`` ("laplace" or "gaussian") noise draw to
+    every degree-1 and ordered degree-2 coefficient; monomials containing w_s
+    draw at scale_s, the rest at scale_n (Laplace scale b or Gaussian sigma).
 
     Draws happen in canonical order (degree-1 ascending, then degree-2
-    row-major) so a seed pins the exact output.  Both groups must share one
-    noise kind: the kinds consume different numbers of uniforms per draw.  c0
-    is never perturbed: the algorithms only touch degrees 1 and 2, and a
-    constant cannot move the minimizer.
+    row-major) so a seed pins the exact output.  c0 is never perturbed: the
+    algorithms only touch degrees 1 and 2, and a constant cannot move the
+    minimizer.
     """
-    if noise_s.kind != noise_n.kind:
-        raise ValueError(
-            f"noise kinds must match, got {noise_s.kind!r} and {noise_n.kind!r}"
-        )
+    if kind not in _SAMPLERS:
+        raise ValueError(f"unknown noise kind {kind!r}")
     d = poly.d
-    scales = np.where(sensitive_mask(d, s_index), noise_s.scale, noise_n.scale)
-    draws = _SAMPLERS[noise_s.kind](rng, scales)
+    scales = np.where(sensitive_mask(d, s_index), scale_s, scale_n)
+    draws = _SAMPLERS[kind](rng, scales)
     return PolyObjective(
         c0=poly.c0,
         c1=poly.c1 + draws[:d],

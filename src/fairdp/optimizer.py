@@ -1,22 +1,25 @@
 """Minimizers for the (possibly noise-perturbed) quadratic objective and for
 the exact logistic loss.
 
-Noise can make the quadratic indefinite and therefore unbounded below.  The
-quadratic path restores well-posedness with a spectral floor: eigenvalues of
-the symmetrized degree-2 matrix below ``eigen_floor`` are clamped up to it
+The quadratic path takes the ordered-pair ``PolyObjective`` every trainer
+builds (clean for FairLR, perturbed for the four private methods) and
+symmetrizes its degree-2 grid itself; no other module does.  Noise can make
+the quadratic indefinite and therefore unbounded below, so the solve
+restores well-posedness with a spectral floor: eigenvalues of the
+symmetrized degree-2 matrix below ``eigen_floor`` are clamped up to it
 before the closed-form solve.  Diagnostics report how often that floor bites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .dataset import EncodedDataset
-from .polynomial import PolyObjective, fairness_vector
+from .polynomial import PolyObjective
 
 
 class OptimizationError(RuntimeError):
@@ -25,35 +28,6 @@ class OptimizationError(RuntimeError):
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
         self.iteration = iteration
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Canonical quadratic c + b.w + w.A w with A symmetric."""
-
-    A: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.shape != (b.size, b.size):
-            raise ValueError("A must be d x d matching b")
-        if not np.array_equal(A, A.T):
-            raise ValueError("A must be exactly symmetric")
-        A.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", float(self.c))
-
-    @property
-    def d(self) -> int:
-        return self.b.size
-
-    def value(self, w: np.ndarray) -> float:
-        return float(self.c + self.b @ w + w @ self.A @ w)
 
 
 @dataclass(frozen=True)
@@ -77,11 +51,7 @@ class QuadraticDiagnostics:
     min_eigenvalue: float
 
     def to_dict(self) -> dict:
-        return {
-            "clamped_eigenvalues": self.clamped_eigenvalues,
-            "residual_inf": self.residual_inf,
-            "min_eigenvalue": self.min_eigenvalue,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -93,38 +63,26 @@ class DescentDiagnostics:
     final_step: float
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "grad_inf": self.grad_inf,
-            "converged": self.converged,
-            "hit_iteration_cap": self.hit_iteration_cap,
-            "final_step": self.final_step,
-        }
-
-
-def canonicalize(p: PolyObjective) -> QuadraticForm:
-    """Symmetrize the ordered-pair grid: w.C2 w == w.[(C2+C2^T)/2] w for all w."""
-    return QuadraticForm(A=(p.c2 + p.c2.T) / 2.0, b=p.c1.copy(), c=p.c0)
+        return asdict(self)
 
 
 def minimize_quadratic(
-    q: QuadraticForm, policy: RegularizationPolicy | None = None
+    poly: PolyObjective, policy: RegularizationPolicy | None = None
 ) -> tuple[np.ndarray, QuadraticDiagnostics]:
     """Closed-form minimizer of the floor-clamped quadratic.
 
-    Eigendecomposes A, lifts every eigenvalue below the floor up to it, and
-    solves 2 A_reg w = -b in the eigenbasis.  The returned w is the unique
-    global minimizer of the clamped (strongly convex) objective.
+    Symmetrizes the ordered-pair grid, A = (C2 + C2^T)/2 (w.C2 w == w.A w for
+    every w), eigendecomposes A, lifts every eigenvalue below the floor up to
+    it, and solves 2 A_reg w = -c1 in the eigenbasis.  The returned w is the
+    unique global minimizer of the clamped (strongly convex) objective.
     """
     policy = policy or RegularizationPolicy()
-    if not (np.isfinite(q.A).all() and np.isfinite(q.b).all()):
-        raise ValueError("quadratic form has non-finite entries")
-    lam, vec = np.linalg.eigh(q.A)
+    lam, vec = np.linalg.eigh((poly.c2 + poly.c2.T) / 2.0)
     clamped = int((lam < policy.eigen_floor).sum())
     lam_reg = np.maximum(lam, policy.eigen_floor)
-    beta = vec.T @ q.b
+    beta = vec.T @ poly.c1
     w = vec @ (-beta / (2.0 * lam_reg))
-    residual = 2.0 * (vec @ (lam_reg * (vec.T @ w))) + q.b
+    residual = 2.0 * (vec @ (lam_reg * (vec.T @ w))) + poly.c1
     diag = QuadraticDiagnostics(
         clamped_eigenvalues=clamped,
         residual_inf=float(np.abs(residual).max()),
@@ -139,7 +97,8 @@ def logistic_objective(
     """Exact penalized loss and its gradient.
 
     Loss: sum_i [log(1 + exp(x_i.w)) - y_i x_i.w] + alpha1 * (c_fair . w),
-    with c_fair the decision-boundary covariance vector.  log(1+exp(.)) is
+    with c_fair = sum_i (z_i - z_bar) x_i the decision-boundary covariance
+    vector (``ds.protected_cov``).  log(1+exp(.)) is
     computed via logaddexp so large scores cannot overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -147,7 +106,7 @@ def logistic_objective(
         loss = float(np.logaddexp(0.0, scores).sum() - ds.y @ scores)
         grad = ds.X.T @ (expit(scores) - ds.y)
     if alpha1 != 0.0:
-        c = fairness_vector(ds).c
+        c = ds.protected_cov
         loss += alpha1 * float(c @ w)
         grad = grad + alpha1 * c
     return loss, grad

@@ -58,33 +58,10 @@ class PolyObjective:
         return cls(c0=data["c0"], c1=np.array(data["c1"]), c2=np.array(data["c2"]))
 
 
-@dataclass(frozen=True)
-class FairnessVector:
-    """Decision-boundary covariance direction c = sum_i (z_i - z_bar) x_i.
-
-    The covariance between the protected attribute and the decision boundary
-    is c . w; penalizing it pulls the boundary away from the protected
-    attribute.  alpha1 weighs the penalty, tau is the (fixed, zero) slack.
-    """
-
-    c: np.ndarray
-    alpha1: float = 1.0
-    tau: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-
 def lr_poly(ds: EncodedDataset) -> PolyObjective:
     """Quadratic expansion of the plain logistic loss on a dataset (from its
     cached sufficient statistics)."""
     return PolyObjective(c0=ds.n * math.log(2.0), c1=ds.logistic_c1, c2=ds.logistic_c2)
-
-
-def fairness_vector(ds: EncodedDataset, alpha1: float = 1.0) -> FairnessVector:
-    return FairnessVector(c=ds.protected_cov, alpha1=alpha1)
 
 
 def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
@@ -95,9 +72,10 @@ def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
     Orient the protected encoding (which group is z=1) so the clean boundary
     covariance is positive if the penalty is meant to shrink it.
     """
+    if not math.isfinite(alpha1):
+        raise ValueError(f"alpha1 must be finite, got {alpha1}")
     base = lr_poly(ds)
-    fv = fairness_vector(ds, alpha1)
-    return PolyObjective(c0=base.c0, c1=base.c1 + alpha1 * fv.c, c2=base.c2)
+    return PolyObjective(c0=base.c0, c1=base.c1 + alpha1 * ds.protected_cov, c2=base.c2)
 
 
 def eval_poly(p: PolyObjective, w: np.ndarray) -> float:

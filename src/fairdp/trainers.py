@@ -1,13 +1,18 @@
 """The six training routines.
 
-Private trainers build the quadratic objective, perturb its coefficients with
-noise calibrated to the closed-form sensitivity, and release the minimizer of
-the perturbed quadratic:
+The four private trainers are one mechanism and share one path,
+``_private_fit``: build the quadratic objective, perturb its coefficients
+with noise calibrated to the closed-form fair sensitivity at one or two
+scales, and release the minimizer of the perturbed quadratic
+(``minimize_quadratic`` symmetrizes the ordered-pair grid):
 
   - FM:        plain quadratic + single-budget Laplace noise (eps-DP)
   - RelaxedFM: plain quadratic + single-budget Gaussian noise ((eps,delta)-DP)
   - PDFC:      fairness-penalized quadratic + attribute-wise Laplace budgets
   - ADFC:      fairness-penalized quadratic + attribute-wise Gaussian budgets
+
+FM and RelaxedFM are the single-budget alpha1 = 0 case of PDFC and ADFC: the
+fair sensitivity bounds at alpha1 = 0 equal the plain ones bit for bit.
 
 Non-private baselines:
 
@@ -20,28 +25,21 @@ Every trainer is a pure function of (dataset, parameters, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import EncodedDataset
 from .mechanisms import (
-    NoiseDistribution,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sigma,
     l1_sensitivity_fair,
-    l1_sensitivity_lr,
     l2_sensitivity_fair,
-    l2_sensitivity_lr,
     perturb,
 )
-from .optimizer import (
-    RegularizationPolicy,
-    canonicalize,
-    minimize_logistic_exact,
-    minimize_quadratic,
-)
+from .optimizer import RegularizationPolicy, minimize_logistic_exact, minimize_quadratic
 from .polynomial import fair_poly, lr_poly
 
 METHODS = ("LR", "FairLR", "FM", "RelaxedFM", "PDFC", "ADFC")
@@ -61,15 +59,7 @@ class BudgetInfo:
     s_index: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "eps_s": self.eps_s,
-            "eps_n": self.eps_n,
-            "delta_s": self.delta_s,
-            "delta_n": self.delta_n,
-            "s_index": self.s_index,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,16 +112,63 @@ class TrainedModel:
         )
 
 
-def _solve(poly, policy):
-    w, diag = minimize_quadratic(canonicalize(poly), policy)
-    return w, diag.to_dict()
+def _private_fit(
+    ds: EncodedDataset,
+    method: str,
+    eps_s: float,
+    eps_n: float,
+    delta_s: float | None,
+    delta_n: float | None,
+    s_index: int,
+    alpha1: float,
+    seed: int,
+    policy: RegularizationPolicy | None,
+    disable_noise: bool,
+) -> TrainedModel:
+    """The one perturb-and-solve path of the four private methods.
 
-
-def _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise):
-    if disable_noise:
-        return _solve(poly, policy)
-    noisy = perturb(poly, noise_s, noise_n, s_index, np.random.default_rng(seed))
-    return _solve(noisy, policy)
+    Without deltas the noise is Laplace at the fair L1 bound over eps, with
+    deltas Gaussian at the sigma calibrated for the fair L2 bound; monomials
+    containing w_s get the (eps_s[, delta_s]) scale, the rest (eps_n[,
+    delta_n]).  PDFC/ADFC perturb the fairness-penalized quadratic and record
+    split budgets; FM/RelaxedFM are the single-budget alpha1 = 0 case on the
+    plain quadratic, where the fair bounds equal the plain ones bit for bit.
+    """
+    split_budget = method in ("PDFC", "ADFC")
+    names = ("eps_s", "eps_n") if split_budget else ("epsilon", "epsilon")
+    for name, eps in zip(names, (eps_s, eps_n)):
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {eps}")
+    if not 0 <= s_index < ds.d:
+        raise ValueError(f"s_index {s_index} out of range for d={ds.d}")
+    poly = fair_poly(ds, alpha1) if split_budget else lr_poly(ds)
+    if delta_s is None:
+        kind, sensitivity = "laplace", l1_sensitivity_fair(ds.d, alpha1)
+        scale_s, scale_n = sensitivity / eps_s, sensitivity / eps_n
+    else:
+        kind, sensitivity = "gaussian", l2_sensitivity_fair(ds.d, alpha1)
+        scale_s = gaussian_sigma(eps_s, delta_s, sensitivity)
+        scale_n = gaussian_sigma(eps_n, delta_n, sensitivity)
+    if not disable_noise:
+        poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
+    w, diag = minimize_quadratic(poly, policy)
+    if split_budget:
+        budgets = BudgetInfo(
+            epsilon=compose_split_epsilon(eps_s, eps_n, ds.d),
+            delta=None if delta_s is None else compose_split_delta(delta_s, delta_n),
+            eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n, s_index=s_index,
+        )
+    else:
+        budgets = BudgetInfo(epsilon=eps_s, delta=delta_s)
+    return TrainedModel(
+        w=w,
+        method=method,
+        budgets=budgets,
+        sensitivity_used=sensitivity,
+        alpha1=alpha1,
+        seed=seed,
+        diagnostics=diag.to_dict(),
+    )
 
 
 def train_fm(
@@ -142,20 +179,8 @@ def train_fm(
     disable_noise: bool = False,
 ) -> TrainedModel:
     """Functional mechanism: Laplace noise Lap(Delta1/eps) on every coefficient."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    delta1 = l1_sensitivity_lr(ds.d)
-    noise = NoiseDistribution("laplace", delta1 / epsilon)
-    w, diag = _perturbed_solve(lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
-    return TrainedModel(
-        w=w,
-        method="FM",
-        budgets=BudgetInfo(epsilon=epsilon),
-        sensitivity_used=delta1,
-        alpha1=0.0,
-        seed=seed,
-        diagnostics=diag,
-    )
+    return _private_fit(ds, "FM", epsilon, epsilon, None, None, 0, 0.0,
+                        seed, policy, disable_noise)
 
 
 def train_relaxed_fm(
@@ -167,18 +192,8 @@ def train_relaxed_fm(
     disable_noise: bool = False,
 ) -> TrainedModel:
     """Relaxed functional mechanism: Gaussian noise sized by the L2 sensitivity."""
-    delta2 = l2_sensitivity_lr(ds.d)
-    noise = NoiseDistribution("gaussian", gaussian_sigma(epsilon, delta, delta2))
-    w, diag = _perturbed_solve(lr_poly(ds), noise, noise, 0, seed, policy, disable_noise)
-    return TrainedModel(
-        w=w,
-        method="RelaxedFM",
-        budgets=BudgetInfo(epsilon=epsilon, delta=delta),
-        sensitivity_used=delta2,
-        alpha1=0.0,
-        seed=seed,
-        diagnostics=diag,
-    )
+    return _private_fit(ds, "RelaxedFM", epsilon, epsilon, delta, delta, 0, 0.0,
+                        seed, policy, disable_noise)
 
 
 def train_pdfc(
@@ -194,25 +209,8 @@ def train_pdfc(
     """Purely DP and fair training: fairness-penalized quadratic, Laplace noise
     Lap(Delta1/eps_s) on monomials containing w_s and Lap(Delta1/eps_n) elsewhere
     (Delta1: the fair L1 sensitivity at alpha1)."""
-    delta1 = l1_sensitivity_fair(ds.d, alpha1)
-    noise_s = NoiseDistribution("laplace", delta1 / eps_s)
-    noise_n = NoiseDistribution("laplace", delta1 / eps_n)
-    poly = fair_poly(ds, alpha1)
-    w, diag = _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
-    return TrainedModel(
-        w=w,
-        method="PDFC",
-        budgets=BudgetInfo(
-            epsilon=compose_split_epsilon(eps_s, eps_n, ds.d),
-            eps_s=eps_s,
-            eps_n=eps_n,
-            s_index=s_index,
-        ),
-        sensitivity_used=delta1,
-        alpha1=alpha1,
-        seed=seed,
-        diagnostics=diag,
-    )
+    return _private_fit(ds, "PDFC", eps_s, eps_n, None, None, s_index, alpha1,
+                        seed, policy, disable_noise)
 
 
 def train_adfc(
@@ -230,28 +228,8 @@ def train_adfc(
     """Approximately DP and fair training: Gaussian noise with per-group sigmas
     calibrated from (eps_s, delta_s) and (eps_n, delta_n) at the fair L2
     sensitivity for this alpha1."""
-    delta2 = l2_sensitivity_fair(ds.d, alpha1)
-    noise_s = NoiseDistribution("gaussian", gaussian_sigma(eps_s, delta_s, delta2))
-    noise_n = NoiseDistribution("gaussian", gaussian_sigma(eps_n, delta_n, delta2))
-    poly = fair_poly(ds, alpha1)
-    w, diag = _perturbed_solve(poly, noise_s, noise_n, s_index, seed, policy, disable_noise)
-    return TrainedModel(
-        w=w,
-        method="ADFC",
-        budgets=BudgetInfo(
-            epsilon=compose_split_epsilon(eps_s, eps_n, ds.d),
-            delta=compose_split_delta(delta_s, delta_n),
-            eps_s=eps_s,
-            eps_n=eps_n,
-            delta_s=delta_s,
-            delta_n=delta_n,
-            s_index=s_index,
-        ),
-        sensitivity_used=delta2,
-        alpha1=alpha1,
-        seed=seed,
-        diagnostics=diag,
-    )
+    return _private_fit(ds, "ADFC", eps_s, eps_n, delta_s, delta_n, s_index, alpha1,
+                        seed, policy, disable_noise)
 
 
 def train_lr(
@@ -274,7 +252,7 @@ def train_fair_lr(
     ds: EncodedDataset, alpha1: float = 1.0, policy: RegularizationPolicy | None = None
 ) -> TrainedModel:
     """No-noise limit of the fair trainers: minimize the clean penalized quadratic."""
-    w, diag = _solve(fair_poly(ds, alpha1), policy)
+    w, diag = minimize_quadratic(fair_poly(ds, alpha1), policy)
     return TrainedModel(
         w=w,
         method="FairLR",
@@ -282,5 +260,5 @@ def train_fair_lr(
         sensitivity_used=None,
         alpha1=alpha1,
         seed=None,
-        diagnostics=diag,
+        diagnostics=diag.to_dict(),
     )

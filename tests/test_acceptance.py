@@ -23,12 +23,10 @@ from fairdp.mechanisms import (
     gaussian_sample,
     gaussian_sigma,
     l1_sensitivity_fair,
-    l1_sensitivity_lr,
     l2_sensitivity_fair,
-    l2_sensitivity_lr,
     laplace_sample,
 )
-from fairdp.optimizer import QuadraticForm, minimize_quadratic
+from fairdp.optimizer import minimize_quadratic
 from fairdp.polynomial import PolyObjective, eval_poly, fair_poly, gradient_poly, lr_poly
 from fairdp.trainers import (
     train_adfc,
@@ -64,7 +62,7 @@ def test_criterion_1_sensitivity_bounds():
     for d in range(2, 9):
         names = tuple(f"f{i}" for i in range(d))
         bounds = (
-            l1_sensitivity_lr(d), l2_sensitivity_lr(d),
+            l1_sensitivity_fair(d, 0.0), l2_sensitivity_fair(d, 0.0),
             l1_sensitivity_fair(d), l2_sensitivity_fair(d),
         )
         worst = [0.0, 0.0, 0.0, 0.0]
@@ -183,7 +181,7 @@ def test_criterion_4_quadratic_solver_vs_gd_oracle():
 
     worst = 0.0
     for i, d in enumerate(dims):
-        q = QuadraticForm(A=As[i, :d, :d], b=bs[i, :d], c=0.0)
+        q = PolyObjective(c0=0.0, c1=bs[i, :d], c2=As[i, :d, :d])
         w_solver, diag = minimize_quadratic(q)
         assert diag.clamped_eigenvalues == 0
         worst = max(worst, np.abs(w_solver - w[i, :d]).max())

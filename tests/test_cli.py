@@ -221,6 +221,27 @@ class TestSweep:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--eps", "nan"],
+        ["--eps", "1.0,inf"],
+        ["--eps", "0"],
+        ["--delta", "1.0"],
+        ["--test-fraction", "1.5"],
+        ["--alpha1", "nan"],
+    ])
+    def test_bad_config_fails_before_compute(self, tmp_path, capsys, flags):
+        # The dataset path does not exist: the config check must trip first,
+        # exit 2 and write nothing.
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--dataset", str(tmp_path / "missing.csv"), "--schema", TOY_SCHEMA,
+            "--methods", "fm,relaxedfm", "--runs", "1", "--out", str(out), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not found" not in err
+        assert not out.exists()
+
     def test_jobs_flag_matches_serial(self, tmp_path):
         base = [
             "sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,

@@ -272,6 +272,24 @@ class TestExperiment:
         with pytest.raises(ValueError):
             self.config(methods=())
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(eps_grid=(1.0, 0.0)), "epsilon grid value"),
+        (dict(eps_grid=(-1.0,)), "epsilon grid value"),
+        (dict(eps_grid=(math.nan,)), "epsilon grid value"),
+        (dict(eps_grid=(math.inf,)), "epsilon grid value"),
+        (dict(delta_grid=(0.0,)), "delta grid value"),
+        (dict(delta_grid=(1e-3, 1.0)), "delta grid value"),
+        (dict(delta_grid=(math.nan,)), "delta grid value"),
+        (dict(test_fraction=0.0), "test_fraction"),
+        (dict(test_fraction=1.5), "test_fraction"),
+        (dict(test_fraction=math.nan), "test_fraction"),
+        (dict(alpha1=math.nan), "alpha1"),
+        (dict(alpha1=-math.inf), "alpha1"),
+    ])
+    def test_bad_grid_rejected_at_construction(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            self.config(**bad)
+
     def test_report_round_trip(self):
         rep = run_experiment(toy_d3(), self.config())
         back = ExperimentReport.from_dict(rep.to_dict())

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 from fairdp import mechanisms
 from fairdp.dataset import EncodedDataset
 from fairdp.mechanisms import (
-    NoiseDistribution,
-    PrivacySpec,
-    SplitBudget,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sample,
     gaussian_sigma,
     l1_sensitivity_fair,
-    l1_sensitivity_lr,
     l2_sensitivity_fair,
-    l2_sensitivity_lr,
     laplace_sample,
     perturb,
     sensitive_mask,
@@ -63,7 +58,7 @@ def coefficient_diffs(pa, pb):
 class TestSensitivityFormulas:
     @pytest.mark.parametrize("d,expected", [(2, 3.0), (4, 8.0)])
     def test_l1_lr(self, d, expected):
-        assert l1_sensitivity_lr(d) == expected
+        assert l1_sensitivity_fair(d, 0.0) == expected
 
     @pytest.mark.parametrize("d,expected", [(2, 7.0), (4, 16.0)])
     def test_l1_fair(self, d, expected):
@@ -72,27 +67,28 @@ class TestSensitivityFormulas:
 
     def test_fair_bounds_scale_with_alpha1(self):
         # d^2/4 + (1 + 2|alpha1|) d and sqrt(d^2/16 + (1 + 2|alpha1|)^2 d);
-        # alpha1 = 0 is the plain logistic bound.
+        # alpha1 = 0 is the plain logistic bound, d^2/4 + d and
+        # sqrt(d^2/16 + d) bit for bit.
         assert l1_sensitivity_fair(2, 20.0) == 1.0 + 41.0 * 2
         assert l1_sensitivity_fair(2, -20.0) == l1_sensitivity_fair(2, 20.0)
-        assert l1_sensitivity_fair(5, 0.0) == l1_sensitivity_lr(5)
+        assert l1_sensitivity_fair(5, 0.0) == 5 * 5 / 4.0 + 5
         assert l2_sensitivity_fair(2, 20.0) == pytest.approx(
             math.sqrt(0.25 + 41.0 ** 2 * 2), rel=1e-15)
-        assert l2_sensitivity_fair(5, 0.0) == l2_sensitivity_lr(5)
+        assert l2_sensitivity_fair(5, 0.0) == math.sqrt(5 * 5 / 16.0 + 5)
 
     def test_l2_lr(self):
-        assert l2_sensitivity_lr(4) == pytest.approx(math.sqrt(5.0), rel=1e-15)
-        assert l2_sensitivity_lr(1) == pytest.approx(math.sqrt(17.0) / 4.0, rel=1e-15)
+        assert l2_sensitivity_fair(4, 0.0) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert l2_sensitivity_fair(1, 0.0) == pytest.approx(math.sqrt(17.0) / 4.0, rel=1e-15)
 
     def test_l2_fair(self):
         assert l2_sensitivity_fair(4) == pytest.approx(math.sqrt(37.0), rel=1e-15)
         assert l2_sensitivity_fair(2) == pytest.approx(math.sqrt(18.25), rel=1e-15)
 
     def test_domain_guard(self):
-        for fn in (l1_sensitivity_lr, l1_sensitivity_fair,
-                   l2_sensitivity_lr, l2_sensitivity_fair):
-            with pytest.raises(ValueError):
-                fn(0)
+        for fn in (l1_sensitivity_fair, l2_sensitivity_fair):
+            for alpha1 in (0.0, 1.0):
+                with pytest.raises(ValueError):
+                    fn(0, alpha1)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_empirical_bounds_on_neighbors(self, rng, d):
@@ -101,8 +97,8 @@ class TestSensitivityFormulas:
         for _ in range(100):
             a, b = neighboring_pair(rng, 5, d)
             l1, l2 = coefficient_diffs(lr_poly(a), lr_poly(b))
-            assert l1 <= l1_sensitivity_lr(d)
-            assert l2 <= l2_sensitivity_lr(d)
+            assert l1 <= l1_sensitivity_fair(d, 0.0)
+            assert l2 <= l2_sensitivity_fair(d, 0.0)
             for alpha1 in (0.0, 0.5, 1.0, 2.0, 20.0):
                 l1f, l2f = coefficient_diffs(fair_poly(a, alpha1), fair_poly(b, alpha1))
                 assert l1f <= l1_sensitivity_fair(d, alpha1)
@@ -189,8 +185,9 @@ class TestSamplers:
                 gaussian_sample(rng, bad)
             with pytest.raises(ValueError):
                 laplace_sample(rng, np.array([1.0, bad]))
+            poly, s_index, _ = perturb_golden_inputs()
             with pytest.raises(ValueError):
-                NoiseDistribution("laplace", bad)
+                perturb(poly, "laplace", 1.0, bad, s_index, rng)
 
 
 class TestPartition:
@@ -235,8 +232,7 @@ class TestPerturb:
         monkeypatch.setitem(mechanisms._SAMPLERS, "laplace",
                             lambda rng, scale: np.zeros_like(scale))
         poly, s_index, seed = perturb_golden_inputs()
-        noise = NoiseDistribution("laplace", 1.0)
-        out = perturb(poly, noise, noise, s_index, np.random.default_rng(seed))
+        out = perturb(poly, "laplace", 1.0, 1.0, s_index, np.random.default_rng(seed))
         assert out.c0 == poly.c0
         np.testing.assert_array_equal(out.c1, poly.c1)
         np.testing.assert_array_equal(out.c2, poly.c2)
@@ -245,8 +241,7 @@ class TestPerturb:
         # One draw per monomial in canonical order makes equal-distribution
         # groups produce the exact same stream for any s_index.
         poly, _, seed = perturb_golden_inputs()
-        noise = NoiseDistribution("laplace", 0.8)
-        outs = [perturb(poly, noise, noise, s, np.random.default_rng(seed))
+        outs = [perturb(poly, "laplace", 0.8, 0.8, s, np.random.default_rng(seed))
                 for s in range(poly.d)]
         for other in outs[1:]:
             np.testing.assert_array_equal(outs[0].c1, other.c1)
@@ -255,23 +250,15 @@ class TestPerturb:
     def test_seeded_golden(self):
         golden = json.loads((GOLDEN_DIR / "perturb_d3.json").read_text())
         poly, s_index, seed = perturb_golden_inputs()
-        out = perturb(
-            poly,
-            NoiseDistribution("laplace", 2.0),
-            NoiseDistribution("laplace", 0.5),
-            s_index,
-            np.random.default_rng(seed),
-        )
+        out = perturb(poly, "laplace", 2.0, 0.5, s_index, np.random.default_rng(seed))
         assert out.c0 == golden["c0"]
         np.testing.assert_array_equal(out.c1, np.array(golden["c1"]))
         np.testing.assert_array_equal(out.c2, np.array(golden["c2"]))
 
     def test_c0_untouched_and_determinism(self):
         poly, s_index, seed = perturb_golden_inputs()
-        ns = NoiseDistribution("gaussian", 1.0)
-        nn = NoiseDistribution("gaussian", 3.0)
-        a = perturb(poly, ns, nn, s_index, np.random.default_rng(seed))
-        b = perturb(poly, ns, nn, s_index, np.random.default_rng(seed))
+        a = perturb(poly, "gaussian", 1.0, 3.0, s_index, np.random.default_rng(seed))
+        b = perturb(poly, "gaussian", 1.0, 3.0, s_index, np.random.default_rng(seed))
         assert a.c0 == poly.c0
         np.testing.assert_array_equal(a.c1, b.c1)
         np.testing.assert_array_equal(a.c2, b.c2)
@@ -279,20 +266,18 @@ class TestPerturb:
 
     def test_dimension_mismatch(self):
         poly, _, _ = perturb_golden_inputs()
-        noise = NoiseDistribution("laplace", 1.0)
         for s_index in (poly.d, -1):
             with pytest.raises(ValueError, match="out of range"):
-                perturb(poly, noise, noise, s_index, np.random.default_rng(0))
+                perturb(poly, "laplace", 1.0, 1.0, s_index, np.random.default_rng(0))
 
-    def test_mixed_noise_kinds_rejected(self):
+    def test_unknown_kind_rejected(self):
         poly, s_index, _ = perturb_golden_inputs()
-        with pytest.raises(ValueError, match="noise kinds must match"):
-            perturb(poly, NoiseDistribution("laplace", 1.0),
-                    NoiseDistribution("gaussian", 1.0), s_index,
-                    np.random.default_rng(0))
+        for kind in ("exponential", "Laplace", ""):
+            with pytest.raises(ValueError, match="unknown noise kind"):
+                perturb(poly, kind, 1.0, 1.0, s_index, np.random.default_rng(0))
 
 
-def reference_perturb(poly, noise_s, noise_n, s_index, rng):
+def reference_perturb(poly, kind, scale_s, scale_n, s_index, rng):
     """The original scalar perturbation loop, kept as the bit-exactness
     reference: monomials in canonical order, one ``rng.random()`` per Laplace
     draw and two per Gaussian draw, each transformed with ``math``."""
@@ -310,12 +295,11 @@ def reference_perturb(poly, noise_s, noise_n, s_index, rng):
         u2 = rng.random()
         return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    sample = {"laplace": laplace, "gaussian": gaussian}
+    sample = {"laplace": laplace, "gaussian": gaussian}[kind]
     c1 = poly.c1.copy()
     c2 = poly.c2.copy()
     for m in monomials(poly.d):
-        dist = noise_s if s_index in m else noise_n
-        draw = sample[dist.kind](dist.scale)
+        draw = sample(scale_s if s_index in m else scale_n)
         if len(m) == 1:
             c1[m[0]] += draw
         else:
@@ -345,12 +329,10 @@ class TestBitExact:
     def test_matches_scalar_reference(self, d, kind):
         gen = np.random.default_rng(d)
         poly = PolyObjective(c0=1.5, c1=gen.normal(size=d), c2=gen.normal(size=(d, d)))
-        noise_s = NoiseDistribution(kind, 7.25)
-        noise_n = NoiseDistribution(kind, 0.3)
         for seed in (0, 1, 20240, 2 ** 62 + 7):
             for s_index in sorted({0, d // 2, d - 1}):
-                out = perturb(poly, noise_s, noise_n, s_index, np.random.default_rng(seed))
-                c1, c2 = reference_perturb(poly, noise_s, noise_n, s_index,
+                out = perturb(poly, kind, 7.25, 0.3, s_index, np.random.default_rng(seed))
+                c1, c2 = reference_perturb(poly, kind, 7.25, 0.3, s_index,
                                            np.random.default_rng(seed))
                 np.testing.assert_array_equal(out.c1, c1)
                 np.testing.assert_array_equal(out.c2, c2)
@@ -361,10 +343,8 @@ class TestBitExact:
         # u = 0 (nudged), u = 1/2 (upper branch) and u next to 1.
         stream = [0.0, 0.5, 1.0 - 2.0 ** -53, 0.25, 2.0 ** -53, 0.75] * 2
         poly = PolyObjective(c0=0.0, c1=np.zeros(2), c2=np.zeros((2, 2)))
-        noise_s = NoiseDistribution(kind, 2.0)
-        noise_n = NoiseDistribution(kind, 0.5)
-        out = perturb(poly, noise_s, noise_n, 1, ScriptedUniforms(stream))
-        c1, c2 = reference_perturb(poly, noise_s, noise_n, 1, ScriptedUniforms(stream))
+        out = perturb(poly, kind, 2.0, 0.5, 1, ScriptedUniforms(stream))
+        c1, c2 = reference_perturb(poly, kind, 2.0, 0.5, 1, ScriptedUniforms(stream))
         assert np.isfinite(out.c1).all() and np.isfinite(out.c2).all()
         np.testing.assert_array_equal(out.c1, c1)
         np.testing.assert_array_equal(out.c2, c2)
@@ -423,28 +403,3 @@ class TestComposition:
         with pytest.raises(ValueError):
             split_total_delta(1.0)
 
-
-class TestSpecTypes:
-    def test_privacy_spec_domains(self):
-        PrivacySpec("laplace", 1.0)
-        PrivacySpec("gaussian", 1.0, 1e-3)
-        with pytest.raises(ValueError):
-            PrivacySpec("laplace", 0.0)
-        with pytest.raises(ValueError):
-            PrivacySpec("laplace", 1.0, 1e-3)  # delta forbidden
-        with pytest.raises(ValueError):
-            PrivacySpec("gaussian", 1.0)  # delta required
-        with pytest.raises(ValueError):
-            PrivacySpec("exponential", 1.0)
-
-    def test_split_budget_domains(self):
-        SplitBudget(0, 0.5, 1.0)
-        SplitBudget(2, 0.5, 1.0, 1e-3, 1e-4)
-        with pytest.raises(ValueError):
-            SplitBudget(-1, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            SplitBudget(0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            SplitBudget(0, 0.5, 1.0, 1e-3, None)
-        with pytest.raises(ValueError):
-            SplitBudget(0, 0.5, 1.0, 1e-3, 1.5)

@@ -4,9 +4,7 @@ import pytest
 from fairdp.dataset import EncodedDataset
 from fairdp.optimizer import (
     OptimizationError,
-    QuadraticForm,
     RegularizationPolicy,
-    canonicalize,
     logistic_objective,
     minimize_logistic_exact,
     minimize_quadratic,
@@ -30,21 +28,33 @@ def gd_minimize_quadratic(A, b, steps=100_000):
 def random_spd_quadratic(rng, d, min_eig=0.05):
     M = rng.normal(size=(d, d))
     A = M @ M.T / d + min_eig * np.eye(d)
-    return QuadraticForm(A=(A + A.T) / 2.0, b=rng.normal(size=d), c=float(rng.normal()))
+    return PolyObjective(c0=float(rng.normal()), c1=rng.normal(size=d), c2=(A + A.T) / 2.0)
+
+
+def symmetrized(p):
+    return PolyObjective(c0=p.c0, c1=p.c1, c2=(p.c2 + p.c2.T) / 2.0)
 
 
 class TestCanonicalize:
+    """minimize_quadratic symmetrizes the ordered-pair grid itself."""
+
     def test_symmetric_fixed_point(self, rng):
         p = lr_poly(random_dataset(rng, 10, 3))
-        q = canonicalize(p)
-        np.testing.assert_array_equal(q.A, p.c2)
-        np.testing.assert_array_equal(q.b, p.c1)
-        assert q.c == p.c0
+        q = symmetrized(p)
+        np.testing.assert_array_equal(q.c2, p.c2)
+        np.testing.assert_array_equal(minimize_quadratic(q)[0], minimize_quadratic(p)[0])
 
-    def test_symmetrization(self):
-        p = PolyObjective(c0=0.0, c1=[0.0, 0.0], c2=[[0.0, 1.0], [0.0, 0.0]])
-        q = canonicalize(p)
-        np.testing.assert_array_equal(q.A, [[0.0, 0.5], [0.5, 0.0]])
+    def test_symmetrization(self, rng):
+        # An ordered grid and its symmetrized grid give the same w, bit for bit.
+        p = PolyObjective(c0=0.0, c1=[0.3, -0.2], c2=[[1.0, 1.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(symmetrized(p).c2, [[1.0, 0.5], [0.5, 2.0]])
+        for _ in range(30):
+            d = int(rng.integers(1, 6))
+            p = PolyObjective(c0=0.0, c1=rng.normal(size=d), c2=rng.normal(size=(d, d)))
+            w, diag = minimize_quadratic(p)
+            w_sym, diag_sym = minimize_quadratic(symmetrized(p))
+            np.testing.assert_array_equal(w, w_sym)
+            assert diag == diag_sym
 
     def test_eval_equivalence(self, rng):
         for _ in range(30):
@@ -52,24 +62,20 @@ class TestCanonicalize:
             p = PolyObjective(
                 c0=float(rng.normal()), c1=rng.normal(size=d), c2=rng.normal(size=(d, d))
             )
-            q = canonicalize(p)
             w = rng.normal(size=d)
-            assert q.value(w) == pytest.approx(eval_poly(p, w), abs=1e-10, rel=1e-10)
-
-    def test_requires_exact_symmetry(self):
-        with pytest.raises(ValueError):
-            QuadraticForm(A=np.array([[0.0, 1.0], [0.0, 0.0]]), b=np.zeros(2), c=0.0)
+            assert eval_poly(symmetrized(p), w) == pytest.approx(
+                eval_poly(p, w), abs=1e-10, rel=1e-10)
 
 
 class TestMinimizeQuadratic:
     def test_identity_closed_form(self):
-        q = QuadraticForm(A=np.eye(2), b=np.array([-2.0, 0.0]), c=0.0)
+        q = PolyObjective(c0=0.0, c1=np.array([-2.0, 0.0]), c2=np.eye(2))
         w, diag = minimize_quadratic(q)
         np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
         assert diag.clamped_eigenvalues == 0
 
     def test_clamping_with_zero_linear_term(self):
-        q = QuadraticForm(A=np.diag([1.0, -5.0]), b=np.zeros(2), c=0.0)
+        q = PolyObjective(c0=0.0, c1=np.zeros(2), c2=np.diag([1.0, -5.0]))
         w, diag = minimize_quadratic(q)
         np.testing.assert_allclose(w, np.zeros(2), atol=1e-15)
         assert diag.clamped_eigenvalues == 1
@@ -80,7 +86,7 @@ class TestMinimizeQuadratic:
             d = int(rng.integers(2, 8))
             q = random_spd_quadratic(rng, d)
             w, diag = minimize_quadratic(q)
-            w_oracle = gd_minimize_quadratic(q.A, q.b, steps=50_000)
+            w_oracle = gd_minimize_quadratic(q.c2, q.c1, steps=50_000)
             assert diag.clamped_eigenvalues == 0
             np.testing.assert_allclose(w, w_oracle, atol=1e-6)
 
@@ -88,25 +94,26 @@ class TestMinimizeQuadratic:
         for _ in range(50):
             d = int(rng.integers(1, 10))
             M = rng.normal(size=(d, d)) * rng.uniform(0.1, 5.0)
-            q = QuadraticForm(A=(M + M.T) / 2.0, b=rng.normal(size=d) * 3.0, c=0.0)
+            q = PolyObjective(c0=0.0, c1=rng.normal(size=d) * 3.0, c2=(M + M.T) / 2.0)
             _, diag = minimize_quadratic(q)
-            assert diag.residual_inf <= 1e-8 * (1.0 + np.abs(q.b).max())
+            assert diag.residual_inf <= 1e-8 * (1.0 + np.abs(q.c1).max())
 
     def test_global_minimum_when_wellposed(self, rng):
         q = random_spd_quadratic(rng, 5, min_eig=0.01)
         policy = RegularizationPolicy(eigen_floor=1e-3)
         w, diag = minimize_quadratic(q, policy)
         assert diag.clamped_eigenvalues == 0
-        base = q.value(w)
+        base = eval_poly(q, w)
         for _ in range(100):
             h = rng.normal(size=5) * rng.uniform(1e-4, 1.0)
-            assert q.value(w + h) >= base - 1e-12
+            assert eval_poly(q, w + h) >= base - 1e-12
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_quadratic(
-                QuadraticForm(A=np.array([[np.nan]]), b=np.zeros(1), c=0.0)
-            )
+        # The objective type refuses non-finite coefficients, so none can
+        # reach the solver.
+        for c1, c2 in (([0.0], [[np.nan]]), ([np.inf], [[1.0]])):
+            with pytest.raises(ValueError, match="finite"):
+                minimize_quadratic(PolyObjective(c0=0.0, c1=c1, c2=c2))
 
 
 class TestExactLogistic:

@@ -8,7 +8,6 @@ from fairdp.polynomial import (
     PolyObjective,
     eval_poly,
     fair_poly,
-    fairness_vector,
     gradient_poly,
     lr_poly,
 )
@@ -62,27 +61,29 @@ class TestLrPoly:
 
 
 class TestFairnessVector:
+    """The fairness vector sum_i (z_i - z_bar) x_i, read as ``ds.protected_cov``."""
+
     def test_constant_protected_gives_zero(self, rng):
         X = random_unit_rows(rng, 5, 3)
         ds = EncodedDataset(X=X, y=[0, 1, 0, 1, 0], z=np.ones(5, dtype=int),
                             feature_names=("a", "b", "c"))
-        np.testing.assert_allclose(fairness_vector(ds).c, np.zeros(3), atol=1e-15)
+        np.testing.assert_allclose(ds.protected_cov, np.zeros(3), atol=1e-15)
 
     def test_symmetric_pair_cancels(self):
         u = np.array([0.3, 0.4])
         ds = EncodedDataset(X=np.vstack([u, u]), y=[0, 1], z=[0, 1],
                             feature_names=("a", "b"))
-        np.testing.assert_allclose(fairness_vector(ds).c, np.zeros(2), atol=1e-15)
+        np.testing.assert_allclose(ds.protected_cov, np.zeros(2), atol=1e-15)
 
     def test_matches_direct_summation(self, rng):
         ds = random_dataset(rng, 4, 3)
         zbar = ds.z.sum() / 4
         expected = sum((ds.z[i] - zbar) * ds.X[i] for i in range(4))
-        np.testing.assert_allclose(fairness_vector(ds).c, expected, atol=1e-12)
+        np.testing.assert_allclose(ds.protected_cov, expected, atol=1e-12)
 
     def test_recomputable_to_tight_tolerance(self, rng):
         ds = random_dataset(rng, 30, 6)
-        a = fairness_vector(ds).c
+        a = ds.protected_cov
         b = ((ds.z - ds.z_bar)[:, None] * ds.X).sum(axis=0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 

@@ -12,10 +12,9 @@ from fairdp.mechanisms import (
     gaussian_sigma,
     l1_sensitivity_fair,
     l2_sensitivity_fair,
-    NoiseDistribution,
     perturb,
 )
-from fairdp.optimizer import RegularizationPolicy, canonicalize, minimize_quadratic
+from fairdp.optimizer import RegularizationPolicy, minimize_quadratic
 from fairdp.polynomial import fair_poly, lr_poly
 from fairdp.trainers import (
     TrainedModel,
@@ -142,9 +141,9 @@ class TestAdfc:
         ds = conditioned_ds
         m = train_adfc(ds, 0.9, 0.9, 1e-3, 1e-3, s_index=1, alpha1=1.0, seed=17)
         sigma = gaussian_sigma(0.9, 1e-3, l2_sensitivity_fair(ds.d))
-        noise = NoiseDistribution("gaussian", sigma)
-        noisy = perturb(fair_poly(ds, 1.0), noise, noise, 0, np.random.default_rng(17))
-        w, _ = minimize_quadratic(canonicalize(noisy))
+        noisy = perturb(fair_poly(ds, 1.0), "gaussian", sigma, sigma, 0,
+                        np.random.default_rng(17))
+        w, _ = minimize_quadratic(noisy)
         np.testing.assert_array_equal(m.w, w)
 
     def test_golden_seeded_run(self):
@@ -192,6 +191,49 @@ class TestBaselines:
     def test_no_budgets_on_baselines(self, conditioned_ds):
         assert train_lr(conditioned_ds).budgets is None
         assert train_fair_lr(conditioned_ds).budgets is None
+
+
+PRIVATE_TRAINERS = {
+    "FM": lambda ds, eps, **kw: train_fm(ds, eps, seed=0, **kw),
+    "RelaxedFM": lambda ds, eps, **kw: train_relaxed_fm(ds, eps, 1e-3, seed=0, **kw),
+    "PDFC": lambda ds, eps, **kw: train_pdfc(ds, eps, 1.0, s_index=0, **kw),
+    "ADFC": lambda ds, eps, **kw: train_adfc(ds, eps, 1.0, 1e-3, 1e-3, s_index=0, **kw),
+}
+
+
+class TestInputValidation:
+    """Every private trainer rejects bad inputs with a ValueError naming the
+    parameter, before any noise is drawn."""
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
+    def test_epsilon_outside_open_positive_range(self, method, eps):
+        name = "eps_s" if method in ("PDFC", "ADFC") else "epsilon"
+        for disable_noise in (False, True):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                PRIVATE_TRAINERS[method](toy_d3(), eps, disable_noise=disable_noise)
+
+    def test_eps_n_checked_too(self):
+        with pytest.raises(ValueError, match="eps_n must be finite and positive"):
+            train_pdfc(toy_d3(), 1.0, 0.0, s_index=0)
+        with pytest.raises(ValueError, match="eps_n must be finite and positive"):
+            train_adfc(toy_d3(), 1.0, math.nan, 1e-3, 1e-3, s_index=0)
+
+    @pytest.mark.parametrize("train", [train_pdfc, train_adfc])
+    @pytest.mark.parametrize("s_index", [3, 7, -1])
+    def test_s_index_out_of_range_even_without_noise(self, train, s_index):
+        args = (1.0, 1.0) if train is train_pdfc else (1.0, 1.0, 1e-3, 1e-3)
+        with pytest.raises(ValueError, match=f"s_index {s_index} out of range for d=3"):
+            train(toy_d3(), *args, s_index=s_index, disable_noise=True)
+
+    @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_alpha1(self, alpha1):
+        with pytest.raises(ValueError, match="alpha1 must be finite"):
+            train_pdfc(toy_d3(), 1.0, 1.0, s_index=0, alpha1=alpha1)
+        with pytest.raises(ValueError, match="alpha1 must be finite"):
+            train_adfc(toy_d3(), 1.0, 1.0, 1e-3, 1e-3, s_index=0, alpha1=alpha1)
+        with pytest.raises(ValueError, match="alpha1 must be finite"):
+            train_fair_lr(toy_d3(), alpha1=alpha1)
 
 
 class TestModelInvariants:
