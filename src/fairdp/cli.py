@@ -11,6 +11,11 @@ report  render a saved report as a text table or CSV
 Flags follow a ``--config FILE`` of ``key = value`` lines (same keys as the
 long flag names); explicit flags win over file values.  All randomness flows
 from one ``--seed`` recorded in the manifest.
+
+``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr,
+test-fraction) through one reader, check every value before loading data,
+and write their files and ``manifest.json`` through one writer.  How a
+split-budget method divides (eps, delta) is decided in ``evaluation``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,14 +45,16 @@ from .evaluation import (
     ExperimentConfig,
     ExperimentReport,
     accuracy,
+    check_run_options,
     derive_seed,
     render_table,
     report_csv_lines,
     risk_difference,
     run_experiment,
+    split_budgets,
     train_method,
 )
-from .mechanisms import split_total_delta
+from .trainers import METHODS
 # Re-exported: scripts that drive single fits (bench/run.py) import the
 # trainers from here; tests/test_bench_contract.py pins the names.
 from .trainers import (  # noqa: F401
@@ -61,16 +69,8 @@ from .trainers import (  # noqa: F401
 DEFAULT_CACHE = Path.home() / ".cache" / "fairdp"
 CACHE_ENV = "FAIRDP_CACHE"
 
-METHOD_ALIASES = {
-    "lr": "LR",
-    "fairlr": "FairLR",
-    "fair-lr": "FairLR",
-    "fm": "FM",
-    "relaxedfm": "RelaxedFM",
-    "relaxed-fm": "RelaxedFM",
-    "pdfc": "PDFC",
-    "adfc": "ADFC",
-}
+METHOD_ALIASES = {m.lower(): m for m in METHODS} | {
+    "fair-lr": "FairLR", "relaxed-fm": "RelaxedFM"}
 
 
 class CLIError(Exception):
@@ -80,7 +80,7 @@ class CLIError(Exception):
 def _canonical_method(name: str) -> str:
     key = name.strip().lower()
     if key not in METHOD_ALIASES:
-        raise CLIError(f"unknown method {name!r}; choose from {sorted(set(METHOD_ALIASES.values()))}")
+        raise CLIError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
     return METHOD_ALIASES[key]
 
 
@@ -103,15 +103,14 @@ def _split_names(value: str) -> list[str]:
 
 
 def parse_schema_file(path: str | Path) -> Schema:
-    """Schema config keys: label, label_positive, protected, protected_positive,
-    numeric (comma list), categorical (comma list), optional columns (names
-    for header-less files) and the optional booleans
-    include_protected_in_features / add_constant_feature."""
+    """Schema config: the keys of ``_SCHEMA_TABLE`` (numeric and categorical
+    are comma lists, the booleans optional) and an optional ``columns``, the
+    column names of a header-less file."""
     return _schema_from_kv(parse_keyvalue_file(path), str(path))
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -137,18 +136,12 @@ def _eff(args, cfg: dict[str, str], key: str, default=None):
 
 
 def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
-    def positive(name, v):
-        if v is not None and v <= 0:
-            raise CLIError(f"{name} must be positive, got {v}")
-
-    def unit(name, v):
+    for name, v in (("--eps", eps), ("--eps-s", eps_s), ("--eps-n", eps_n)):
+        if v is not None and not 0.0 < v < math.inf:
+            raise CLIError(f"{name} must be finite and positive, got {v}")
+    for name, v in (("--delta", delta), ("--delta-s", delta_s), ("--delta-n", delta_n)):
         if v is not None and not 0.0 < v < 1.0:
             raise CLIError(f"{name} must be in (0, 1), got {v}")
-
-    for name, v in (("--eps", eps), ("--eps-s", eps_s), ("--eps-n", eps_n)):
-        positive(name, v)
-    for name, v in (("--delta", delta), ("--delta-s", delta_s), ("--delta-n", delta_n)):
-        unit(name, v)
     if method in ("FM", "RelaxedFM") and eps is None:
         raise CLIError(f"method {method} requires --eps")
     if method in ("PDFC", "ADFC") and eps is None and (eps_s is None or eps_n is None):
@@ -159,32 +152,48 @@ def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
         raise CLIError("method ADFC requires --delta or both --delta-s/--delta-n")
 
 
-_SCHEMA_KEYS = ("label", "label_positive", "protected", "protected_positive",
-                "numeric", "categorical", "columns")
+_FEATURES = "feature_columns"
+
+# Schema-file key -> (Schema field, value kind).  Text keys are required;
+# the two column lists fill the one feature field, numeric columns first.
+_SCHEMA_TABLE = {
+    "label": ("label_column", str),
+    "label_positive": ("label_positive", str),
+    "protected": ("protected_column", str),
+    "protected_positive": ("protected_positive", str),
+    "numeric": (_FEATURES, list),
+    "categorical": (_FEATURES, list),
+    "include_protected_in_features": ("include_protected_in_features", bool),
+    "add_constant_feature": ("add_constant_feature", bool),
+}
+
+# Keys the schema flags (--label, ...) can set.
+_SCHEMA_KEYS = (*(k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is not bool), "columns")
 
 
 def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
-    required = ("label", "label_positive", "protected", "protected_positive")
-    missing = [k for k in required if k not in kv]
+    missing = [k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is str and k not in kv]
     if missing:
         raise CLIError(f"{origin}: missing schema keys: {', '.join(missing)}")
-    features = [ColumnSpec(n, "numeric") for n in _split_names(kv.get("numeric", ""))]
-    features += [ColumnSpec(n, "categorical") for n in _split_names(kv.get("categorical", ""))]
-    if not features:
+    fields = {_FEATURES: ()}
+    for key, (field, kind) in _SCHEMA_TABLE.items():
+        if kind is str:
+            fields[field] = kv[key]
+        elif kind is list:
+            fields[field] += tuple(ColumnSpec(n, key) for n in _split_names(kv.get(key, "")))
+        else:
+            fields[field] = kv.get(key, "false").strip().lower() in ("1", "true", "yes")
+    if not fields[_FEATURES]:
         raise CLIError(f"{origin}: schema lists no feature columns")
+    return Schema(**fields)
 
-    def flag(key):
-        return kv.get(key, "false").strip().lower() in ("1", "true", "yes")
 
-    return Schema(
-        label_column=kv["label"],
-        label_positive=kv["label_positive"],
-        protected_column=kv["protected"],
-        protected_positive=kv["protected_positive"],
-        feature_columns=tuple(features),
-        include_protected_in_features=flag("include_protected_in_features"),
-        add_constant_feature=flag("add_constant_feature"),
-    )
+def _schema_dict(schema: Schema) -> dict:
+    out = {}
+    for key, (field, kind) in _SCHEMA_TABLE.items():
+        value = getattr(schema, field)
+        out[key] = [c.name for c in value if c.kind == key] if kind is list else value
+    return out
 
 
 def _load_with_schema_kv(dataset_path, kv: dict[str, str], origin: str):
@@ -192,16 +201,14 @@ def _load_with_schema_kv(dataset_path, kv: dict[str, str], origin: str):
         raise CLIError(f"dataset file not found: {dataset_path}")
     schema = _schema_from_kv(kv, origin)
     columns = _split_names(kv.get("columns", ""))
+    raw = load_csv(dataset_path, has_header=not columns)
     if columns:
-        raw = load_csv(dataset_path, has_header=False)
         if len(columns) != raw.n_cols:
             raise CLIError(
                 f"schema lists {len(columns)} columns but {dataset_path} has "
                 f"{raw.n_cols}"
             )
         raw = dataclasses.replace(raw, column_names=tuple(columns))
-    else:
-        raw = load_csv(dataset_path, has_header=True)
     return build_dataset(raw, schema), schema, raw
 
 
@@ -226,16 +233,45 @@ def _resolve_dataset(args, cfg):
         raise CLIError("--dataset is required")
     schema_path = _eff(args, cfg, "schema")
     if schema_path is not None:
-        if not Path(schema_path).exists():
-            raise CLIError(f"schema file not found: {schema_path}")
-        kv = parse_keyvalue_file(schema_path)
-        origin = str(schema_path)
-    else:
-        kv = {k: v for k in _SCHEMA_KEYS if (v := _eff(args, cfg, k)) is not None}
-        origin = "schema flags"
-        if not kv:
-            raise CLIError("--schema file or schema flags (--label, ...) required")
-    return _load_with_schema_kv(dataset_path, kv, origin)
+        return load_encoded_dataset(dataset_path, schema_path)
+    kv = {k: v for k in _SCHEMA_KEYS if (v := _eff(args, cfg, k)) is not None}
+    if not kv:
+        raise CLIError("--schema file or schema flags (--label, ...) required")
+    return _load_with_schema_kv(dataset_path, kv, "schema flags")
+
+
+def _run_options(args, cfg) -> tuple[int, dict]:
+    """The seed and the options both commands share, checked before any data
+    is loaded; the option names are ``ExperimentConfig`` field names."""
+    seed = int(_eff(args, cfg, "seed", 0))
+    options = {
+        "alpha1": float(_eff(args, cfg, "alpha1", 1.0)),
+        "s_attr": _eff(args, cfg, "s-attr", "random"),
+        "test_fraction": float(_eff(args, cfg, "test-fraction", 0.2)),
+    }
+    check_run_options(options["alpha1"], options["test_fraction"])
+    return seed, options
+
+
+def _write_outputs(args, cfg, command: str, seed: int, ds, schema: Schema,
+                   config: dict, files: dict[str, str]) -> Path:
+    """Create --out and write ``files`` (name -> text) in order, then
+    manifest.json: the seed, the config (dataset, schema and ``config``), the
+    dataset fingerprint and the names of the files."""
+    out_dir = Path(_eff(args, cfg, "out", "."))
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "seed": seed,
+        "config": {"dataset": str(_eff(args, cfg, "dataset")),
+                   "schema": _schema_dict(schema), **config},
+        "dataset_fingerprint": ds.fingerprint(),
+        "outputs": list(files),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, "manifest.json": _json_text(manifest)}.items():
+        (out_dir / name).write_text(text)
+    return out_dir
 
 
 def cmd_fetch(args) -> int:
@@ -249,57 +285,25 @@ def cmd_fetch(args) -> int:
 def cmd_train(args) -> int:
     cfg = parse_keyvalue_file(args.config) if args.config else {}
     method = _canonical_method(_eff(args, cfg, "method") or "")
-    eps = _opt_float(_eff(args, cfg, "eps"))
-    delta = _opt_float(_eff(args, cfg, "delta"))
-    eps_s = _opt_float(_eff(args, cfg, "eps-s"))
-    eps_n = _opt_float(_eff(args, cfg, "eps-n"))
-    delta_s = _opt_float(_eff(args, cfg, "delta-s"))
-    delta_n = _opt_float(_eff(args, cfg, "delta-n"))
-    _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n)
-    seed = int(_eff(args, cfg, "seed", 0))
-    alpha1 = float(_eff(args, cfg, "alpha1", 1.0))
-    s_attr = _eff(args, cfg, "s-attr", "random")
-    test_fraction = float(_eff(args, cfg, "test-fraction", 0.2))
-    dataset_path = _eff(args, cfg, "dataset")
-    out_dir = Path(_eff(args, cfg, "out", "."))
-
+    names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
+    eps, delta, *pairs = (_opt_float(_eff(args, cfg, k)) for k in names)
+    _validate_budgets(method, eps, delta, *pairs)
+    seed, options = _run_options(args, cfg)
     # The manifest records the split budgets a split-budget method uses.
-    if method in ("PDFC", "ADFC") and (eps_s is None or eps_n is None):
-        eps_s = eps_n = eps
-    if method == "ADFC" and (delta_s is None or delta_n is None):
-        delta_s = delta_n = split_total_delta(delta)
+    budgets = dict(zip(names, (eps, delta, *split_budgets(method, eps, delta, *pairs))))
 
     ds, schema, _raw = _resolve_dataset(args, cfg)
-    train_ds, test_ds = split(ds, test_fraction, derive_seed("split", seed, 0))
+    train_ds, test_ds = split(ds, options["test_fraction"], derive_seed("split", seed, 0))
     model = train_method(
         train_ds, method, derive_seed("train", seed, 0, method),
-        eps=eps, delta=delta, eps_s=eps_s, eps_n=eps_n,
-        delta_s=delta_s, delta_n=delta_n, alpha1=alpha1, s_attr=s_attr,
+        alpha1=options["alpha1"], s_attr=options["s_attr"], **budgets,
     )
 
     acc = accuracy(model, test_ds)
     rd = risk_difference(model, test_ds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "model.json", model.to_dict())
-    manifest = {
-        "command": "train",
-        "version": __version__,
-        "seed": seed,
-        "config": {
-            "dataset": str(dataset_path),
-            "schema": _schema_dict(schema),
-            "method": method,
-            "eps": eps, "delta": delta,
-            "eps_s": eps_s, "eps_n": eps_n,
-            "delta_s": delta_s, "delta_n": delta_n,
-            "s_attr": s_attr,
-            "alpha1": alpha1,
-            "test_fraction": test_fraction,
-        },
-        "dataset_fingerprint": ds.fingerprint(),
-        "outputs": ["model.json"],
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_outputs(args, cfg, "train", seed, ds, schema,
+                   {"method": method, **budgets, **options},
+                   {"model.json": _json_text(model.to_dict())})
 
     budget = model.budgets
     eps_text = f"{budget.epsilon:g}" if budget else "-"
@@ -320,49 +324,21 @@ def cmd_sweep(args) -> int:
     eps_grid = _parse_float_list(eps_text) if eps_text else DEFAULT_EPS_GRID
     delta_grid = _parse_float_list(delta_text) if delta_text else DEFAULT_DELTA_GRID
     runs = int(_eff(args, cfg, "runs", 10))
-    seed = int(_eff(args, cfg, "seed", 0))
-    alpha1 = float(_eff(args, cfg, "alpha1", 1.0))
-    s_attr = _eff(args, cfg, "s-attr", "random")
-    test_fraction = float(_eff(args, cfg, "test-fraction", 0.2))
-    dataset_path = _eff(args, cfg, "dataset")
-    out_dir = Path(_eff(args, cfg, "out", "."))
+    seed, options = _run_options(args, cfg)
 
     # Built before the data is loaded: a bad grid fails before any compute.
-    config = ExperimentConfig(
-        methods=methods,
-        eps_grid=eps_grid,
-        delta_grid=delta_grid,
-        runs=runs,
-        master_seed=seed,
-        alpha1=alpha1,
-        s_attr=s_attr,
-        test_fraction=test_fraction,
-    )
+    config = ExperimentConfig(methods=methods, eps_grid=eps_grid, delta_grid=delta_grid,
+                              runs=runs, master_seed=seed, **options)
     ds, schema, _raw = _resolve_dataset(args, cfg)
     report = run_experiment(ds, config)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", report.to_dict())
-    (out_dir / "report.csv").write_text("\n".join(report_csv_lines(report)) + "\n")
-    manifest = {
-        "command": "sweep",
-        "version": __version__,
-        "seed": seed,
-        "config": {
-            "dataset": str(dataset_path),
-            "schema": _schema_dict(schema),
-            "methods": list(methods),
-            "eps_grid": list(eps_grid),
-            "delta_grid": list(delta_grid),
-            "runs": runs,
-            "alpha1": alpha1,
-            "s_attr": s_attr,
-            "test_fraction": test_fraction,
-        },
-        "dataset_fingerprint": ds.fingerprint(),
-        "outputs": ["report.json", "report.csv"],
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+    out_dir = _write_outputs(
+        args, cfg, "sweep", seed, ds, schema,
+        {"methods": list(methods), "eps_grid": list(eps_grid),
+         "delta_grid": list(delta_grid), "runs": runs, **options},
+        {"report.json": _json_text(report.to_dict()),
+         "report.csv": "\n".join(report_csv_lines(report)) + "\n"},
+    )
 
     failed = [p for p in report.points if p.failed]
     for p in failed:
@@ -389,19 +365,6 @@ def cmd_report(args) -> int:
     else:
         print(render_table(report), end="")
     return 0
-
-
-def _schema_dict(schema: Schema) -> dict:
-    return {
-        "label": schema.label_column,
-        "label_positive": schema.label_positive,
-        "protected": schema.protected_column,
-        "protected_positive": schema.protected_positive,
-        "numeric": [c.name for c in schema.feature_columns if c.kind == "numeric"],
-        "categorical": [c.name for c in schema.feature_columns if c.kind == "categorical"],
-        "include_protected_in_features": schema.include_protected_in_features,
-        "add_constant_feature": schema.add_constant_feature,
-    }
 
 
 def _opt_float(value) -> float | None:

@@ -2,7 +2,7 @@
 protocol with aggregation into plot-ready reports.
 
 An experiment takes a grid of (method, epsilon, delta) points and, for each
-run index r, splits the dataset 80-20 (afresh per run by default), then
+run index r, splits the dataset 80-20 afresh, then
 trains every point on that split and evaluates on the held-out part.  All
 randomness is derived from one master seed, so a report is a pure function
 of (dataset, config).
@@ -22,6 +22,7 @@ from .mechanisms import split_total_delta
 from .optimizer import RegularizationPolicy
 from .trainers import (
     METHODS,
+    PRIVATE_METHODS,
     TrainedModel,
     train_adfc,
     train_fair_lr,
@@ -35,7 +36,6 @@ DEFAULT_EPS_GRID = (1e-2, 10 ** -1.5, 1e-1, 1.0, 10 ** 0.5, 1e1)
 DEFAULT_DELTA_GRID = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
 _DELTA_METHODS = frozenset({"RelaxedFM", "ADFC"})
-_EPS_METHODS = frozenset({"FM", "RelaxedFM", "PDFC", "ADFC"})
 _FAIR_METHODS = frozenset({"FairLR", "PDFC", "ADFC"})
 
 
@@ -101,6 +101,14 @@ class GridPoint:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+def check_run_options(alpha1: float, test_fraction: float) -> None:
+    """The checks on the options every run shares, for sweeps and single fits."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if not math.isfinite(alpha1):
+        raise ValueError(f"alpha1 must be finite, got {alpha1}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple[str, ...]
@@ -111,7 +119,6 @@ class ExperimentConfig:
     alpha1: float = 1.0
     s_attr: str = "random"  # feature name, source-column name, or "random"
     test_fraction: float = 0.2
-    resplit_each_run: bool = True
     policy: RegularizationPolicy = field(default_factory=RegularizationPolicy)
     jobs: int = 1  # accepted and ignored: a sweep runs serially, one split per run
 
@@ -133,10 +140,7 @@ class ExperimentConfig:
         for dv in self.delta_grid:
             if not 0.0 < dv < 1.0:
                 raise ValueError(f"delta grid value must be in (0, 1), got {dv}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if not math.isfinite(self.alpha1):
-            raise ValueError(f"alpha1 must be finite, got {self.alpha1}")
+        check_run_options(self.alpha1, self.test_fraction)
 
     def grid(self) -> list[GridPoint]:
         points = []
@@ -283,11 +287,25 @@ def _effective_key(point: GridPoint, alpha1: float, s_attr: str) -> tuple:
     """Parameters a method actually consumes; grid points sharing a key have
     identical result distributions and are computed once."""
     m = point.method
-    eps = point.epsilon if m in _EPS_METHODS else None
+    eps = point.epsilon if m in PRIVATE_METHODS else None
     dlt = point.delta if m in _DELTA_METHODS else None
     a1 = alpha1 if m in _FAIR_METHODS else None
     s = s_attr if m in ("PDFC", "ADFC") else None
     return (m, eps, dlt, a1, s)
+
+
+def split_budgets(method: str, eps, delta, eps_s=None, eps_n=None, delta_s=None,
+                  delta_n=None) -> tuple:
+    """(eps_s, eps_n, delta_s, delta_n) as ``method`` uses them: PDFC and ADFC
+    give the ``s_attr`` column eps_s[/delta_s] and the rest eps_n[/delta_n]; a
+    pair left out becomes eps for both epsilons and 1 - sqrt(1 - delta) for
+    both deltas, which composes back to (eps, delta).  Other methods get the
+    pairs back unchanged."""
+    if method in ("PDFC", "ADFC") and (eps_s is None or eps_n is None):
+        eps_s = eps_n = eps
+    if method == "ADFC" and (delta_s is None or delta_n is None):
+        delta_s = delta_n = split_total_delta(delta)
+    return eps_s, eps_n, delta_s, delta_n
 
 
 def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
@@ -295,11 +313,7 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
                  alpha1: float = 1.0, s_attr: str = "random",
                  policy: RegularizationPolicy | None = None) -> TrainedModel:
     """Train one model of any method; the sweep and ``train`` share this table.
-
-    PDFC and ADFC give the ``s_attr`` column eps_s[/delta_s] and the rest
-    eps_n[/delta_n]; a pair left out becomes eps for both epsilons and
-    1 - sqrt(1 - delta) for both deltas, which composes back to (eps, delta).
-    """
+    PDFC and ADFC divide their budget as ``split_budgets`` says."""
     if method == "LR":
         return train_lr(train_ds, policy=policy)
     if method == "FairLR":
@@ -311,15 +325,13 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
     if method not in ("PDFC", "ADFC"):
         raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
     s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
-    if eps_s is None or eps_n is None:
-        eps_s = eps_n = eps
+    eps_s, eps_n, delta_s, delta_n = split_budgets(
+        method, eps, delta, eps_s, eps_n, delta_s, delta_n)
     if method == "PDFC":
         return train_pdfc(
             train_ds, eps_s=eps_s, eps_n=eps_n, s_index=s_index,
             alpha1=alpha1, seed=seed, policy=policy,
         )
-    if delta_s is None or delta_n is None:
-        delta_s = delta_n = split_total_delta(delta)
     return train_adfc(
         train_ds, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n,
         s_index=s_index, alpha1=alpha1, seed=seed, policy=policy,
@@ -370,13 +382,12 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
         live = [k for k in keys if not isinstance(outcomes[k], Exception)]
         if not live:
             break
-        if r == 0 or config.resplit_each_run:
-            try:
-                train_ds, test_ds = split(ds, config.test_fraction,
-                                          derive_seed("split", config.master_seed, r))
-            except Exception as exc:  # noqa: BLE001 - fails every key, not the sweep
-                outcomes.update(dict.fromkeys(live, exc))
-                break
+        try:
+            train_ds, test_ds = split(ds, config.test_fraction,
+                                      derive_seed("split", config.master_seed, r))
+        except Exception as exc:  # noqa: BLE001 - fails every key, not the sweep
+            outcomes.update(dict.fromkeys(live, exc))
+            break
         for k in live:
             method, eps, dlt, alpha1, s_attr = k
             run_seed = derive_seed("train", config.master_seed, r, *k)

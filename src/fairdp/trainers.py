@@ -149,6 +149,9 @@ def _private_fit(
         kind, sensitivity = "gaussian", l2_sensitivity_fair(ds.d, alpha1)
         scale_s = gaussian_sigma(eps_s, delta_s, sensitivity)
         scale_n = gaussian_sigma(eps_n, delta_n, sensitivity)
+    for name, eps, scale in zip(names, (eps_s, eps_n), (scale_s, scale_n)):
+        if not math.isfinite(scale):
+            raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
     if not disable_noise:
         poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
     w, diag = minimize_quadratic(poly, policy)

@@ -22,7 +22,15 @@ from fairdp.cli import main as cli_main
 from fairdp.mechanisms import perturb
 from fairdp.trainers import train_adfc, train_fm, train_pdfc
 
-from toys import FIXTURE_DIR, GOLDEN_DIR, perturb_golden_inputs, toy_d2, toy_d3
+from toys import (
+    FIXTURE_DIR,
+    GOLDEN_DIR,
+    MANIFEST_GOLDEN_RUNS,
+    manifest_for_golden,
+    perturb_golden_inputs,
+    toy_d2,
+    toy_d3,
+)
 
 
 def dump(name, obj):
@@ -91,6 +99,13 @@ def regen_cli(tmp_base: Path):
     ).stdout
     (GOLDEN_DIR / "cli_report_table.txt").write_text(rendered)
     print("wrote", GOLDEN_DIR / "cli_report_table.txt")
+
+    for name, argv in MANIFEST_GOLDEN_RUNS.items():
+        out_dir = tmp_base / name
+        rc = cli_main(argv + ["--out", str(out_dir)])
+        assert rc == 0, rc
+        (GOLDEN_DIR / name).write_text(manifest_for_golden(out_dir))
+        print("wrote", GOLDEN_DIR / name)
 
 
 def main():

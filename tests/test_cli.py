@@ -7,10 +7,14 @@ import fairdp.dataset as dataset_mod
 from fairdp.cli import main, parse_keyvalue_file, parse_schema_file
 from fairdp.dataset import RemoteFile
 
-from toys import FIXTURE_DIR, GOLDEN_DIR
-
-TOY_CSV = str(FIXTURE_DIR / "toy.csv")
-TOY_SCHEMA = str(FIXTURE_DIR / "toy.schema")
+from toys import (
+    FIXTURE_DIR,
+    GOLDEN_DIR,
+    MANIFEST_GOLDEN_RUNS,
+    TOY_CSV,
+    TOY_SCHEMA,
+    manifest_for_golden,
+)
 
 
 def read_json(path):
@@ -110,6 +114,26 @@ class TestTrain:
         assert rc == 2
         assert "--eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--method", "fm", "--eps", "nan"], "--eps"),
+        (["--method", "fm", "--eps", "inf"], "--eps"),
+        (["--method", "pdfc", "--eps", "1", "--eps-s", "inf", "--eps-n", "1"], "--eps-s"),
+        (["--method", "fm", "--eps", "1", "--alpha1", "nan"], "alpha1"),
+        (["--method", "fm", "--eps", "1", "--test-fraction", "1.5"], "test_fraction"),
+    ])
+    def test_bad_input_fails_before_data(self, tmp_path, capsys, flags, name):
+        # The dataset path does not exist: the input check must trip first,
+        # exit 2 and write nothing.
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--dataset", str(tmp_path / "missing.csv"), "--schema", TOY_SCHEMA,
+            "--out", str(out), *flags,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "not found" not in err
+        assert not out.exists()
+
     def test_unknown_method(self, capsys):
         rc = main([
             "train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
@@ -180,6 +204,12 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--eps", "2.0",
                      "--out", str(out2)]) == 0
         assert read_json(out2 / "model.json")["budgets"]["epsilon"] == 2.0
+
+
+@pytest.mark.parametrize("golden", sorted(MANIFEST_GOLDEN_RUNS))
+def test_manifest_matches_golden(tmp_path, golden):
+    assert main(MANIFEST_GOLDEN_RUNS[golden] + ["--out", str(tmp_path)]) == 0
+    assert manifest_for_golden(tmp_path) == (GOLDEN_DIR / golden).read_text()
 
 
 class TestSweep:

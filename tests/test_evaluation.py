@@ -223,10 +223,6 @@ class TestExperiment:
         assert not any(p.failed for p in rep.points)
         assert len(splits) == len(set(splits)) == cfg.runs
         assert grams == [6] * cfg.runs  # once per 6-row train part
-        splits.clear()
-        grams.clear()
-        run_experiment(toy_d3(), self.config(resplit_each_run=False))
-        assert len(splits) == 1 and len(grams) == 1
 
     def test_failure_at_later_run_isolated(self, monkeypatch):
         calls = []

@@ -218,6 +218,17 @@ class TestInputValidation:
             train_pdfc(toy_d3(), 1.0, 0.0, s_index=0)
         with pytest.raises(ValueError, match="eps_n must be finite and positive"):
             train_adfc(toy_d3(), 1.0, math.nan, 1e-3, 1e-3, s_index=0)
+        with pytest.raises(ValueError, match="eps_n 1e-320 is too small"):
+            train_pdfc(toy_d3(), 1.0, 1e-320, s_index=0)
+        with pytest.raises(ValueError, match="eps_n 1e-320 is too small"):
+            train_adfc(toy_d3(), 1.0, 1e-320, 1e-3, 1e-3, s_index=0)
+
+    @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
+    def test_overflowing_noise_scale_names_epsilon(self, method):
+        name = "eps_s" if method in ("PDFC", "ADFC") else "epsilon"
+        for disable_noise in (False, True):
+            with pytest.raises(ValueError, match=f"{name} 1e-320 is too small"):
+                PRIVATE_TRAINERS[method](toy_d3(), 1e-320, disable_noise=disable_noise)
 
     @pytest.mark.parametrize("train", [train_pdfc, train_adfc])
     @pytest.mark.parametrize("s_index", [3, 7, -1])

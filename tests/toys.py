@@ -4,6 +4,7 @@ Everything here is spelled out as constants so goldens can be regenerated
 bit-for-bit (see regen_goldens.py).
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,29 @@ from fairdp.polynomial import PolyObjective
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
+TOY_CSV = str(FIXTURE_DIR / "toy.csv")
+TOY_SCHEMA = str(FIXTURE_DIR / "toy.schema")
+
+# CLI runs (without --out) whose manifest.json is pinned as a golden.
+MANIFEST_GOLDEN_RUNS = {
+    "cli_train_manifest.json": [
+        "train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--method", "adfc",
+        "--eps", "1", "--eps-s", "0.5", "--eps-n", "2",
+        "--delta", "1e-3", "--delta-s", "1e-4", "--delta-n", "1e-4", "--seed", "3",
+    ],
+    "cli_sweep_manifest.json": [
+        "sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--methods", "lr,fm",
+        "--eps", "0.1,1.0", "--runs", "2", "--seed", "5",
+    ],
+}
+
+
+def manifest_for_golden(out_dir) -> str:
+    """manifest.json text with the dataset path, which is absolute and so
+    differs between checkouts, replaced by a placeholder."""
+    text = (Path(out_dir) / "manifest.json").read_text()
+    dataset = json.loads(text)["config"]["dataset"]
+    return text.replace(json.dumps(dataset), json.dumps("<dataset>"))
 
 
 def toy_d2():
