@@ -86,8 +86,12 @@ def _canonical_method(name: str) -> str:
 
 def parse_keyvalue_file(path: str | Path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, ``#`` comments."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -237,6 +241,11 @@ def _resolve_dataset(args, cfg):
     kv = {k: v for k in _SCHEMA_KEYS if (v := _eff(args, cfg, k)) is not None}
     if not kv:
         raise CLIError("--schema file or schema flags (--label, ...) required")
+    # No flag sets the schema booleans; a config file value would be dropped.
+    for key in _SCHEMA_TABLE:
+        if key not in _SCHEMA_KEYS and _eff(args, cfg, key) is not None:
+            raise CLIError(f"config key {key!r} has no effect with schema flags; "
+                           "set it in a --schema file")
     return _load_with_schema_kv(dataset_path, kv, "schema flags")
 
 

@@ -16,7 +16,7 @@ fair sensitivity bounds at alpha1 = 0 equal the plain ones bit for bit.
 
 Non-private baselines:
 
-  - LR:     gradient descent on the exact logistic loss
+  - LR:     damped Newton on the exact logistic loss
   - FairLR: minimizer of the clean fairness-penalized quadratic (the
             no-noise limit every private trainer collapses to)
 

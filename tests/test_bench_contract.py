@@ -5,6 +5,7 @@ cli.py, so a clean-up could drop them; every benchmark fit would then fail."""
 import inspect
 
 from fairdp import cli, evaluation
+from fairdp.optimizer import RegularizationPolicy
 
 CLI_NAMES = (
     "split", "train_fm", "train_relaxed_fm", "train_pdfc", "train_adfc",
@@ -22,3 +23,10 @@ def test_experiment_config_accepts_jobs():
     cfg = evaluation.ExperimentConfig(methods=("FM",), runs=1, jobs=1)
     assert cfg.jobs == 1
     assert callable(evaluation.run_experiment)
+
+
+def test_policy_accepts_the_trend_settings():
+    # bench/run.py builds the trend protocol's policy with these keywords;
+    # LR no longer reads gd_step, but the field must stay.
+    policy = RegularizationPolicy(max_gd_iters=4000, gd_step=1.0)
+    assert (policy.max_gd_iters, policy.gd_step) == (4000, 1.0)

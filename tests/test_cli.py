@@ -205,6 +205,54 @@ class TestTrain:
                      "--out", str(out2)]) == 0
         assert read_json(out2 / "model.json")["budgets"]["epsilon"] == 2.0
 
+    @pytest.mark.parametrize("key", [
+        "add_constant_feature", "include_protected_in_features", "add-constant-feature",
+    ])
+    def test_config_schema_boolean_with_schema_flags_rejected(self, tmp_path, capsys, key):
+        # No flag sets the schema booleans, so with the schema from flags a
+        # config file value would be dropped and the manifest would record
+        # false: the combination fails before the data is read.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = true\n")
+        out = tmp_path / "out"
+        rc = main([
+            "train", "--config", str(cfg), "--dataset", str(tmp_path / "missing.csv"),
+            "--label", "income", "--label-positive", "yes",
+            "--protected", "sex", "--protected-positive", "Male",
+            "--numeric", "age,hours", "--categorical", "dept",
+            "--method", "fm", "--eps", "1.0", "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.replace("-", "_") in err
+        assert "not found" not in err
+        assert not out.exists()
+
+    def test_config_schema_boolean_with_schema_file_still_runs(self, tmp_path):
+        # With a --schema file the schema is that file's; the run is unchanged.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("add_constant_feature = true\n")
+        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                  "--method", "fm", "--eps", "1.0", "--seed", "2"]
+        assert main(common + ["--out", str(tmp_path / "a")]) == 0
+        assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a/model.json").read_bytes() == \
+            (tmp_path / "b/model.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "fm", "--eps", "1.0"],
+    ["sweep", "--methods", "fm", "--runs", "1"],
+])
+def test_missing_config_file_is_an_input_error(tmp_path, capsys, command):
+    missing = tmp_path / "nonexistent.cfg"
+    rc = main([*command, "--config", str(missing), "--dataset", TOY_CSV,
+               "--schema", TOY_SCHEMA, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("golden", sorted(MANIFEST_GOLDEN_RUNS))
 def test_manifest_matches_golden(tmp_path, golden):

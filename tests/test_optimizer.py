@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from fairdp.dataset import EncodedDataset
+import fairdp.optimizer as optimizer_mod
+from fairdp.dataset import EncodedDataset, split
+from fairdp.evaluation import derive_seed
 from fairdp.optimizer import (
     OptimizationError,
     RegularizationPolicy,
@@ -12,6 +15,7 @@ from fairdp.optimizer import (
 from fairdp.polynomial import PolyObjective, eval_poly, lr_poly
 
 from conftest import random_dataset
+from synthdata import make_adult_like
 
 
 def gd_minimize_quadratic(A, b, steps=100_000):
@@ -184,6 +188,54 @@ class TestExactLogistic:
             big, policy=RegularizationPolicy(max_gd_iters=200)
         )
         assert np.isfinite(w).all()
+
+
+class TestNewton:
+    """The damped Newton solve behind ``minimize_logistic_exact``."""
+
+    @pytest.mark.parametrize("alpha1", [0.0, 0.3])
+    def test_matches_bfgs(self, rng, alpha1):
+        # An independent quasi-Newton solve of the same loss lands on the same w.
+        for _ in range(5):
+            ds = random_dataset(rng, 300, 5)
+            w, diag = minimize_logistic_exact(ds, alpha1)
+            ref = minimize(lambda v: logistic_objective(ds, v, alpha1), np.zeros(ds.d),
+                           jac=True, method="BFGS", options={"gtol": 1e-10})
+            assert diag.converged and diag.grad_inf <= 1e-8
+            np.testing.assert_allclose(w, ref.x, atol=1e-6)
+
+    def test_duplicated_column_converges(self, rng):
+        # A rank-deficient design (one-hot designs are) has a singular
+        # Hessian; the least-squares Newton direction still converges.
+        ds = random_dataset(rng, 200, 3)
+        X = np.column_stack([ds.X, ds.X[:, 1]]) / np.sqrt(2.0)
+        dup = EncodedDataset(X=X, y=ds.y, z=ds.z, feature_names=("a", "b", "c", "b2"))
+        w, diag = minimize_logistic_exact(dup)
+        assert np.linalg.matrix_rank(X) == 3
+        assert diag.converged and np.isfinite(w).all()
+        # The loss is that of the full-rank design at the folded weights.
+        w3 = np.array([w[0], w[1] + w[3], w[2]]) / np.sqrt(2.0)
+        w_full, _ = minimize_logistic_exact(ds)
+        np.testing.assert_allclose(w3, w_full, atol=1e-6)
+
+    def test_trend_split_converges_in_few_objective_calls(self, monkeypatch):
+        # The last Newton step on this split raises the objective by about
+        # one ulp while cutting the gradient by seven orders of magnitude; a
+        # strict-decrease line search halves the step to zero instead.
+        ds = make_adult_like(100_000, 0)
+        train, _ = split(ds, 0.2, derive_seed("split", 0, 0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return logistic_objective(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod, "logistic_objective", counted)
+        _, diag = minimize_logistic_exact(
+            train, policy=RegularizationPolicy(max_gd_iters=4000, gd_step=1.0))
+        assert diag.converged and not diag.hit_iteration_cap
+        assert diag.iterations <= 10
+        assert len(calls) < 30
 
 
 class TestPolicy:
