@@ -44,13 +44,14 @@ from .evaluation import (
     DEFAULT_EPS_GRID,
     ExperimentConfig,
     ExperimentReport,
-    accuracy,
+    accuracy,  # noqa: F401 - re-exported, like the trainers below
     check_run_options,
     derive_seed,
     render_table,
     report_csv_lines,
-    risk_difference,
+    risk_difference,  # noqa: F401 - re-exported
     run_experiment,
+    score,
     split_budgets,
     train_method,
 )
@@ -231,22 +232,26 @@ def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
 
 
 def _resolve_dataset(args, cfg):
-    """Schema from --schema FILE or from the schema flags (--label, ...)."""
+    """(dataset, schema); the schema from --schema FILE or the flags (--label, ...)."""
     dataset_path = _eff(args, cfg, "dataset")
     if dataset_path is None:
         raise CLIError("--dataset is required")
+    # No flag sets the schema booleans; a config file value would be dropped.
+    dropped = [k for k in _SCHEMA_TABLE
+               if k not in _SCHEMA_KEYS and _eff(args, cfg, k) is not None]
     schema_path = _eff(args, cfg, "schema")
     if schema_path is not None:
-        return load_encoded_dataset(dataset_path, schema_path)
+        for key in dropped:
+            print(f"warning: config key {key!r} has no effect with --schema; "
+                  "set it in the schema file", file=sys.stderr)
+        return load_encoded_dataset(dataset_path, schema_path)[:2]
     kv = {k: v for k in _SCHEMA_KEYS if (v := _eff(args, cfg, k)) is not None}
     if not kv:
         raise CLIError("--schema file or schema flags (--label, ...) required")
-    # No flag sets the schema booleans; a config file value would be dropped.
-    for key in _SCHEMA_TABLE:
-        if key not in _SCHEMA_KEYS and _eff(args, cfg, key) is not None:
-            raise CLIError(f"config key {key!r} has no effect with schema flags; "
-                           "set it in a --schema file")
-    return _load_with_schema_kv(dataset_path, kv, "schema flags")
+    if dropped:
+        raise CLIError(f"config key {dropped[0]!r} has no effect with schema flags; "
+                       "set it in a --schema file")
+    return _load_with_schema_kv(dataset_path, kv, "schema flags")[:2]
 
 
 def _run_options(args, cfg) -> tuple[int, dict]:
@@ -301,15 +306,14 @@ def cmd_train(args) -> int:
     # The manifest records the split budgets a split-budget method uses.
     budgets = dict(zip(names, (eps, delta, *split_budgets(method, eps, delta, *pairs))))
 
-    ds, schema, _raw = _resolve_dataset(args, cfg)
+    ds, schema = _resolve_dataset(args, cfg)
     train_ds, test_ds = split(ds, options["test_fraction"], derive_seed("split", seed, 0))
     model = train_method(
         train_ds, method, derive_seed("train", seed, 0, method),
         alpha1=options["alpha1"], s_attr=options["s_attr"], **budgets,
     )
 
-    acc = accuracy(model, test_ds)
-    rd = risk_difference(model, test_ds)
+    acc, rd = score(model, test_ds)
     _write_outputs(args, cfg, "train", seed, ds, schema,
                    {"method": method, **budgets, **options},
                    {"model.json": _json_text(model.to_dict())})
@@ -338,7 +342,7 @@ def cmd_sweep(args) -> int:
     # Built before the data is loaded: a bad grid fails before any compute.
     config = ExperimentConfig(methods=methods, eps_grid=eps_grid, delta_grid=delta_grid,
                               runs=runs, master_seed=seed, **options)
-    ds, schema, _raw = _resolve_dataset(args, cfg)
+    ds, schema = _resolve_dataset(args, cfg)
     report = run_experiment(ds, config)
 
     out_dir = _write_outputs(

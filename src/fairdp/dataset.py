@@ -182,9 +182,8 @@ class EncodedDataset:
     def fingerprint(self) -> str:
         """Content hash used to tie reports to the exact encoded data."""
         h = hashlib.sha256()
-        h.update(self.X.tobytes())
-        h.update(self.y.tobytes())
-        h.update(self.z.tobytes())
+        for a in (self.X, self.y, self.z):
+            h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), uncopied
         h.update("|".join(self.feature_names).encode())
         return h.hexdigest()
 
@@ -213,7 +212,7 @@ def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
                 continue
             if record[0].lstrip().startswith(COMMENT_PREFIX):
                 continue
-            cells = tuple(c.strip() for c in record)
+            cells = tuple(map(str.strip, record))
             if column_names is None:
                 if has_header:
                     column_names = cells
@@ -224,7 +223,7 @@ def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
                     f"{path.name}: line {reader.line_num} has {len(cells)} cells, "
                     f"expected {len(column_names)}"
                 )
-            if any(c in MISSING_MARKERS for c in cells):
+            if not MISSING_MARKERS.isdisjoint(cells):
                 dropped += 1
                 continue
             rows.append(cells)
@@ -253,12 +252,8 @@ def _binary_indicator(values: list[str], positive: str, what: str) -> np.ndarray
     return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
 
 
-def encode(raw: RawTable, schema: Schema) -> EncodedDataset:
-    """Encode a raw table into numeric arrays.  X is NOT yet normalized.
-
-    Categorical columns are one-hot encoded with one indicator per observed
-    category, ordered by first occurrence.  Numeric columns pass through.
-    """
+def _encode_arrays(raw: RawTable, schema: Schema):
+    """The parts of :func:`encode`: (X, y, z, feature_names), X writable."""
     y = _binary_indicator(_column(raw, schema.label_column), schema.label_positive, "label")
     z = _binary_indicator(
         _column(raw, schema.protected_column), schema.protected_positive, "protected"
@@ -270,44 +265,51 @@ def encode(raw: RawTable, schema: Schema) -> EncodedDataset:
         values = _column(raw, spec.name)
         if spec.kind == "numeric":
             try:
-                columns.append(np.array([float(v) for v in values], dtype=float))
+                columns.append(np.array(list(map(float, values))))
             except ValueError as exc:
                 raise ParseError(f"non-numeric cell in column {spec.name!r}: {exc}") from None
             names.append(spec.name)
         else:
-            categories: list[str] = []
-            seen: set[str] = set()
-            for v in values:
-                if v not in seen:
-                    seen.add(v)
-                    categories.append(v)
-            for cat in categories:
-                columns.append(
-                    np.fromiter((1.0 if v == cat else 0.0 for v in values), dtype=float)
-                )
-                names.append(f"{spec.name}={cat}")
+            codes: dict[str, int] = {}
+            idx = [codes.setdefault(v, len(codes)) for v in values]
+            block = np.zeros((len(values), len(codes)))
+            block[np.arange(len(values)), idx] = 1.0
+            columns.append(block)
+            names.extend(f"{spec.name}={cat}" for cat in codes)
     if schema.include_protected_in_features:
         columns.append(z.astype(float))
         names.append(schema.protected_column)
     if not columns:
         raise ValueError("schema selects no feature columns")
     X = np.column_stack(columns)
-    return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(names))
+    return X, y, z, tuple(names)
 
 
-def _min_max(X: np.ndarray) -> np.ndarray:
-    """Per-column min-max scaling to [0, 1]; constant columns collapse to 0."""
-    X = np.asarray(X, dtype=float)
+def encode(raw: RawTable, schema: Schema) -> EncodedDataset:
+    """Encode a raw table into numeric arrays.  X is NOT yet normalized.
+
+    Categorical columns are one-hot encoded with one indicator per observed
+    category, ordered by first occurrence.  Categories are exact Python
+    strings: no NumPy string array, which would drop trailing NULs.  Numeric
+    columns pass through.
+    """
+    return EncodedDataset(*_encode_arrays(raw, schema))
+
+
+def _min_max_in_place(X: np.ndarray) -> np.ndarray:
+    """Per-column min-max scaling of a float matrix to [0, 1], overwriting
+    it; constant columns collapse to exactly 0."""
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError("X must be a 2-d matrix with at least one column")
     if not np.isfinite(X).all():
         raise ValueError("X contains non-finite entries")
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
-    out = np.zeros_like(X)
     live = span > 0
-    out[:, live] = (X[:, live] - lo[live]) / span[live]
-    return out
+    X -= lo
+    X /= np.where(live, span, 1.0)
+    X[:, ~live] = 0.0  # x - lo may be -0.0 where "0" and "-0" mix
+    return X
 
 
 def normalize(X: np.ndarray) -> np.ndarray:
@@ -316,22 +318,24 @@ def normalize(X: np.ndarray) -> np.ndarray:
     Each column is min-max scaled to [0, 1] (constant columns collapse to 0),
     then every entry is divided by sqrt(d), so each row norm is at most 1.
     """
-    unit = _min_max(X)
+    unit = _min_max_in_place(np.array(X, dtype=float))
     return unit / math.sqrt(unit.shape[1])
 
 
 def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
     """encode + normalize in one step; the form every trainer consumes.
 
-    With ``add_constant_feature`` the always-1 column is appended after the
-    min-max step so it survives scaling, and the global sqrt(d) divisor counts
-    it, preserving the row-norm bound.
+    The encoded matrix is scaled in place.  With ``add_constant_feature``
+    the always-1 column is appended after the min-max step so it survives
+    scaling, and the global sqrt(d) divisor counts it, preserving the
+    row-norm bound.
     """
-    ds = encode(raw, schema)
-    unit, names = _min_max(ds.X), ds.feature_names
+    X, y, z, names = _encode_arrays(raw, schema)
+    _min_max_in_place(X)
     if schema.add_constant_feature:
-        unit, names = np.column_stack([unit, np.ones(ds.n)]), names + ("const",)
-    return EncodedDataset(X=unit / math.sqrt(unit.shape[1]), y=ds.y, z=ds.z, feature_names=names)
+        X, names = np.column_stack([X, np.ones(len(X))]), names + ("const",)
+    X /= math.sqrt(X.shape[1])
+    return EncodedDataset(X=X, y=y, z=z, feature_names=names)
 
 
 def split(

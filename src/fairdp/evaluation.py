@@ -59,25 +59,29 @@ def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return (X @ model.w >= 0.0).astype(np.int64)
 
 
-def accuracy(model: TrainedModel, test: EncodedDataset) -> float:
-    if test.n < 1:
-        raise ValueError("empty test set")
-    return float((predict_labels(model, test.X) == test.y).mean())
-
-
-def risk_difference(model: TrainedModel, test: EncodedDataset) -> float | None:
-    """|P(label=1 | z=1) - P(label=1 | z=0)| on the test rows.
-
-    Returns None when either protected group is empty; callers must surface
-    that explicitly instead of treating it as zero.
+def score(model: TrainedModel, test: EncodedDataset) -> tuple[float, float | None]:
+    """Accuracy and risk difference |P(label=1 | z=1) - P(label=1 | z=0)| on
+    the test rows, from one prediction.  The risk difference is None when
+    either protected group is empty; callers must surface that explicitly
+    instead of treating it as zero.
     """
     if test.n < 1:
         raise ValueError("empty test set")
     labels = predict_labels(model, test.X)
+    acc = float((labels == test.y).mean())
     in_group = test.z == 1
     if not in_group.any() or in_group.all():
-        return None
-    return float(abs(labels[in_group].mean() - labels[~in_group].mean()))
+        return acc, None
+    return acc, float(abs(labels[in_group].mean() - labels[~in_group].mean()))
+
+
+def accuracy(model: TrainedModel, test: EncodedDataset) -> float:
+    return score(model, test)[0]
+
+
+def risk_difference(model: TrainedModel, test: EncodedDataset) -> float | None:
+    """The risk difference of :func:`score`; None when a group is empty."""
+    return score(model, test)[1]
 
 
 def derive_seed(*parts) -> int:
@@ -396,9 +400,9 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
                     train_ds, method, run_seed, eps=eps, delta=dlt,
                     alpha1=alpha1, s_attr=s_attr, policy=config.policy,
                 )
+                acc, rd = score(model, test_ds)
                 outcomes[k].append(RunResult(
-                    accuracy=accuracy(model, test_ds),
-                    risk_difference=risk_difference(model, test_ds),
+                    accuracy=acc, risk_difference=rd,
                     seed=run_seed,
                     method=method,
                     params={"epsilon": eps, "delta": dlt, "alpha1": alpha1, "s_attr": s_attr},

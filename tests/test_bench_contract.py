@@ -7,6 +7,8 @@ import inspect
 from fairdp import cli, evaluation
 from fairdp.optimizer import RegularizationPolicy
 
+from toys import TOY_CSV, TOY_SCHEMA
+
 CLI_NAMES = (
     "split", "train_fm", "train_relaxed_fm", "train_pdfc", "train_adfc",
     "train_fair_lr", "accuracy", "risk_difference", "load_encoded_dataset",
@@ -16,6 +18,35 @@ CLI_NAMES = (
 def test_cli_exports_what_the_benchmark_calls():
     missing = [name for name in CLI_NAMES if not callable(getattr(cli, name, None))]
     assert missing == []
+
+
+# Module attributes bench/tracing.py wraps to time a layer; it skips a name
+# that is missing, so the layer would silently read 0.
+TRACED_NAMES = (
+    (cli, "load_csv"), (cli, "build_dataset"),
+    (evaluation, "accuracy"), (evaluation, "risk_difference"),
+)
+
+
+def test_traced_names_are_module_attributes():
+    missing = [f"{m.__name__}.{name}" for m, name in TRACED_NAMES
+               if not callable(getattr(m, name, None))]
+    assert missing == []
+
+
+def test_dataset_loading_goes_through_the_traced_names(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_csv", "build_dataset"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cli.load_encoded_dataset(TOY_CSV, TOY_SCHEMA)
+    assert calls == ["load_csv", "build_dataset"]
 
 
 def test_experiment_config_accepts_jobs():

@@ -1,11 +1,13 @@
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 import fairdp.dataset as dataset_mod
+from fairdp import evaluation
 from fairdp.cli import main, parse_keyvalue_file, parse_schema_file
-from fairdp.dataset import RemoteFile
+from fairdp.dataset import RawTable, RemoteFile
 
 from toys import (
     FIXTURE_DIR,
@@ -238,6 +240,48 @@ class TestTrain:
         assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/model.json").read_bytes() == \
             (tmp_path / "b/model.json").read_bytes()
+
+    @pytest.mark.parametrize("key", [
+        "add_constant_feature", "include_protected_in_features", "add-constant-feature",
+    ])
+    def test_config_schema_boolean_with_schema_file_warns(self, tmp_path, capsys, key):
+        # The schema file's booleans apply; the dropped config value is named.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = true\n")
+        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                  "--method", "fm", "--eps", "1.0", "--seed", "2"]
+        assert main(common + ["--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        name = key.replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"warning: config key '{name}' has no effect with --schema; "
+            "set it in the schema file\n"
+        )
+        for out in ("model.json", "manifest.json"):
+            assert (tmp_path / "a" / out).read_bytes() == (tmp_path / "b" / out).read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "pdfc", "--eps", "1.0"],
+    ["sweep", "--methods", "fm,pdfc", "--eps", "1.0", "--runs", "2"],
+])
+def test_one_prediction_per_fit_and_no_raw_table_held(tmp_path, monkeypatch, command):
+    # Each model is scored from one prediction, and the parsed text table is
+    # released once the data is encoded.
+    calls, live_tables = [], []
+    real_predict = evaluation.predict_labels
+
+    def counted_predict(model, X):
+        calls.append(X.shape)
+        live_tables.append(sum(isinstance(o, RawTable) for o in gc.get_objects()))
+        return real_predict(model, X)
+
+    monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
+    assert main([*command, "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == (1 if command[0] == "train" else 4)
+    assert live_tables == [0] * len(calls)
 
 
 @pytest.mark.parametrize("command", [

@@ -273,6 +273,211 @@ class TestGoldenPipeline:
         )
 
 
+# --- encoder oracle -----------------------------------------------------------
+# A transcription of the per-category encoder that the array encoder replaced:
+# one pass over the rows per category and a masked min-max.  Every encoded
+# bit of encode/build_dataset must match it.
+
+def reference_encode(raw, schema):
+    def column(name):
+        idx = raw.column_names.index(name)
+        return [row[idx] for row in raw.rows]
+
+    def indicator(values, positive):
+        return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
+
+    y = indicator(column(schema.label_column), schema.label_positive)
+    z = indicator(column(schema.protected_column), schema.protected_positive)
+    columns, names = [], []
+    for spec in schema.feature_columns:
+        values = column(spec.name)
+        if spec.kind == "numeric":
+            columns.append(np.array([float(v) for v in values], dtype=float))
+            names.append(spec.name)
+            continue
+        categories, seen = [], set()
+        for v in values:
+            if v not in seen:
+                seen.add(v)
+                categories.append(v)
+        for cat in categories:
+            columns.append(np.fromiter((1.0 if v == cat else 0.0 for v in values), dtype=float))
+            names.append(f"{spec.name}={cat}")
+    if schema.include_protected_in_features:
+        columns.append(z.astype(float))
+        names.append(schema.protected_column)
+    return EncodedDataset(X=np.column_stack(columns), y=y, z=z, feature_names=tuple(names))
+
+
+def reference_build(raw, schema):
+    ds = reference_encode(raw, schema)
+    lo = ds.X.min(axis=0)
+    span = ds.X.max(axis=0) - lo
+    unit = np.zeros_like(ds.X)
+    live = span > 0
+    unit[:, live] = (ds.X[:, live] - lo[live]) / span[live]
+    names = ds.feature_names
+    if schema.add_constant_feature:
+        unit, names = np.column_stack([unit, np.ones(ds.n)]), names + ("const",)
+    return EncodedDataset(X=unit / math.sqrt(unit.shape[1]), y=ds.y, z=ds.z,
+                          feature_names=names)
+
+
+def assert_matches_reference(raw, schema):
+    assert encode(raw, schema).fingerprint() == reference_encode(raw, schema).fingerprint()
+    assert build_dataset(raw, schema).fingerprint() == \
+        reference_build(raw, schema).fingerprint()
+
+
+NUMERIC_POOLS = (
+    ("0", "-0", "1", "1e3", " 2 ", "-1.5", "3.25", "1e-300", "-7", "+4", "1_000"),
+    ("0", "-0"),  # a constant column whose x - min can be -0.0
+    ("-0",),
+    ("5", " 5 ", "5.0", "5e0"),
+)
+CATEGORY_CELLS = st.one_of(
+    st.sampled_from(["a", "a ", " a", "A", "é", "é", "Ω", "x", "x\x00", "\x00", "", "  "]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 25))
+    cols = {}
+    for name, pos, neg in (("income", "yes", "no"), ("sex", "Male", "Female")):
+        cells = draw(st.lists(st.sampled_from([pos, neg]), min_size=n, max_size=n))
+        cells[draw(st.integers(0, n - 1))] = pos
+        cols[name] = cells
+    specs = []
+    for i in range(draw(st.integers(0, 3))):
+        pool = draw(st.sampled_from(NUMERIC_POOLS))
+        cols[f"num{i}"] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        specs.append(ColumnSpec(f"num{i}", "numeric"))
+    for i in range(draw(st.integers(0, 3))):
+        cols[f"cat{i}"] = draw(st.lists(CATEGORY_CELLS, min_size=n, max_size=n))
+        specs.append(ColumnSpec(f"cat{i}", "categorical"))
+    include = draw(st.booleans()) or not specs
+    order = draw(st.permutations(list(cols)))
+    raw = RawTable(column_names=tuple(order),
+                   rows=tuple(zip(*(cols[c] for c in order))))
+    schema = Schema(
+        label_column="income", label_positive="yes",
+        protected_column="sex", protected_positive="Male",
+        feature_columns=tuple(draw(st.permutations(specs))),
+        include_protected_in_features=include,
+        add_constant_feature=draw(st.booleans()),
+    )
+    return raw, schema
+
+
+ADULT_NUMERIC = ("age", "fnlwgt", "education-num", "capital-gain", "capital-loss",
+                 "hours-per-week")
+ADULT_CATEGORICAL = {"workclass": 7, "education": 16, "marital-status": 7,
+                     "occupation": 14, "relationship": 6, "race": 5,
+                     "native-country": 41}
+ADULT_ORDER = ("age", "workclass", "fnlwgt", "education", "education-num",
+               "marital-status", "occupation", "relationship", "race", "sex",
+               "capital-gain", "capital-loss", "hours-per-week", "native-country",
+               "income")
+
+
+def adult_shaped_table(n=3000, seed=0):
+    """15 Adult-like columns; every category appears, so d = 6 + 96 = 102."""
+    gen = np.random.default_rng(seed)
+    cols = {name: [str(v) for v in gen.integers(0, 10 ** (2 + i % 4), size=n)]
+            for i, name in enumerate(ADULT_NUMERIC)}
+    for name, k in ADULT_CATEGORICAL.items():
+        codes = np.concatenate([np.arange(k), gen.integers(0, k, size=n - k)])
+        cols[name] = [f"{name[:4]}-{c}" for c in codes]
+    cols["sex"] = [("Male", "Female")[c] for c in gen.integers(0, 2, size=n)]
+    cols["income"] = [(">50K", "<=50K")[c] for c in gen.integers(0, 2, size=n)]
+    raw = RawTable(column_names=ADULT_ORDER,
+                   rows=tuple(zip(*(cols[c] for c in ADULT_ORDER))))
+    schema = Schema(
+        label_column="income", label_positive=">50K",
+        protected_column="sex", protected_positive="Male",
+        feature_columns=tuple(ColumnSpec(c, "numeric") for c in ADULT_NUMERIC)
+        + tuple(ColumnSpec(c, "categorical") for c in ADULT_CATEGORICAL),
+    )
+    return raw, schema
+
+
+def unique_encode(raw, schema):
+    """An encoder for categorical-only schemas that codes categories by
+    np.unique over a NumPy string array, re-ranked by first occurrence: the
+    shortcut the oracle must reject."""
+    X, names = [], []
+    for spec in schema.feature_columns:
+        idx = raw.column_names.index(spec.name)
+        values = np.array([row[idx] for row in raw.rows])
+        cats, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        block = np.zeros((raw.n_rows, len(cats)))
+        block[np.arange(raw.n_rows), rank[inverse]] = 1.0
+        X.append(block)
+        names += [f"{spec.name}={c}" for c in cats[np.argsort(first)]]
+    ds = encode(raw, schema)
+    return EncodedDataset(X=np.column_stack(X), y=ds.y, z=ds.z, feature_names=tuple(names))
+
+
+class TestEncoderOracle:
+    @given(tables())
+    @settings(max_examples=100, deadline=None)
+    def test_generated_tables(self, case):
+        assert_matches_reference(*case)
+
+    def test_adult_shaped_table(self):
+        raw, schema = adult_shaped_table()
+        assert build_dataset(raw, schema).d == 102
+        assert_matches_reference(raw, schema)
+
+    @pytest.mark.parametrize("include", [False, True])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_toy_fixture(self, include, constant):
+        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, add_constant_feature=constant,
+                                     include_protected_in_features=include)
+        assert_matches_reference(load_csv(FIXTURE_DIR / "toy.csv"), schema)
+
+    def test_trailing_nul_is_its_own_category(self):
+        raw = RawTable(column_names=("dept", "sex", "income"),
+                       rows=(("x", "Male", "yes"), ("x\x00", "Female", "no"),
+                             ("x", "Female", "no")))
+        schema = Schema(label_column="income", label_positive="yes",
+                        protected_column="sex", protected_positive="Male",
+                        feature_columns=(ColumnSpec("dept", "categorical"),))
+        ds = encode(raw, schema)
+        assert ds.feature_names == ("dept=x", "dept=x\x00")
+        np.testing.assert_array_equal(ds.X, [[1, 0], [0, 1], [1, 0]])
+        assert_matches_reference(raw, schema)
+        # A NumPy string array strips the NUL and merges the two categories.
+        assert unique_encode(raw, schema).fingerprint() != \
+            reference_encode(raw, schema).fingerprint()
+
+    @pytest.mark.parametrize("cells", [("0", "-0"), ("-0", "0"), ("0", "-0", "0")])
+    def test_zero_signs_in_constant_column(self, cells):
+        # x - min is -0.0 for some orders; constant columns must read +0.0.
+        groups = [("Male", "yes")] + [("Female", "no")] * (len(cells) - 1)
+        raw = RawTable(column_names=("v", "sex", "income"),
+                       rows=tuple((c, *g) for c, g in zip(cells, groups)))
+        schema = Schema(label_column="income", label_positive="yes",
+                        protected_column="sex", protected_positive="Male",
+                        feature_columns=(ColumnSpec("v", "numeric"),))
+        X = build_dataset(raw, schema).X
+        assert not np.signbit(X).any()
+        assert_matches_reference(raw, schema)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_numeric_cell_rejected(self, cell):
+        raw = RawTable(column_names=("age", "sex", "income"),
+                       rows=((cell, "Male", "yes"), ("30", "Female", "no")))
+        schema = Schema(label_column="income", label_positive="yes",
+                        protected_column="sex", protected_positive="Male",
+                        feature_columns=(ColumnSpec("age", "numeric"),))
+        with pytest.raises(ValueError, match="X contains non-finite entries"):
+            build_dataset(raw, schema)
+
+
 class TestSplit:
     def make(self, n=10, d=3, seed=0):
         gen = np.random.default_rng(seed)
@@ -338,6 +543,15 @@ class TestEncodedDatasetInvariants:
                             feature_names=("a", "b"))
         with pytest.raises(ValueError):
             ds.X[0, 0] = 9.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fingerprint_hashes_row_major_bytes(self, order):
+        X = np.asarray(np.arange(12.0).reshape(4, 3) / 16, order=order)
+        ds = EncodedDataset(X=X, y=[0, 1, 1, 0], z=[1, 0, 1, 0], feature_names=("a", "b", "c"))
+        h = hashlib.sha256()
+        for part in (X.tobytes(), ds.y.tobytes(), ds.z.tobytes(), b"a|b|c"):
+            h.update(part)
+        assert ds.fingerprint() == h.hexdigest()
 
     def test_zbar_exact(self):
         ds = EncodedDataset(X=np.ones((4, 1)) / 2, y=[0, 1, 0, 1], z=[1, 0, 0, 1],

@@ -20,6 +20,7 @@ from fairdp.evaluation import (
     report_csv_lines,
     risk_difference,
     run_experiment,
+    score,
 )
 from fairdp.trainers import TrainedModel
 
@@ -114,6 +115,15 @@ class TestRiskDifference:
         assert risk_difference(model, ds) == pytest.approx(
             risk_difference(model, flipped), abs=1e-15
         )
+
+
+class TestScore:
+    @pytest.mark.parametrize("z", [[0, 1, 1, 0, 1], [1, 1, 1, 1, 1]])
+    def test_matches_accuracy_and_risk_difference(self, z):
+        X = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5], [0.3, 0.1], [0.1, 0.6]])
+        ds = EncodedDataset(X=X, y=[1, 0, 0, 1, 1], z=z, feature_names=("a", "b"))
+        model = fixed_model([1.0, -1.0])
+        assert score(model, ds) == (accuracy(model, ds), risk_difference(model, ds))
 
 
 class TestDeriveSeed:
@@ -223,6 +233,24 @@ class TestExperiment:
         assert not any(p.failed for p in rep.points)
         assert len(splits) == len(set(splits)) == cfg.runs
         assert grams == [6] * cfg.runs  # once per 6-row train part
+
+    def test_one_prediction_per_key_and_run(self, monkeypatch):
+        # Accuracy and risk difference come from one set of labels.
+        calls = []
+        real_predict = evaluation.predict_labels
+
+        def counted_predict(model, X):
+            calls.append(X.shape)
+            return real_predict(model, X)
+
+        cfg = self.config(methods=("FairLR", "FM", "PDFC", "ADFC"))
+        expected = run_experiment(toy_d3(), cfg).to_dict()
+        monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
+        rep = run_experiment(toy_d3(), cfg)
+        keys = {evaluation._effective_key(p, cfg.alpha1, cfg.s_attr) for p in cfg.grid()}
+        assert len(keys) == 7  # FairLR 1, FM 2, PDFC 2, ADFC 2
+        assert len(calls) == len(keys) * cfg.runs
+        assert rep.to_dict() == expected
 
     def test_failure_at_later_run_isolated(self, monkeypatch):
         calls = []

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from fairdp import mechanisms
 from fairdp.dataset import EncodedDataset
+from fairdp.evaluation import DEFAULT_DELTA_GRID, DEFAULT_EPS_GRID
 from fairdp.mechanisms import (
     compose_split_delta,
     compose_split_epsilon,
@@ -24,6 +26,16 @@ from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
 
 from conftest import random_unit_rows
 from toys import GOLDEN_DIR, perturb_golden_inputs
+
+
+def log_privacy_profile(eps, sigma, sensitivity):
+    """log delta(eps) of the Gaussian mechanism (Balle & Wang, ICML 2018,
+    Thm 8): delta(eps) = Phi(D/2s - eps s/D) - e^eps Phi(-D/2s - eps s/D),
+    with D the L2 sensitivity and s the noise scale, in log space so that
+    small tails keep their relative precision."""
+    a, b = sensitivity / (2.0 * sigma), eps * sigma / sensitivity
+    first, second = log_ndtr(a - b), log_ndtr(-a - b)
+    return first + math.log1p(-math.exp(eps + second - first))
 
 
 def neighboring_pair(rng, n, d):
@@ -139,6 +151,29 @@ class TestGaussianSigma:
                 L = math.log(math.sqrt(2 / math.pi) / delta)
                 lhs = sigma * 2 * eps / (math.sqrt(2) * 3.0)
                 assert abs(lhs - (math.sqrt(L) + math.sqrt(L + eps))) < 1e-12
+
+    @pytest.mark.parametrize("eps", DEFAULT_EPS_GRID)
+    def test_exact_privacy_profile_within_delta(self, eps):
+        # Every default-grid sigma, at the full delta (RelaxedFM) and at
+        # ADFC's per-group split_total_delta(delta), meets the exact
+        # Gaussian privacy profile; a quarter of it does not.
+        for grid_delta in DEFAULT_DELTA_GRID:
+            for delta in (grid_delta, split_total_delta(grid_delta)):
+                for sens in (1.0, l2_sensitivity_fair(102, 1.0)):
+                    sigma = gaussian_sigma(eps, delta, sens)
+                    assert log_privacy_profile(eps, sigma, sens) <= math.log(delta)
+                    assert log_privacy_profile(eps, sigma / 4, sens) > math.log(delta)
+
+    def test_privacy_profile_matches_high_precision(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 60
+        for eps, delta in [(0.01, 1e-7), (1.0, 1e-3), (10.0, 1e-5)]:
+            sigma = gaussian_sigma(eps, delta, 1.0)
+            a, b = 1 / (2 * mp.mpf(sigma)), eps * mp.mpf(sigma)
+            exact = mp.ncdf(a - b) - mp.exp(eps) * mp.ncdf(-a - b)
+            assert log_privacy_profile(eps, sigma, 1.0) == pytest.approx(
+                float(mp.log(exact)), rel=1e-9
+            )
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
