@@ -20,7 +20,6 @@ from .evaluation import (
     ExperimentConfig,
     ExperimentReport,
     accuracy,
-    predict,
     risk_difference,
     run_experiment,
     train_method,

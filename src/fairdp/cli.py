@@ -55,7 +55,7 @@ from .evaluation import (
     split_budgets,
     train_method,
 )
-from .trainers import METHODS
+from .trainers import DELTA_METHODS, METHODS, PRIVATE_METHODS, SPLIT_METHODS
 # Re-exported: scripts that drive single fits (bench/run.py) import the
 # trainers from here; tests/test_bench_contract.py pins the names.
 from .trainers import (  # noqa: F401
@@ -107,13 +107,6 @@ def _split_names(value: str) -> list[str]:
     return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def parse_schema_file(path: str | Path) -> Schema:
-    """Schema config: the keys of ``_SCHEMA_TABLE`` (numeric and categorical
-    are comma lists, the booleans optional) and an optional ``columns``, the
-    column names of a header-less file."""
-    return _schema_from_kv(parse_keyvalue_file(path), str(path))
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -147,14 +140,12 @@ def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
     for name, v in (("--delta", delta), ("--delta-s", delta_s), ("--delta-n", delta_n)):
         if v is not None and not 0.0 < v < 1.0:
             raise CLIError(f"{name} must be in (0, 1), got {v}")
-    if method in ("FM", "RelaxedFM") and eps is None:
-        raise CLIError(f"method {method} requires --eps")
-    if method in ("PDFC", "ADFC") and eps is None and (eps_s is None or eps_n is None):
-        raise CLIError(f"method {method} requires --eps or both --eps-s/--eps-n")
-    if method == "RelaxedFM" and delta is None:
-        raise CLIError("method RelaxedFM requires --delta")
-    if method == "ADFC" and delta is None and (delta_s is None or delta_n is None):
-        raise CLIError("method ADFC requires --delta or both --delta-s/--delta-n")
+    for flag, total, parts, needed in (("eps", eps, (eps_s, eps_n), PRIVATE_METHODS),
+                                       ("delta", delta, (delta_s, delta_n), DELTA_METHODS)):
+        if method in needed and total is None:
+            pair = f" or both --{flag}-s/--{flag}-n" if method in SPLIT_METHODS else ""
+            if not pair or None in parts:
+                raise CLIError(f"method {method} requires --{flag}{pair}")
 
 
 _FEATURES = "feature_columns"
@@ -206,7 +197,10 @@ def _load_with_schema_kv(dataset_path, kv: dict[str, str], origin: str):
         raise CLIError(f"dataset file not found: {dataset_path}")
     schema = _schema_from_kv(kv, origin)
     columns = _split_names(kv.get("columns", ""))
-    raw = load_csv(dataset_path, has_header=not columns)
+    try:
+        raw = load_csv(dataset_path, has_header=not columns)
+    except OSError as exc:  # a directory, no permission, ...
+        raise CLIError(f"cannot read {dataset_path}: {exc.strerror or exc}") from None
     if columns:
         if len(columns) != raw.n_cols:
             raise CLIError(
@@ -424,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one model and write model.json")
     common(p_train)
-    p_train.add_argument("--method", help="LR|FairLR|FM|RelaxedFM|PDFC|ADFC")
+    p_train.add_argument("--method", help="|".join(METHODS))
     p_train.add_argument("--eps-s", help="budget for the designated attribute")
     p_train.add_argument("--eps-n", help="budget for the remaining attributes")
     p_train.add_argument("--delta-s", help="delta for the designated attribute")
@@ -435,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--methods", help="comma-separated method list")
     p_sweep.add_argument("--runs", type=int, help="independent runs per point (default 10)")
-    p_sweep.add_argument("--jobs", type=int,
-                         help="accepted and ignored: sweeps run serially")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a saved report")

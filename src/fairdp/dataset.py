@@ -111,7 +111,7 @@ class EncodedDataset:
 
     The container itself does not insist on normalized rows (encode and
     normalize are separate steps); :meth:`check_normalized` verifies the
-    unit-ball invariant where tests need it.
+    unit-ball invariant, which the private trainers require.
 
     The degree-2 objective's sufficient statistics (``logistic_c1``,
     ``logistic_c2``, ``protected_cov``) are computed on first use and kept.
@@ -172,12 +172,20 @@ class EncodedDataset:
         """sum_i (z_i - z_bar) x_i, the decision-boundary covariance direction."""
         return _frozen(((self.z - self.z_bar)[:, None] * self.X).sum(axis=0))
 
-    def check_normalized(self, tol: float = 1e-12) -> None:
-        if (self.X < 0).any():
-            raise ValueError("negative feature entries")
-        norms = np.linalg.norm(self.X, axis=1)
-        if (norms > 1.0 + tol).any():
-            raise ValueError(f"row norm exceeds 1: max={norms.max()}")
+    def check_normalized(self) -> None:
+        """Raise ValueError unless every row lies in the nonnegative unit
+        ball (up to 1e-12), the domain the sensitivity bounds assume; the
+        outcome is computed once per dataset."""
+        if self._unit_ball_error:
+            raise ValueError("features must lie in the nonnegative unit ball "
+                             f"(build_dataset or normalize them): {self._unit_ball_error}")
+
+    @cached_property
+    def _unit_ball_error(self) -> str:
+        if not self.X.min() >= 0.0:
+            return "negative or NaN feature entries"
+        top = float(np.einsum("ij,ij->i", self.X, self.X).max())  # no (n, d) temporary
+        return "" if top <= (1.0 + 1e-12) ** 2 else f"row norm exceeds 1: max={math.sqrt(top)}"
 
     def fingerprint(self) -> str:
         """Content hash used to tie reports to the exact encoded data."""
@@ -207,26 +215,29 @@ def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
     dropped = 0
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        for record in reader:
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if record[0].lstrip().startswith(COMMENT_PREFIX):
-                continue
-            cells = tuple(map(str.strip, record))
-            if column_names is None:
-                if has_header:
-                    column_names = cells
+        try:
+            for record in reader:
+                if not record or (len(record) == 1 and not record[0].strip()):
                     continue
-                column_names = tuple(f"col{i}" for i in range(len(cells)))
-            if len(cells) != len(column_names):
-                raise ParseError(
-                    f"{path.name}: line {reader.line_num} has {len(cells)} cells, "
-                    f"expected {len(column_names)}"
-                )
-            if not MISSING_MARKERS.isdisjoint(cells):
-                dropped += 1
-                continue
-            rows.append(cells)
+                if record[0].lstrip().startswith(COMMENT_PREFIX):
+                    continue
+                cells = tuple(map(str.strip, record))
+                if column_names is None:
+                    if has_header:
+                        column_names = cells
+                        continue
+                    column_names = tuple(f"col{i}" for i in range(len(cells)))
+                if len(cells) != len(column_names):
+                    raise ParseError(
+                        f"{path.name}: line {reader.line_num} has {len(cells)} cells, "
+                        f"expected {len(column_names)}"
+                    )
+                if not MISSING_MARKERS.isdisjoint(cells):
+                    dropped += 1
+                    continue
+                rows.append(cells)
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise ParseError(f"{path.name}: line {reader.line_num}: {exc}") from None
     if column_names is None:
         raise ParseError(f"{path.name}: file is empty")
     if not rows:

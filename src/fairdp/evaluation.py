@@ -15,14 +15,16 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import EncodedDataset, split
 from .mechanisms import split_total_delta
 from .optimizer import RegularizationPolicy
 from .trainers import (
+    DELTA_METHODS,
+    FAIR_METHODS,
     METHODS,
     PRIVATE_METHODS,
+    SPLIT_METHODS,
     TrainedModel,
     train_adfc,
     train_fair_lr,
@@ -35,24 +37,10 @@ from .trainers import (
 DEFAULT_EPS_GRID = (1e-2, 10 ** -1.5, 1e-1, 1.0, 10 ** 0.5, 1e1)
 DEFAULT_DELTA_GRID = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 
-_DELTA_METHODS = frozenset({"RelaxedFM", "ADFC"})
-_FAIR_METHODS = frozenset({"FairLR", "PDFC", "ADFC"})
-
-
-def predict(model: TrainedModel, x: np.ndarray) -> tuple[float, int]:
-    """Probability and hard label for one feature vector.
-
-    p = 1/(1 + exp(-x.w)) computed overflow-safely; the label is 1 exactly
-    when the score x.w is >= 0, i.e. when p >= 1/2 (ties predict 1).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({model.d},)")
-    score = float(x @ model.w)
-    return float(expit(score)), int(score >= 0.0)
-
 
 def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Hard labels for the rows of X: 1 exactly when the score x.w is >= 0,
+    i.e. when the logistic probability is >= 1/2 (ties predict 1)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.d:
         raise ValueError(f"X has shape {X.shape}, expected (n, {model.d})")
@@ -149,7 +137,7 @@ class ExperimentConfig:
     def grid(self) -> list[GridPoint]:
         points = []
         for method in self.methods:
-            deltas = self.delta_grid if method in _DELTA_METHODS else (None,)
+            deltas = self.delta_grid if method in DELTA_METHODS else (None,)
             for eps in self.eps_grid:
                 for dlt in deltas:
                     points.append(GridPoint(method, eps, dlt))
@@ -292,9 +280,9 @@ def _effective_key(point: GridPoint, alpha1: float, s_attr: str) -> tuple:
     identical result distributions and are computed once."""
     m = point.method
     eps = point.epsilon if m in PRIVATE_METHODS else None
-    dlt = point.delta if m in _DELTA_METHODS else None
-    a1 = alpha1 if m in _FAIR_METHODS else None
-    s = s_attr if m in ("PDFC", "ADFC") else None
+    dlt = point.delta if m in DELTA_METHODS else None
+    a1 = alpha1 if m in FAIR_METHODS else None
+    s = s_attr if m in SPLIT_METHODS else None
     return (m, eps, dlt, a1, s)
 
 
@@ -305,9 +293,9 @@ def split_budgets(method: str, eps, delta, eps_s=None, eps_n=None, delta_s=None,
     pair left out becomes eps for both epsilons and 1 - sqrt(1 - delta) for
     both deltas, which composes back to (eps, delta).  Other methods get the
     pairs back unchanged."""
-    if method in ("PDFC", "ADFC") and (eps_s is None or eps_n is None):
+    if method in SPLIT_METHODS and None in (eps_s, eps_n):
         eps_s = eps_n = eps
-    if method == "ADFC" and (delta_s is None or delta_n is None):
+    if method in SPLIT_METHODS and method in DELTA_METHODS and None in (delta_s, delta_n):
         delta_s = delta_n = split_total_delta(delta)
     return eps_s, eps_n, delta_s, delta_n
 
@@ -326,7 +314,7 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
         return train_fm(train_ds, eps, seed=seed, policy=policy)
     if method == "RelaxedFM":
         return train_relaxed_fm(train_ds, eps, delta, seed=seed, policy=policy)
-    if method not in ("PDFC", "ADFC"):
+    if method not in SPLIT_METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
     s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
     eps_s, eps_n, delta_s, delta_n = split_budgets(

@@ -96,31 +96,20 @@ def minimize_quadratic(
     return w, diag
 
 
-def logistic_objective(
-    ds: EncodedDataset, w: np.ndarray, alpha1: float = 0.0
-) -> tuple[float, np.ndarray]:
-    """Exact penalized loss and its gradient.
-
-    Loss: sum_i [log(1 + exp(x_i.w)) - y_i x_i.w] + alpha1 * (c_fair . w),
-    with c_fair = sum_i (z_i - z_bar) x_i the decision-boundary covariance
-    vector (``ds.protected_cov``).  log(1+exp(.)) is
-    computed via logaddexp so large scores cannot overflow.
-    """
+def logistic_objective(ds: EncodedDataset, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact logistic loss sum_i [log(1 + exp(x_i.w)) - y_i x_i.w] and its
+    gradient; logaddexp keeps large scores from overflowing."""
     with np.errstate(over="ignore", invalid="ignore"):
         scores = ds.X @ w
         loss = float(np.logaddexp(0.0, scores).sum() - ds.y @ scores)
         grad = ds.X.T @ (expit(scores) - ds.y)
-    if alpha1 != 0.0:
-        c = ds.protected_cov
-        loss += alpha1 * float(c @ w)
-        grad = grad + alpha1 * c
     return loss, grad
 
 
 def minimize_logistic_exact(
-    ds: EncodedDataset, alpha1: float = 0.0, policy: RegularizationPolicy | None = None
+    ds: EncodedDataset, policy: RegularizationPolicy | None = None
 ) -> tuple[np.ndarray, DescentDiagnostics]:
-    """Damped Newton on the exact penalized logistic loss from w = 0.
+    """Damped Newton on the exact logistic loss from w = 0.
 
     The direction solves H d = grad, H = X^T diag(p(1-p)) X, by least squares:
     one-hot designs make H singular, but the gradient lies in its range.  The
@@ -132,7 +121,7 @@ def minimize_logistic_exact(
     """
     policy = policy or RegularizationPolicy()
     w = np.zeros(ds.d)
-    obj, grad = logistic_objective(ds, w, alpha1)
+    obj, grad = logistic_objective(ds, w)
     if not math.isfinite(obj):
         raise OptimizationError("objective non-finite at start", iteration=0)
     grad_inf = float(np.abs(grad).max())
@@ -145,7 +134,7 @@ def minimize_logistic_exact(
         trial, slack = 1.0, ds.n * math.ulp(obj)
         while trial > 0.0:  # NaN compares false, so a non-finite candidate halves
             cand = w - trial * direction
-            cand_obj, cand_grad = logistic_objective(ds, cand, alpha1)
+            cand_obj, cand_grad = logistic_objective(ds, cand)
             cand_inf = float(np.abs(cand_grad).max())
             if cand_obj < obj or (cand_obj <= obj + slack and cand_inf < grad_inf):
                 break

@@ -53,10 +53,6 @@ class PolyObjective:
         """JSON layout: scalar c0, list c1, row-major nested list c2."""
         return {"c0": self.c0, "c1": self.c1.tolist(), "c2": self.c2.tolist()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "PolyObjective":
-        return cls(c0=data["c0"], c1=np.array(data["c1"]), c2=np.array(data["c2"]))
-
 
 def lr_poly(ds: EncodedDataset) -> PolyObjective:
     """Quadratic expansion of the plain logistic loss on a dataset (from its

@@ -44,6 +44,9 @@ from .polynomial import fair_poly, lr_poly
 
 METHODS = ("LR", "FairLR", "FM", "RelaxedFM", "PDFC", "ADFC")
 PRIVATE_METHODS = ("FM", "RelaxedFM", "PDFC", "ADFC")
+DELTA_METHODS = ("RelaxedFM", "ADFC")  # read a delta: Gaussian noise
+FAIR_METHODS = ("FairLR", "PDFC", "ADFC")  # read alpha1: fairness penalty
+SPLIT_METHODS = ("PDFC", "ADFC")  # split the budget around w_s
 
 
 @dataclass(frozen=True)
@@ -98,19 +101,6 @@ class TrainedModel:
             "diagnostics": self.diagnostics,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainedModel":
-        budgets = data.get("budgets")
-        return cls(
-            w=np.array(data["w"], dtype=float),
-            method=data["method"],
-            budgets=None if budgets is None else BudgetInfo(**budgets),
-            sensitivity_used=data.get("sensitivity_used"),
-            alpha1=data.get("alpha1", 0.0),
-            seed=data.get("seed"),
-            diagnostics=data.get("diagnostics", {}),
-        )
-
 
 def _private_fit(
     ds: EncodedDataset,
@@ -133,14 +123,17 @@ def _private_fit(
     delta_n]).  PDFC/ADFC perturb the fairness-penalized quadratic and record
     split budgets; FM/RelaxedFM are the single-budget alpha1 = 0 case on the
     plain quadratic, where the fair bounds equal the plain ones bit for bit.
+    The bounds assume rows in the nonnegative unit ball; other data is
+    rejected before any noise scale is computed.
     """
-    split_budget = method in ("PDFC", "ADFC")
+    split_budget = method in SPLIT_METHODS
     names = ("eps_s", "eps_n") if split_budget else ("epsilon", "epsilon")
     for name, eps in zip(names, (eps_s, eps_n)):
         if not 0.0 < eps < math.inf:
             raise ValueError(f"{name} must be finite and positive, got {eps}")
     if not 0 <= s_index < ds.d:
         raise ValueError(f"s_index {s_index} out of range for d={ds.d}")
+    ds.check_normalized()
     poly = fair_poly(ds, alpha1) if split_budget else lr_poly(ds)
     if delta_s is None:
         kind, sensitivity = "laplace", l1_sensitivity_fair(ds.d, alpha1)
@@ -239,7 +232,7 @@ def train_lr(
     ds: EncodedDataset, policy: RegularizationPolicy | None = None
 ) -> TrainedModel:
     """Non-private baseline: exact logistic loss, no fairness penalty."""
-    w, diag = minimize_logistic_exact(ds, alpha1=0.0, policy=policy)
+    w, diag = minimize_logistic_exact(ds, policy)
     return TrainedModel(
         w=w,
         method="LR",

@@ -1,10 +1,11 @@
-"""The names the benchmark driver (bench/run.py) reaches through
-``fairdp.cli`` and ``fairdp.evaluation``.  Several of them look unused in
-cli.py, so a clean-up could drop them; every benchmark fit would then fail."""
+"""The names the benchmark script (bench/run.py) and its tracer
+(bench/tracing.py) reach in ``fairdp``.  Several of them look unused in
+cli.py, so a clean-up could drop them; every benchmark fit would then fail,
+or a traced layer would silently read 0."""
 
 import inspect
 
-from fairdp import cli, evaluation
+from fairdp import cli, dataset, evaluation, mechanisms, optimizer, polynomial, trainers
 from fairdp.optimizer import RegularizationPolicy
 
 from toys import TOY_CSV, TOY_SCHEMA
@@ -31,6 +32,30 @@ TRACED_NAMES = (
 def test_traced_names_are_module_attributes():
     missing = [f"{m.__name__}.{name}" for m, name in TRACED_NAMES
                if not callable(getattr(m, name, None))]
+    assert missing == []
+
+
+TRAINERS = ("train_lr", "train_fair_lr", "train_fm", "train_relaxed_fm",
+            "train_pdfc", "train_adfc")
+
+# Every other module attribute bench/run.py or bench/tracing.py looks up.
+BENCH_NAMES = (
+    (evaluation, ("derive_seed", "DEFAULT_EPS_GRID", "DEFAULT_DELTA_GRID",
+                  "ExperimentConfig", "run_experiment", "report_csv_lines", "split",
+                  *TRAINERS)),
+    (evaluation.ExperimentReport, ("find", "to_dict")),
+    (dataset, ("split", "load_csv", "build_dataset")),
+    (mechanisms, ("split_total_delta",)),
+    (optimizer, ("RegularizationPolicy", "logistic_objective")),
+    (polynomial, ("lr_poly",)),
+    (trainers, ("lr_poly", "fair_poly", "perturb", "minimize_quadratic",
+                "minimize_logistic_exact")),
+)
+
+
+def test_bench_names_exist():
+    missing = [f"{owner.__name__}.{name}" for owner, names in BENCH_NAMES
+               for name in names if not hasattr(owner, name)]
     assert missing == []
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import fairdp.dataset as dataset_mod
 from fairdp import evaluation
-from fairdp.cli import main, parse_keyvalue_file, parse_schema_file
+from fairdp.cli import CLIError, _schema_from_kv, main, parse_keyvalue_file
 from fairdp.dataset import RawTable, RemoteFile
 
 from toys import (
@@ -37,7 +37,7 @@ class TestConfigParsing:
         assert parse_keyvalue_file(path)["label_positive"] == ">50K=weird"
 
     def test_schema_file(self):
-        schema = parse_schema_file(TOY_SCHEMA)
+        schema = _schema_from_kv(parse_keyvalue_file(TOY_SCHEMA), TOY_SCHEMA)
         assert schema.label_column == "income"
         assert schema.protected_positive == "Male"
         kinds = {c.name: c.kind for c in schema.feature_columns}
@@ -46,10 +46,8 @@ class TestConfigParsing:
     def test_schema_missing_keys(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text("label = income\n")
-        from fairdp.cli import CLIError
-
         with pytest.raises(CLIError, match="missing schema keys"):
-            parse_schema_file(path)
+            _schema_from_kv(parse_keyvalue_file(path), str(path))
 
 
 class TestTrain:
@@ -99,6 +97,29 @@ class TestTrain:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_dataset_directory_is_an_input_error(self, tmp_path, capsys):
+        rc = main([
+            "train", "--dataset", str(tmp_path), "--schema", TOY_SCHEMA,
+            "--method", "fm", "--eps", "1.0", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {tmp_path}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversized_cell_is_a_parse_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        lines = Path(TOY_CSV).read_text().splitlines()
+        data.write_text("\n".join([*lines[:3], "x" * 200_000, *lines[3:]]) + "\n")
+        rc = main([
+            "train", "--dataset", str(data), "--schema", TOY_SCHEMA,
+            "--method", "fm", "--eps", "1.0", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: big.csv: line 4: field larger than field limit")
+        assert not (tmp_path / "out").exists()
+
     def test_adfc_without_delta_rejected(self, capsys):
         rc = main([
             "train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
@@ -106,6 +127,23 @@ class TestTrain:
         ])
         assert rc == 2
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, text", [
+        (["--method", "fm"], "method FM requires --eps"),
+        (["--method", "relaxedfm", "--delta", "1e-3"], "method RelaxedFM requires --eps"),
+        (["--method", "relaxedfm", "--eps", "1"], "method RelaxedFM requires --delta"),
+        (["--method", "pdfc", "--eps-s", "1"],
+         "method PDFC requires --eps or both --eps-s/--eps-n"),
+        (["--method", "adfc", "--eps-n", "1", "--delta", "1e-3"],
+         "method ADFC requires --eps or both --eps-s/--eps-n"),
+        (["--method", "adfc", "--eps", "1", "--delta-s", "1e-3"],
+         "method ADFC requires --delta or both --delta-s/--delta-n"),
+    ])
+    def test_missing_budget_texts(self, tmp_path, capsys, flags, text):
+        rc = main(["train", "--dataset", str(tmp_path / "missing.csv"),
+                   "--schema", TOY_SCHEMA, *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
 
     def test_bad_budget_rejected_before_data(self, tmp_path, capsys):
         # dataset path does not exist: budget validation must trip first
@@ -364,16 +402,12 @@ class TestSweep:
         assert err.startswith("error: ") and "not found" not in err
         assert not out.exists()
 
-    def test_jobs_flag_matches_serial(self, tmp_path):
-        base = [
-            "sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
-            "--methods", "fm,fairlr", "--eps", "0.5,2.0", "--runs", "2",
-            "--seed", "8",
-        ]
-        assert main(base + ["--out", str(tmp_path / "s")]) == 0
-        assert main(base + ["--jobs", "2", "--out", str(tmp_path / "p")]) == 0
-        assert (tmp_path / "s/report.json").read_text() == \
-            (tmp_path / "p/report.json").read_text()
+    def test_jobs_flag_is_unrecognised(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                  "--methods", "fm", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestReport:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fairdp import evaluation
 from fairdp.dataset import EncodedDataset
@@ -14,7 +15,6 @@ from fairdp.evaluation import (
     GridPoint,
     accuracy,
     derive_seed,
-    predict,
     predict_labels,
     render_table,
     report_csv_lines,
@@ -34,35 +34,26 @@ def fixed_model(w, method="LR"):
 
 class TestPredict:
     def test_zero_weights_boundary_convention(self):
+        # A score of exactly 0 predicts 1.
         model = fixed_model([0.0, 0.0])
-        p, label = predict(model, np.array([0.3, 0.4]))
-        assert p == 0.5
-        assert label == 1
+        np.testing.assert_array_equal(predict_labels(model, np.array([[0.3, 0.4]])), [1])
 
     def test_saturation_without_overflow(self):
         model = fixed_model([100.0])
-        p, label = predict(model, np.array([0.5]))  # score 50
-        assert label == 1
-        assert p >= 1.0 - 1e-20
-        p_neg, label_neg = predict(model, np.array([-0.5]))
-        assert label_neg == 0
-        assert p_neg <= 1e-20
-
-    def test_closed_form_probability(self):
-        model = fixed_model([math.log(3.0)])
-        p, _ = predict(model, np.array([1.0]))
-        assert p == pytest.approx(0.75, rel=1e-12)
+        labels = predict_labels(model, np.array([[0.5], [-0.5]]))  # scores +-50
+        np.testing.assert_array_equal(labels, [1, 0])
 
     def test_threshold_consistency(self, rng):
         model = fixed_model(rng.normal(size=3))
-        for _ in range(200):
-            x = rng.normal(size=3)
-            p, label = predict(model, x)
-            assert label == (1 if p >= 0.5 else 0)
+        X = rng.normal(size=(200, 3))
+        labels = predict_labels(model, X)
+        np.testing.assert_array_equal(labels, (expit(X @ model.w) >= 0.5).astype(int))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            predict(fixed_model([1.0, 2.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="expected"):
+            predict_labels(fixed_model([1.0, 2.0]), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="expected"):
+            predict_labels(fixed_model([1.0, 2.0]), np.zeros(2))
 
 
 class TestAccuracy:
@@ -233,6 +224,22 @@ class TestExperiment:
         assert not any(p.failed for p in rep.points)
         assert len(splits) == len(set(splits)) == cfg.runs
         assert grams == [6] * cfg.runs  # once per 6-row train part
+
+    def test_one_unit_ball_check_per_run(self, monkeypatch):
+        checks = []
+        real_check = EncodedDataset._unit_ball_error.func
+
+        def counted_check(ds):
+            checks.append(ds.n)
+            return real_check(ds)
+
+        prop = functools.cached_property(counted_check)
+        prop.__set_name__(EncodedDataset, "_unit_ball_error")
+        monkeypatch.setattr(EncodedDataset, "_unit_ball_error", prop)
+        cfg = self.config(methods=("FM", "RelaxedFM", "PDFC", "ADFC"), delta_grid=(1e-3, 1e-5))
+        rep = run_experiment(toy_d3(), cfg)
+        assert not any(p.failed for p in rep.points)
+        assert checks == [6] * cfg.runs  # once per 6-row train part, not per fit
 
     def test_one_prediction_per_key_and_run(self, monkeypatch):
         # Accuracy and risk difference come from one set of labels.

@@ -205,13 +205,6 @@ class TestAdditivityProperty:
 
 
 class TestSerialization:
-    def test_round_trip(self, rng):
-        p = fair_poly(random_dataset(rng, 6, 3), alpha1=1.0)
-        q = PolyObjective.from_dict(p.to_dict())
-        assert q.c0 == p.c0
-        np.testing.assert_array_equal(q.c1, p.c1)
-        np.testing.assert_array_equal(q.c2, p.c2)
-
     def test_layout_keys(self, rng):
         d = lr_poly(random_dataset(rng, 2, 2)).to_dict()
         assert set(d) == {"c0", "c1", "c2"}

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from fairdp.dataset import split
+from fairdp import trainers as trainers_mod
+from fairdp.cli import load_encoded_dataset
+from fairdp.dataset import EncodedDataset, encode, split
 from fairdp.evaluation import accuracy, risk_difference
 from fairdp.mechanisms import (
     compose_split_delta,
@@ -28,7 +30,7 @@ from fairdp.trainers import (
 )
 
 from synthdata import make_adult_like
-from toys import GOLDEN_DIR, toy_d2, toy_d3
+from toys import GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, toy_d2, toy_d3
 
 
 def load_golden(name):
@@ -237,6 +239,29 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=f"s_index {s_index} out of range for d=3"):
             train(toy_d3(), *args, s_index=s_index, disable_noise=True)
 
+    @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
+    def test_rows_outside_unit_ball_rejected_before_noise(self, method, monkeypatch):
+        # encode() skips the scaling: toy.csv rows reach norm 79.4, where the
+        # sensitivity bounds (which assume ||x|| <= 1, x >= 0) do not hold.
+        _, schema, raw = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)
+        ds = encode(raw, schema)
+        for name in ("l1_sensitivity_fair", "l2_sensitivity_fair", "perturb"):
+            monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
+        for disable_noise in (False, True):
+            with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):
+                PRIVATE_TRAINERS[method](ds, 1.0, disable_noise=disable_noise)
+
+    @pytest.mark.parametrize("X, problem", [
+        ([[0.5, -0.1], [0.2, 0.2]], "negative or NaN"),
+        ([[0.5, math.nan], [0.2, 0.2]], "negative or NaN"),
+        ([[0.8, 0.7], [0.2, 0.2]], "row norm exceeds 1"),
+    ])
+    def test_rows_outside_unit_ball_cases(self, X, problem):
+        ds = EncodedDataset(X=np.array(X), y=[0, 1], z=[1, 0], feature_names=("a", "b"))
+        for _ in range(2):  # the second call reads the cached outcome
+            with pytest.raises(ValueError, match=problem):
+                train_fm(ds, 1.0, seed=0)
+
     @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha1(self, alpha1):
         with pytest.raises(ValueError, match="alpha1 must be finite"):
@@ -263,13 +288,6 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             TrainedModel(w=np.zeros(2), method="FM", budgets=None,
                          sensitivity_used=3.0, alpha1=0.0, seed=1, diagnostics={})
-
-    def test_serialization_round_trip(self):
-        model = train_pdfc(toy_d3(), 0.5, 1.0, s_index=1, seed=11)
-        back = TrainedModel.from_dict(model.to_dict())
-        np.testing.assert_array_equal(back.w, model.w)
-        assert back.budgets == model.budgets
-        assert back.method == model.method
 
     def test_monotone_noise_sanity(self, conditioned_ds):
         # Mean distance to the clean solution shrinks as eps grows.
