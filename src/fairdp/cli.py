@@ -21,7 +21,6 @@ split-budget method divides (eps, delta) is decided in ``evaluation``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -85,14 +84,17 @@ def _canonical_method(name: str) -> str:
     return METHOD_ALIASES[key]
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:  # a directory, no permission, ...
+        raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def parse_keyvalue_file(path: str | Path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, ``#`` comments."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -196,18 +198,10 @@ def _load_with_schema_kv(dataset_path, kv: dict[str, str], origin: str):
     if not Path(dataset_path).exists():
         raise CLIError(f"dataset file not found: {dataset_path}")
     schema = _schema_from_kv(kv, origin)
-    columns = _split_names(kv.get("columns", ""))
     try:
-        raw = load_csv(dataset_path, has_header=not columns)
+        raw = load_csv(dataset_path, _split_names(kv.get("columns", "")) or None)
     except OSError as exc:  # a directory, no permission, ...
         raise CLIError(f"cannot read {dataset_path}: {exc.strerror or exc}") from None
-    if columns:
-        if len(columns) != raw.n_cols:
-            raise CLIError(
-                f"schema lists {len(columns)} columns but {dataset_path} has "
-                f"{raw.n_cols}"
-            )
-        raw = dataclasses.replace(raw, column_names=tuple(columns))
     return build_dataset(raw, schema), schema, raw
 
 
@@ -215,8 +209,8 @@ def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
     """CSV + schema file -> normalized EncodedDataset.
 
     A ``columns`` key in the schema file names the columns of a header-less
-    file (e.g. the UCI Adult data files); without it the CSV's first row is
-    the header.
+    file (e.g. the UCI Adult data files), and every row must have that many
+    cells; without it the CSV's first row is the header.
     """
     if not Path(schema_path).exists():
         raise CLIError(f"schema file not found: {schema_path}")
@@ -230,43 +224,49 @@ def _resolve_dataset(args, cfg):
     dataset_path = _eff(args, cfg, "dataset")
     if dataset_path is None:
         raise CLIError("--dataset is required")
-    # No flag sets the schema booleans; a config file value would be dropped.
-    dropped = [k for k in _SCHEMA_TABLE
-               if k not in _SCHEMA_KEYS and _eff(args, cfg, k) is not None]
+    given = {k: v for k in (*_SCHEMA_TABLE, "columns") if (v := _eff(args, cfg, k)) is not None}
     schema_path = _eff(args, cfg, "schema")
     if schema_path is not None:
-        for key in dropped:
-            print(f"warning: config key {key!r} has no effect with --schema; "
+        # The schema file is the whole schema; a flag or config value is dropped.
+        for key in given:
+            where = (f"--{key.replace('_', '-')}" if getattr(args, key, None) is not None
+                     else f"config key {key!r}")
+            print(f"warning: {where} has no effect with --schema; "
                   "set it in the schema file", file=sys.stderr)
         return load_encoded_dataset(dataset_path, schema_path)[:2]
-    kv = {k: v for k in _SCHEMA_KEYS if (v := _eff(args, cfg, k)) is not None}
+    kv = {k: v for k, v in given.items() if k in _SCHEMA_KEYS}
     if not kv:
         raise CLIError("--schema file or schema flags (--label, ...) required")
+    # No flag sets the schema booleans; a config file value would be dropped.
+    dropped = [k for k in given if k not in kv]
     if dropped:
         raise CLIError(f"config key {dropped[0]!r} has no effect with schema flags; "
                        "set it in a --schema file")
     return _load_with_schema_kv(dataset_path, kv, "schema flags")[:2]
 
 
-def _run_options(args, cfg) -> tuple[int, dict]:
-    """The seed and the options both commands share, checked before any data
-    is loaded; the option names are ``ExperimentConfig`` field names."""
+def _run_options(args, cfg) -> tuple[int, Path, dict]:
+    """The seed, the output directory and the options both commands share,
+    checked before any data is loaded; the option names are
+    ``ExperimentConfig`` field names.  The directory is made only on write."""
     seed = int(_eff(args, cfg, "seed", 0))
+    out_dir = Path(_eff(args, cfg, "out", "."))
+    if out_dir.exists() and not out_dir.is_dir():
+        raise CLIError(f"--out {out_dir} exists and is not a directory")
     options = {
         "alpha1": float(_eff(args, cfg, "alpha1", 1.0)),
         "s_attr": _eff(args, cfg, "s-attr", "random"),
         "test_fraction": float(_eff(args, cfg, "test-fraction", 0.2)),
     }
     check_run_options(options["alpha1"], options["test_fraction"])
-    return seed, options
+    return seed, out_dir, options
 
 
-def _write_outputs(args, cfg, command: str, seed: int, ds, schema: Schema,
-                   config: dict, files: dict[str, str]) -> Path:
-    """Create --out and write ``files`` (name -> text) in order, then
+def _write_outputs(args, cfg, out_dir: Path, command: str, seed: int, ds,
+                   schema: Schema, config: dict, files: dict[str, str]) -> None:
+    """Create ``out_dir`` and write ``files`` (name -> text) in order, then
     manifest.json: the seed, the config (dataset, schema and ``config``), the
     dataset fingerprint and the names of the files."""
-    out_dir = Path(_eff(args, cfg, "out", "."))
     manifest = {
         "command": command,
         "version": __version__,
@@ -276,10 +276,12 @@ def _write_outputs(args, cfg, command: str, seed: int, ds, schema: Schema,
         "dataset_fingerprint": ds.fingerprint(),
         "outputs": list(files),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in {**files, "manifest.json": _json_text(manifest)}.items():
-        (out_dir / name).write_text(text)
-    return out_dir
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in {**files, "manifest.json": _json_text(manifest)}.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        raise CLIError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
 
 
 def cmd_fetch(args) -> int:
@@ -296,7 +298,7 @@ def cmd_train(args) -> int:
     names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
     eps, delta, *pairs = (_opt_float(_eff(args, cfg, k)) for k in names)
     _validate_budgets(method, eps, delta, *pairs)
-    seed, options = _run_options(args, cfg)
+    seed, out_dir, options = _run_options(args, cfg)
     # The manifest records the split budgets a split-budget method uses.
     budgets = dict(zip(names, (eps, delta, *split_budgets(method, eps, delta, *pairs))))
 
@@ -308,7 +310,7 @@ def cmd_train(args) -> int:
     )
 
     acc, rd = score(model, test_ds)
-    _write_outputs(args, cfg, "train", seed, ds, schema,
+    _write_outputs(args, cfg, out_dir, "train", seed, ds, schema,
                    {"method": method, **budgets, **options},
                    {"model.json": _json_text(model.to_dict())})
 
@@ -331,7 +333,7 @@ def cmd_sweep(args) -> int:
     eps_grid = _parse_float_list(eps_text) if eps_text else DEFAULT_EPS_GRID
     delta_grid = _parse_float_list(delta_text) if delta_text else DEFAULT_DELTA_GRID
     runs = int(_eff(args, cfg, "runs", 10))
-    seed, options = _run_options(args, cfg)
+    seed, out_dir, options = _run_options(args, cfg)
 
     # Built before the data is loaded: a bad grid fails before any compute.
     config = ExperimentConfig(methods=methods, eps_grid=eps_grid, delta_grid=delta_grid,
@@ -339,8 +341,8 @@ def cmd_sweep(args) -> int:
     ds, schema = _resolve_dataset(args, cfg)
     report = run_experiment(ds, config)
 
-    out_dir = _write_outputs(
-        args, cfg, "sweep", seed, ds, schema,
+    _write_outputs(
+        args, cfg, out_dir, "sweep", seed, ds, schema,
         {"methods": list(methods), "eps_grid": list(eps_grid),
          "delta_grid": list(delta_grid), "runs": runs, **options},
         {"report.json": _json_text(report.to_dict()),
@@ -364,7 +366,7 @@ def cmd_report(args) -> int:
     if not path.exists():
         raise CLIError(f"report file not found: {path}")
     try:
-        report = ExperimentReport.from_dict(json.loads(path.read_text()))
+        report = ExperimentReport.from_dict(json.loads(_read_text(path)))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CLIError(f"malformed report file {path}: {exc}") from None
     if args.format == "csv":

@@ -18,6 +18,7 @@ import logging
 import math
 import shutil
 import urllib.request
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -57,10 +58,6 @@ class RawTable:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.column_names)
 
 
 @dataclass(frozen=True)
@@ -201,16 +198,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
+def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> RawTable:
     """Parse a comma-separated file into a :class:`RawTable`.
 
-    Cells are whitespace-trimmed.  Rows containing a missing-value marker
-    ("?" or an empty cell) are dropped and counted in ``n_dropped``.  Blank
-    lines and lines starting with ``|`` are skipped.  A row whose cell count
-    differs from the header's raises :class:`ParseError` naming the line.
+    The first row is the header, unless ``column_names`` is given: then the
+    file has no header row (e.g. the UCI Adult data files).  Cells are
+    whitespace-trimmed.  Rows containing a missing-value marker ("?" or an
+    empty cell) are dropped and counted in ``n_dropped``.  Blank lines and
+    lines starting with ``|`` are skipped.  A row whose cell count differs
+    from the number of column names raises :class:`ParseError` naming the line.
     """
     path = Path(path)
-    column_names: tuple[str, ...] | None = None
+    names = None if column_names is None else tuple(column_names)
     rows: list[tuple[str, ...]] = []
     dropped = 0
     with path.open(newline="") as fh:
@@ -222,15 +221,13 @@ def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
                 if record[0].lstrip().startswith(COMMENT_PREFIX):
                     continue
                 cells = tuple(map(str.strip, record))
-                if column_names is None:
-                    if has_header:
-                        column_names = cells
-                        continue
-                    column_names = tuple(f"col{i}" for i in range(len(cells)))
-                if len(cells) != len(column_names):
+                if names is None:
+                    names = cells
+                    continue
+                if len(cells) != len(names):
                     raise ParseError(
                         f"{path.name}: line {reader.line_num} has {len(cells)} cells, "
-                        f"expected {len(column_names)}"
+                        f"expected {len(names)}"
                     )
                 if not MISSING_MARKERS.isdisjoint(cells):
                     dropped += 1
@@ -238,11 +235,11 @@ def load_csv(path: str | Path, has_header: bool = True) -> RawTable:
                 rows.append(cells)
         except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
             raise ParseError(f"{path.name}: line {reader.line_num}: {exc}") from None
-    if column_names is None:
+    if names is None or (column_names is not None and not rows and not dropped):
         raise ParseError(f"{path.name}: file is empty")
     if not rows:
         raise ParseError(f"{path.name}: no usable rows (all dropped or missing)")
-    return RawTable(column_names=column_names, rows=tuple(rows), n_dropped=dropped)
+    return RawTable(column_names=names, rows=tuple(rows), n_dropped=dropped)
 
 
 def _column(raw: RawTable, name: str) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -152,9 +152,6 @@ class RunResult:
     method: str
     params: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PointAggregate:
@@ -181,7 +178,7 @@ class PointAggregate:
             },
             "failed": self.failed,
             "error": self.error,
-            "runs": [r.to_dict() for r in self.runs],
+            "runs": [asdict(r) for r in self.runs],
         }
 
 
@@ -210,16 +207,7 @@ class ExperimentReport:
     def from_dict(cls, data: dict) -> "ExperimentReport":
         points = []
         for pd in data["points"]:
-            runs = tuple(
-                RunResult(
-                    accuracy=r["accuracy"],
-                    risk_difference=r["risk_difference"],
-                    seed=r["seed"],
-                    method=r["method"],
-                    params=r["params"],
-                )
-                for r in pd.get("runs", [])
-            )
+            runs = tuple(RunResult(**r) for r in pd.get("runs", []))
             points.append(
                 PointAggregate(
                     point=GridPoint(pd["method"], pd["epsilon"], pd["delta"]),
@@ -402,13 +390,8 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
     for p in points:
         outcome = outcomes[_effective_key(p, config.alpha1, config.s_attr)]
         if isinstance(outcome, Exception):
-            aggregates.append(
-                PointAggregate(
-                    point=p, runs=(), acc_mean=None, acc_std=None,
-                    rd_mean=None, rd_std=None, undefined_rd_count=0,
-                    failed=True, error=f"{type(outcome).__name__}: {outcome}",
-                )
-            )
+            aggregates.append(replace(_aggregate(p, []), failed=True,
+                                      error=f"{type(outcome).__name__}: {outcome}"))
         else:
             aggregates.append(_aggregate(p, outcome))
     return ExperimentReport(

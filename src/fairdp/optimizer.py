@@ -16,7 +16,7 @@ damped Newton with a backtracking line search.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -55,9 +55,6 @@ class QuadraticDiagnostics:
     residual_inf: float
     min_eigenvalue: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DescentDiagnostics:
@@ -66,9 +63,6 @@ class DescentDiagnostics:
     converged: bool
     hit_iteration_cap: bool
     final_step: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def minimize_quadratic(

@@ -61,9 +61,6 @@ class BudgetInfo:
     delta_n: float | None = None
     s_index: int | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TrainedModel:
@@ -91,15 +88,7 @@ class TrainedModel:
     def to_dict(self) -> dict:
         """JSON layout written by the CLI: weights, method, budgets, seed,
         sensitivity, alpha1 and optimizer diagnostics."""
-        return {
-            "w": self.w.tolist(),
-            "method": self.method,
-            "budgets": None if self.budgets is None else self.budgets.to_dict(),
-            "sensitivity_used": self.sensitivity_used,
-            "alpha1": self.alpha1,
-            "seed": self.seed,
-            "diagnostics": self.diagnostics,
-        }
+        return {**asdict(self), "w": self.w.tolist()}
 
 
 def _private_fit(
@@ -163,7 +152,7 @@ def _private_fit(
         sensitivity_used=sensitivity,
         alpha1=alpha1,
         seed=seed,
-        diagnostics=diag.to_dict(),
+        diagnostics=asdict(diag),
     )
 
 
@@ -240,7 +229,7 @@ def train_lr(
         sensitivity_used=None,
         alpha1=0.0,
         seed=None,
-        diagnostics=diag.to_dict(),
+        diagnostics=asdict(diag),
     )
 
 
@@ -256,5 +245,5 @@ def train_fair_lr(
         sensitivity_used=None,
         alpha1=alpha1,
         seed=None,
-        diagnostics=diag.to_dict(),
+        diagnostics=asdict(diag),
     )

@@ -4,11 +4,12 @@ cli.py, so a clean-up could drop them; every benchmark fit would then fail,
 or a traced layer would silently read 0."""
 
 import inspect
+from collections import Counter
 
 from fairdp import cli, dataset, evaluation, mechanisms, optimizer, polynomial, trainers
 from fairdp.optimizer import RegularizationPolicy
 
-from toys import TOY_CSV, TOY_SCHEMA
+from toys import TOY_CSV, TOY_SCHEMA, toy_d3
 
 CLI_NAMES = (
     "split", "train_fm", "train_relaxed_fm", "train_pdfc", "train_adfc",
@@ -59,19 +60,45 @@ def test_bench_names_exist():
     assert missing == []
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_dataset_loading_goes_through_the_traced_names(monkeypatch):
     calls = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name in ("load_csv", "build_dataset"):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, name, _counted(calls, name, getattr(cli, name)))
     cli.load_encoded_dataset(TOY_CSV, TOY_SCHEMA)
     assert calls == ["load_csv", "build_dataset"]
+
+
+def test_sweep_goes_through_the_traced_names(monkeypatch):
+    # A function bound anywhere else (a dispatch dict, a function-local
+    # import) would bypass the tracer's wrapper and its layer would read 0.
+    traced = [(evaluation, "split"), *((evaluation, t) for t in TRAINERS),
+              *((trainers, name) for name in ("lr_poly", "fair_poly", "perturb",
+                                              "minimize_quadratic", "minimize_logistic_exact")),
+              (polynomial, "lr_poly")]
+    calls = []
+    for module, name in traced:
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+        monkeypatch.setattr(module, name, _counted(calls, key, getattr(module, name)))
+    config = evaluation.ExperimentConfig(methods=trainers.METHODS, eps_grid=(1.0,),
+                                         delta_grid=(1e-3,), runs=2)
+    report = evaluation.run_experiment(toy_d3(), config)
+    assert not any(p.failed for p in report.points)
+    # Per run: one split and one fit of each of the six methods.  FM and
+    # RelaxedFM build lr_poly in trainers; FairLR, PDFC and ADFC build
+    # fair_poly, which calls polynomial.lr_poly.
+    assert Counter(calls) == {
+        "evaluation.split": 2, **{f"evaluation.{t}": 2 for t in TRAINERS},
+        "trainers.lr_poly": 4, "trainers.fair_poly": 6, "polynomial.lr_poly": 6,
+        "trainers.perturb": 8, "trainers.minimize_quadratic": 10,
+        "trainers.minimize_logistic_exact": 2,
+    }
 
 
 def test_experiment_config_accepts_jobs():

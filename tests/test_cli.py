@@ -299,6 +299,72 @@ class TestTrain:
         for out in ("model.json", "manifest.json"):
             assert (tmp_path / "a" / out).read_bytes() == (tmp_path / "b" / out).read_bytes()
 
+    @pytest.mark.parametrize("flags, config, warning", [
+        (["--label", "nosuchcol"], "", "--label"),
+        (["--numeric", "nosuch"], "", "--numeric"),
+        (["--label-positive", "no"], "", "--label-positive"),
+        (["--columns", "a,b"], "", "--columns"),
+        ([], "protected = nosuch\n", "config key 'protected'"),
+        ([], "categorical = nosuch\n", "config key 'categorical'"),
+    ])
+    def test_schema_keys_with_schema_file_warn(self, tmp_path, capsys, flags, config,
+                                               warning):
+        # The schema file is the whole schema: a flag or config value for one
+        # of its keys is dropped, and named.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--method", "lr"]
+        assert main(common + ["--out", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(common + [*flags, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: {warning} has no effect with --schema; set it in the schema file\n")
+        assert (tmp_path / "a/model.json").read_bytes() == \
+            (tmp_path / "b/model.json").read_bytes()
+
+    def test_columns_key_count_mismatch_names_line(self, tmp_path, capsys):
+        # A columns key whose length does not match the file fails on the
+        # first mismatching line.
+        data = tmp_path / "d.csv"
+        data.write_text("".join(Path(TOY_CSV).read_text().splitlines(True)[1:]))
+        schema = tmp_path / "d.schema"
+        schema.write_text("columns = age, hours, dept, sex\n" + Path(TOY_SCHEMA).read_text())
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(data), "--schema", str(schema),
+                   "--method", "lr", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: d.csv: line 1 has 5 cells, expected 4\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "fm", "--eps", "1.0"],
+    ["sweep", "--methods", "fm", "--runs", "1"],
+])
+def test_out_naming_a_file_fails_before_data(tmp_path, capsys, command):
+    # The dataset path does not exist: the --out check must trip first.
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    rc = main([*command, "--dataset", str(tmp_path / "missing.csv"),
+               "--schema", TOY_SCHEMA, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --out {out} exists and is not a directory\n"
+    assert out.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "fm", "--eps", "1.0"],
+    ["sweep", "--methods", "fm", "--runs", "1"],
+])
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
+    # --out below a file cannot be made; the error names the path, no traceback.
+    (tmp_path / "file").write_text("keep\n")
+    out = tmp_path / "file" / "sub"
+    rc = main([*command, "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("command", [
     ["train", "--method", "pdfc", "--eps", "1.0"],
@@ -435,6 +501,18 @@ class TestReport:
 
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == 2
+
+    def test_report_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_unknown_run_key_is_malformed(self, tmp_path, capsys):
+        report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
+        report["points"][0]["runs"][0]["extra"] = 1
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(report))
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed report file {bad}: ")
 
 
 class TestFetchCommand:

@@ -74,10 +74,20 @@ class TestLoadCsv:
         assert table.n_rows == 1
 
     def test_no_header_generates_names(self, tmp_path):
+        # Given column names, the first row is data, not a header.
         path = write(tmp_path, "t.csv", "1,2,3\n4,5,6\n")
-        table = load_csv(path, has_header=False)
-        assert table.column_names == ("col0", "col1", "col2")
+        table = load_csv(path, column_names=["a", "b", "c"])
+        assert table.column_names == ("a", "b", "c")
         assert table.n_rows == 2
+
+    def test_column_names_count_mismatch_names_line(self, tmp_path):
+        path = write(tmp_path, "t.csv", "1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError, match=r"^t.csv: line 1 has 3 cells, expected 4$"):
+            load_csv(path, column_names=["a", "b", "c", "d"])
+
+    def test_empty_file_with_column_names(self, tmp_path):
+        with pytest.raises(ParseError, match="file is empty"):
+            load_csv(write(tmp_path, "t.csv", "\n"), column_names=["a"])
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -615,12 +625,12 @@ requires_adult = pytest.mark.skipif(
 @requires_adult
 class TestAdultGoldens:
     def test_drop_counts_match_published_values(self):
-        train = load_csv(ADULT_CACHE / "adult.data", has_header=False)
+        train = load_csv(ADULT_CACHE / "adult.data", column_names=ADULT_ORDER)
         assert train.n_rows == 30162
         assert train.n_dropped == 2399
         test_path = ADULT_CACHE / "adult.test"
         if test_path.exists():
-            test = load_csv(test_path, has_header=False)
+            test = load_csv(test_path, column_names=ADULT_ORDER)
             assert test.n_rows == 15060
             assert test.n_dropped == 1221
             assert train.n_rows + train.n_dropped + test.n_rows + test.n_dropped == 48842
