@@ -48,6 +48,7 @@ from .evaluation import (
     derive_seed,
     render_table,
     report_csv_lines,
+    resolve_s_index,
     risk_difference,  # noqa: F401 - re-exported
     run_experiment,
     score,
@@ -113,26 +114,35 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _number(kind, key: str, value):
+    """``value`` of option ``key`` (a flag or a config-file string) as
+    ``kind`` (int or float); None stays None.  A value that does not convert
+    is an error naming the option."""
+    if value is None:
+        return None
     try:
-        values = tuple(float(v) for v in _split_names(text))
-    except ValueError as exc:
-        raise CLIError(f"bad numeric list {text!r}: {exc}") from None
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise CLIError(f"--{key.replace('_', '-')} expects {what}, got {value!r}") from None
+
+
+def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
+    values = tuple(_number(float, key, v) for v in _split_names(text))
     if not values:
-        raise CLIError(f"empty numeric list {text!r}")
+        raise CLIError(f"--{key} expects a comma list of numbers, got {text!r}")
     return values
 
 
-def _eff(args, cfg: dict[str, str], key: str, default=None):
-    """Effective option value: explicit flag, else config file, else default.
-    Config files may spell keys with either dashes or underscores."""
-    flag_val = getattr(args, key.replace("-", "_"), None)
-    if flag_val is not None:
-        return flag_val
-    for k in (key, key.replace("-", "_"), key.replace("_", "-")):
-        if k in cfg:
-            return cfg[k]
-    return default
+def _eff(args, cfg: dict[str, str], key: str, default=None, kind=None):
+    """Effective option value: explicit flag, else config file, else default,
+    converted by ``kind`` (int or float) when given.  Config files may spell
+    keys with either dashes or underscores."""
+    value = getattr(args, key.replace("-", "_"), None)
+    if value is None:
+        spellings = (key, key.replace("-", "_"), key.replace("_", "-"))
+        value = next((cfg[k] for k in spellings if k in cfg), default)
+    return _number(kind, key, value) if kind else value
 
 
 def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
@@ -249,14 +259,14 @@ def _run_options(args, cfg) -> tuple[int, Path, dict]:
     """The seed, the output directory and the options both commands share,
     checked before any data is loaded; the option names are
     ``ExperimentConfig`` field names.  The directory is made only on write."""
-    seed = int(_eff(args, cfg, "seed", 0))
+    seed = _eff(args, cfg, "seed", 0, int)
     out_dir = Path(_eff(args, cfg, "out", "."))
     if out_dir.exists() and not out_dir.is_dir():
         raise CLIError(f"--out {out_dir} exists and is not a directory")
     options = {
-        "alpha1": float(_eff(args, cfg, "alpha1", 1.0)),
+        "alpha1": _eff(args, cfg, "alpha1", 1.0, float),
         "s_attr": _eff(args, cfg, "s-attr", "random"),
-        "test_fraction": float(_eff(args, cfg, "test-fraction", 0.2)),
+        "test_fraction": _eff(args, cfg, "test-fraction", 0.2, float),
     }
     check_run_options(options["alpha1"], options["test_fraction"])
     return seed, out_dir, options
@@ -296,7 +306,7 @@ def cmd_train(args) -> int:
     cfg = parse_keyvalue_file(args.config) if args.config else {}
     method = _canonical_method(_eff(args, cfg, "method") or "")
     names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
-    eps, delta, *pairs = (_opt_float(_eff(args, cfg, k)) for k in names)
+    eps, delta, *pairs = (_eff(args, cfg, k, kind=float) for k in names)
     _validate_budgets(method, eps, delta, *pairs)
     seed, out_dir, options = _run_options(args, cfg)
     # The manifest records the split budgets a split-budget method uses.
@@ -330,15 +340,17 @@ def cmd_sweep(args) -> int:
     methods = tuple(_canonical_method(m) for m in _split_names(methods_text))
     eps_text = _eff(args, cfg, "eps")
     delta_text = _eff(args, cfg, "delta")
-    eps_grid = _parse_float_list(eps_text) if eps_text else DEFAULT_EPS_GRID
-    delta_grid = _parse_float_list(delta_text) if delta_text else DEFAULT_DELTA_GRID
-    runs = int(_eff(args, cfg, "runs", 10))
+    eps_grid = _parse_float_list("eps", eps_text) if eps_text else DEFAULT_EPS_GRID
+    delta_grid = _parse_float_list("delta", delta_text) if delta_text else DEFAULT_DELTA_GRID
+    runs = _eff(args, cfg, "runs", 10, int)
     seed, out_dir, options = _run_options(args, cfg)
 
     # Built before the data is loaded: a bad grid fails before any compute.
     config = ExperimentConfig(methods=methods, eps_grid=eps_grid, delta_grid=delta_grid,
                               runs=runs, master_seed=seed, **options)
     ds, schema = _resolve_dataset(args, cfg)
+    if set(methods) & set(SPLIT_METHODS):  # an unknown --s-attr fails before any fit
+        resolve_s_index(ds, options["s_attr"], 0)
     report = run_experiment(ds, config)
 
     _write_outputs(
@@ -374,15 +386,6 @@ def cmd_report(args) -> int:
     else:
         print(render_table(report), end="")
     return 0
-
-
-def _opt_float(value) -> float | None:
-    if value is None:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise CLIError(f"expected a number, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -247,7 +247,7 @@ def _close(a: float | None, b: float) -> bool:
     return a is not None and math.isclose(a, b, rel_tol=1e-9)
 
 
-def _resolve_s_index(ds: EncodedDataset, s_attr: str, run_seed: int) -> int:
+def resolve_s_index(ds: EncodedDataset, s_attr: str, run_seed: int) -> int:
     """Map the configured attribute to an encoded column index.
 
     "random" picks uniformly among encoded columns under the run seed; a
@@ -297,25 +297,21 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
     if method == "LR":
         return train_lr(train_ds, policy=policy)
     if method == "FairLR":
-        return train_fair_lr(train_ds, alpha1=alpha1, policy=policy)
+        return train_fair_lr(train_ds, alpha1=alpha1)
     if method == "FM":
-        return train_fm(train_ds, eps, seed=seed, policy=policy)
+        return train_fm(train_ds, eps, seed=seed)
     if method == "RelaxedFM":
-        return train_relaxed_fm(train_ds, eps, delta, seed=seed, policy=policy)
+        return train_relaxed_fm(train_ds, eps, delta, seed=seed)
     if method not in SPLIT_METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
-    s_index = _resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
+    s_index = resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
     eps_s, eps_n, delta_s, delta_n = split_budgets(
         method, eps, delta, eps_s, eps_n, delta_s, delta_n)
     if method == "PDFC":
-        return train_pdfc(
-            train_ds, eps_s=eps_s, eps_n=eps_n, s_index=s_index,
-            alpha1=alpha1, seed=seed, policy=policy,
-        )
-    return train_adfc(
-        train_ds, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n,
-        s_index=s_index, alpha1=alpha1, seed=seed, policy=policy,
-    )
+        return train_pdfc(train_ds, eps_s=eps_s, eps_n=eps_n, s_index=s_index,
+                          alpha1=alpha1, seed=seed)
+    return train_adfc(train_ds, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s,
+                      delta_n=delta_n, s_index=s_index, alpha1=alpha1, seed=seed)
 
 
 def _aggregate(point: GridPoint, results: list[RunResult]) -> PointAggregate:

@@ -84,42 +84,39 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _flat_scales(scale) -> tuple[tuple, np.ndarray]:
-    flat = np.asarray(scale, dtype=float).reshape(-1)
-    if not (flat > 0).all():
-        raise ValueError(f"scale must be positive, got {flat[~(flat > 0)][0]}")
-    return np.shape(scale), flat
+def _check_positive(scale: np.ndarray) -> None:
+    if not (scale > 0).all():
+        raise ValueError(f"scale must be positive, got {scale[~(scale > 0)][0]}")
 
 
-def laplace_sample(rng: np.random.Generator, scale):
-    """Lap(0, scale) draws, one per entry of ``scale`` (a float gives one
-    float), each from a single uniform via the inverse CDF.
+def laplace_sample(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
+    """Lap(0, scale) draws, one per entry of the 1-d array ``scale``, each
+    from a single uniform via the inverse CDF.
 
     u < 1/2 maps to scale*log(2u), u >= 1/2 to -scale*log(2(1-u)).  A zero
     uniform (probability 2^-53) is nudged to the next representable value so
     the transform stays finite.
     """
-    shape, scale = _flat_scales(scale)
+    _check_positive(scale)
     u = rng.random(scale.size)
     u[u == 0.0] = 2.0 ** -53
     low = u < 0.5
     magnitude = scale * _libm(math.log, np.where(low, 2.0 * u, 2.0 * (1.0 - u)))
-    return np.where(low, magnitude, -magnitude).reshape(shape)[()]
+    return np.where(low, magnitude, -magnitude)
 
 
-def gaussian_sample(rng: np.random.Generator, sigma):
-    """N(0, sigma^2) draws, one per entry of ``sigma`` (a float gives one
-    float), each via Box-Muller on two consecutive uniforms.
+def gaussian_sample(rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
+    """N(0, sigma^2) draws, one per entry of the 1-d array ``sigma``, each via
+    Box-Muller on two consecutive uniforms.
 
     The sine twin is discarded so every draw consumes exactly two uniforms,
     keeping the stream position independent of call history.
     """
-    shape, sigma = _flat_scales(sigma)
+    _check_positive(sigma)
     u = rng.random(2 * sigma.size)
     u1 = 1.0 - u[0::2]  # in (0, 1], log stays finite
     radius = np.sqrt(-2.0 * _libm(math.log, u1))
-    draws = sigma * radius * _libm(math.cos, 2.0 * math.pi * u[1::2])
-    return draws.reshape(shape)[()]
+    return sigma * radius * _libm(math.cos, 2.0 * math.pi * u[1::2])
 
 
 _SAMPLERS = {"laplace": laplace_sample, "gaussian": gaussian_sample}

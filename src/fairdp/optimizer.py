@@ -6,7 +6,7 @@ builds (clean for FairLR, perturbed for the four private methods) and
 symmetrizes its degree-2 grid itself; no other module does.  Noise can make
 the quadratic indefinite and therefore unbounded below, so the solve
 restores well-posedness with a spectral floor: eigenvalues of the
-symmetrized degree-2 matrix below ``eigen_floor`` are clamped up to it
+symmetrized degree-2 matrix below ``EIGEN_FLOOR`` are clamped up to it
 before the closed-form solve.  Diagnostics report how often that floor bites.
 
 The exact path minimizes the unexpanded logistic loss (the LR baseline) by
@@ -24,6 +24,9 @@ from scipy.special import expit
 from .dataset import EncodedDataset
 from .polynomial import PolyObjective
 
+EIGEN_FLOOR = 1e-3  # eigenvalues of the quadratic below this are clamped up to it
+GRAD_TOL = 1e-8  # the exact solve has converged once |grad|_inf <= GRAD_TOL
+
 
 class OptimizationError(RuntimeError):
     """Raised when the exact-loss solve starts at a non-finite objective."""
@@ -35,18 +38,11 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegularizationPolicy:
-    """Knobs for both minimizers; defaults suit unit-ball-normalized data.
-    ``max_gd_iters`` caps the exact solve's Newton iterations and ``gd_tol``
-    is its gradient stop test; ``gd_step`` is accepted but no longer read."""
+    """Settings of the exact logistic solve: ``max_gd_iters`` caps its Newton
+    iterations; ``gd_step`` is accepted but no longer read."""
 
-    eigen_floor: float = 1e-3
     max_gd_iters: int = 5000
     gd_step: float = 0.1
-    gd_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.eigen_floor <= 0:
-            raise ValueError("eigen_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,20 +61,17 @@ class DescentDiagnostics:
     final_step: float
 
 
-def minimize_quadratic(
-    poly: PolyObjective, policy: RegularizationPolicy | None = None
-) -> tuple[np.ndarray, QuadraticDiagnostics]:
+def minimize_quadratic(poly: PolyObjective) -> tuple[np.ndarray, QuadraticDiagnostics]:
     """Closed-form minimizer of the floor-clamped quadratic.
 
     Symmetrizes the ordered-pair grid, A = (C2 + C2^T)/2 (w.C2 w == w.A w for
-    every w), eigendecomposes A, lifts every eigenvalue below the floor up to
-    it, and solves 2 A_reg w = -c1 in the eigenbasis.  The returned w is the
-    unique global minimizer of the clamped (strongly convex) objective.
+    every w), eigendecomposes A, lifts every eigenvalue below ``EIGEN_FLOOR``
+    up to it, and solves 2 A_reg w = -c1 in the eigenbasis.  The returned w is
+    the unique global minimizer of the clamped (strongly convex) objective.
     """
-    policy = policy or RegularizationPolicy()
     lam, vec = np.linalg.eigh((poly.c2 + poly.c2.T) / 2.0)
-    clamped = int((lam < policy.eigen_floor).sum())
-    lam_reg = np.maximum(lam, policy.eigen_floor)
+    clamped = int((lam < EIGEN_FLOOR).sum())
+    lam_reg = np.maximum(lam, EIGEN_FLOOR)
     beta = vec.T @ poly.c1
     w = vec @ (-beta / (2.0 * lam_reg))
     residual = 2.0 * (vec @ (lam_reg * (vec.T @ w))) + poly.c1
@@ -110,7 +103,7 @@ def minimize_logistic_exact(
     line search halves from step 1 and accepts a candidate that lowers the
     objective, or that lowers the gradient infinity-norm while raising the
     objective by at most n ulps, its rounding error near the optimum.  Stops
-    when that norm falls below ``gd_tol``, after ``max_gd_iters`` iterations,
+    when that norm falls to ``GRAD_TOL``, after ``max_gd_iters`` iterations,
     or when no step is accepted; ``final_step`` is the last accepted step.
     """
     policy = policy or RegularizationPolicy()
@@ -120,7 +113,7 @@ def minimize_logistic_exact(
         raise OptimizationError("objective non-finite at start", iteration=0)
     grad_inf = float(np.abs(grad).max())
     iterations, step = 0, 1.0
-    while iterations < policy.max_gd_iters and grad_inf > policy.gd_tol:
+    while iterations < policy.max_gd_iters and grad_inf > GRAD_TOL:
         iterations += 1
         p = expit(ds.X @ w)
         hess = (ds.X * (p * (1.0 - p))[:, None]).T @ ds.X
@@ -136,7 +129,7 @@ def minimize_logistic_exact(
         if trial == 0.0:
             break  # no representable progress left
         w, obj, grad, grad_inf, step = cand, cand_obj, cand_grad, cand_inf, trial
-    converged = grad_inf <= policy.gd_tol
+    converged = grad_inf <= GRAD_TOL
     diag = DescentDiagnostics(
         iterations=iterations,
         grad_inf=grad_inf,

@@ -101,8 +101,6 @@ def _private_fit(
     s_index: int,
     alpha1: float,
     seed: int,
-    policy: RegularizationPolicy | None,
-    disable_noise: bool,
 ) -> TrainedModel:
     """The one perturb-and-solve path of the four private methods.
 
@@ -134,9 +132,8 @@ def _private_fit(
     for name, eps, scale in zip(names, (eps_s, eps_n), (scale_s, scale_n)):
         if not math.isfinite(scale):
             raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
-    if not disable_noise:
-        poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
-    w, diag = minimize_quadratic(poly, policy)
+    poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
+    w, diag = minimize_quadratic(poly)
     if split_budget:
         budgets = BudgetInfo(
             epsilon=compose_split_epsilon(eps_s, eps_n, ds.d),
@@ -156,29 +153,16 @@ def _private_fit(
     )
 
 
-def train_fm(
-    ds: EncodedDataset,
-    epsilon: float,
-    seed: int,
-    policy: RegularizationPolicy | None = None,
-    disable_noise: bool = False,
-) -> TrainedModel:
+def train_fm(ds: EncodedDataset, epsilon: float, seed: int) -> TrainedModel:
     """Functional mechanism: Laplace noise Lap(Delta1/eps) on every coefficient."""
-    return _private_fit(ds, "FM", epsilon, epsilon, None, None, 0, 0.0,
-                        seed, policy, disable_noise)
+    return _private_fit(ds, "FM", epsilon, epsilon, None, None, 0, 0.0, seed)
 
 
 def train_relaxed_fm(
-    ds: EncodedDataset,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    policy: RegularizationPolicy | None = None,
-    disable_noise: bool = False,
+    ds: EncodedDataset, epsilon: float, delta: float, seed: int
 ) -> TrainedModel:
     """Relaxed functional mechanism: Gaussian noise sized by the L2 sensitivity."""
-    return _private_fit(ds, "RelaxedFM", epsilon, epsilon, delta, delta, 0, 0.0,
-                        seed, policy, disable_noise)
+    return _private_fit(ds, "RelaxedFM", epsilon, epsilon, delta, delta, 0, 0.0, seed)
 
 
 def train_pdfc(
@@ -188,14 +172,11 @@ def train_pdfc(
     s_index: int,
     alpha1: float = 1.0,
     seed: int = 0,
-    policy: RegularizationPolicy | None = None,
-    disable_noise: bool = False,
 ) -> TrainedModel:
     """Purely DP and fair training: fairness-penalized quadratic, Laplace noise
     Lap(Delta1/eps_s) on monomials containing w_s and Lap(Delta1/eps_n) elsewhere
     (Delta1: the fair L1 sensitivity at alpha1)."""
-    return _private_fit(ds, "PDFC", eps_s, eps_n, None, None, s_index, alpha1,
-                        seed, policy, disable_noise)
+    return _private_fit(ds, "PDFC", eps_s, eps_n, None, None, s_index, alpha1, seed)
 
 
 def train_adfc(
@@ -207,14 +188,11 @@ def train_adfc(
     s_index: int,
     alpha1: float = 1.0,
     seed: int = 0,
-    policy: RegularizationPolicy | None = None,
-    disable_noise: bool = False,
 ) -> TrainedModel:
     """Approximately DP and fair training: Gaussian noise with per-group sigmas
     calibrated from (eps_s, delta_s) and (eps_n, delta_n) at the fair L2
     sensitivity for this alpha1."""
-    return _private_fit(ds, "ADFC", eps_s, eps_n, delta_s, delta_n, s_index, alpha1,
-                        seed, policy, disable_noise)
+    return _private_fit(ds, "ADFC", eps_s, eps_n, delta_s, delta_n, s_index, alpha1, seed)
 
 
 def train_lr(
@@ -233,11 +211,9 @@ def train_lr(
     )
 
 
-def train_fair_lr(
-    ds: EncodedDataset, alpha1: float = 1.0, policy: RegularizationPolicy | None = None
-) -> TrainedModel:
+def train_fair_lr(ds: EncodedDataset, alpha1: float = 1.0) -> TrainedModel:
     """No-noise limit of the fair trainers: minimize the clean penalized quadratic."""
-    w, diag = minimize_quadratic(fair_poly(ds, alpha1), policy)
+    w, diag = minimize_quadratic(fair_poly(ds, alpha1))
     return TrainedModel(
         w=w,
         method="FairLR",

@@ -37,7 +37,7 @@ from fairdp.trainers import (
 )
 
 from conftest import random_unit_rows
-from toys import FIXTURE_DIR, GOLDEN_DIR
+from toys import FIXTURE_DIR, GOLDEN_DIR, noise_free
 from trends import run_trend_suite
 
 
@@ -215,13 +215,13 @@ def test_criterion_4_gradient_finite_differences():
 def test_criterion_5_zero_noise_collapse(conditioned_ds):
     ds = conditioned_ds
     fair = train_fair_lr(ds, alpha1=1.0)
-    pdfc = train_pdfc(ds, 0.7, 1.1, s_index=1, alpha1=1.0, seed=5, disable_noise=True)
-    adfc = train_adfc(ds, 0.7, 1.1, 1e-3, 1e-4, s_index=1, alpha1=1.0, seed=5,
-                      disable_noise=True)
+    with noise_free():
+        pdfc = train_pdfc(ds, 0.7, 1.1, s_index=1, alpha1=1.0, seed=5)
+        adfc = train_adfc(ds, 0.7, 1.1, 1e-3, 1e-4, s_index=1, alpha1=1.0, seed=5)
+        clean = train_fm(ds, 1e9, seed=9)
     assert np.abs(pdfc.w - fair.w).max() <= 1e-8
     assert np.abs(adfc.w - fair.w).max() <= 1e-8
 
-    clean = train_fm(ds, 1e9, seed=9, disable_noise=True)
     fm = train_fm(ds, 1e9, seed=9)
     rfm = train_relaxed_fm(ds, 1e9, 1e-3, seed=9)
     gap_fm = np.linalg.norm(fm.w - clean.w)

@@ -402,6 +402,33 @@ def test_missing_config_file_is_an_input_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, line, text", [
+    (["train", "--method", "fm", "--eps", "1"], "seed = abc",
+     "--seed expects an integer, got 'abc'"),
+    (["train", "--method", "fm", "--eps", "1"], "alpha1 = x",
+     "--alpha1 expects a number, got 'x'"),
+    (["train", "--method", "fm", "--eps", "1"], "test-fraction = 0.2x",
+     "--test-fraction expects a number, got '0.2x'"),
+    (["train", "--method", "fm"], "eps = one", "--eps expects a number, got 'one'"),
+    (["train", "--method", "pdfc", "--eps", "1"], "eps_s = ?",
+     "--eps-s expects a number, got '?'"),
+    (["sweep", "--methods", "fm"], "runs = 2.5", "--runs expects an integer, got '2.5'"),
+    (["sweep", "--methods", "fm"], "eps = 0.1, x", "--eps expects a number, got 'x'"),
+    (["sweep", "--methods", "relaxedfm"], "delta = 1e-3,?",
+     "--delta expects a number, got '?'"),
+    (["sweep", "--methods", "fm"], "eps = ,", "--eps expects a comma list of numbers, got ','"),
+])
+def test_unconvertible_config_value_names_the_option(tmp_path, capsys, command, line, text):
+    # The dataset path does not exist: the conversion must fail first.
+    config = tmp_path / "c.cfg"
+    config.write_text(line + "\n")
+    rc = main([*command, "--config", str(config), "--dataset", str(tmp_path / "missing.csv"),
+               "--schema", TOY_SCHEMA, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("golden", sorted(MANIFEST_GOLDEN_RUNS))
 def test_manifest_matches_golden(tmp_path, golden):
     assert main(MANIFEST_GOLDEN_RUNS[golden] + ["--out", str(tmp_path)]) == 0
@@ -467,6 +494,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not found" not in err
         assert not out.exists()
+
+    def test_unknown_s_attr_fails_before_fitting(self, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a grid point was fitted")
+
+        monkeypatch.setattr(evaluation, "train_method", no_fit)
+        out = tmp_path / "out"
+        rc = main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                   "--methods", "pdfc,fm", "--eps", "1", "--s-attr", "nope",
+                   "--runs", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: s attribute 'nope' matches no encoded feature column\n")
+        assert not out.exists()
+
+    def test_s_attr_unread_without_split_methods(self, tmp_path):
+        # Only PDFC and ADFC read --s-attr; without them it is not resolved.
+        rc = main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                   "--methods", "fm,lr", "--eps", "1", "--s-attr", "nope",
+                   "--runs", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert not read_json(tmp_path / "report.json")["points"][0]["failed"]
 
     def test_jobs_flag_is_unrecognised(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -205,19 +205,19 @@ class TestSamplers:
         a = np.random.default_rng(5)
         b = np.random.default_rng(5)
         for _ in range(100):
-            assert laplace_sample(a, 1.5) == laplace_sample(b, 1.5)
+            assert laplace_sample(a, np.array([1.5])) == laplace_sample(b, np.array([1.5]))
         a = np.random.default_rng(6)
         b = np.random.default_rng(6)
         for _ in range(100):
-            assert gaussian_sample(a, 0.7) == gaussian_sample(b, 0.7)
+            assert gaussian_sample(a, np.array([0.7])) == gaussian_sample(b, np.array([0.7]))
 
     def test_nonpositive_scale_rejected(self):
         rng = np.random.default_rng(0)
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                laplace_sample(rng, bad)
+                laplace_sample(rng, np.array([bad]))
             with pytest.raises(ValueError):
-                gaussian_sample(rng, bad)
+                gaussian_sample(rng, np.array([bad]))
             with pytest.raises(ValueError):
                 laplace_sample(rng, np.array([1.0, bad]))
             poly, s_index, _ = perturb_golden_inputs()
@@ -384,17 +384,15 @@ class TestBitExact:
         np.testing.assert_array_equal(out.c1, c1)
         np.testing.assert_array_equal(out.c2, c2)
 
-    def test_scalar_calls_continue_the_stream(self):
-        # A float scale gives one float; consecutive calls walk the same
-        # uniform stream as one array call.
+    def test_consecutive_calls_continue_the_stream(self):
+        # One-entry calls walk the same uniform stream as one array call.
         a = np.random.default_rng(3)
         b = np.random.default_rng(3)
-        scalars = [laplace_sample(a, 1.5) for _ in range(5)]
-        scalars += [gaussian_sample(a, 0.5) for _ in range(5)]
+        singles = [laplace_sample(a, np.array([1.5])) for _ in range(5)]
+        singles += [gaussian_sample(a, np.array([0.5])) for _ in range(5)]
         arrays = np.concatenate([laplace_sample(b, np.full(5, 1.5)),
                                  gaussian_sample(b, np.full(5, 0.5))])
-        assert all(isinstance(x, float) for x in scalars)
-        np.testing.assert_array_equal(scalars, arrays)
+        np.testing.assert_array_equal(np.concatenate(singles), arrays)
 
 
 class TestComposition:

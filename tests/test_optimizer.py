@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -104,8 +106,7 @@ class TestMinimizeQuadratic:
 
     def test_global_minimum_when_wellposed(self, rng):
         q = random_spd_quadratic(rng, 5, min_eig=0.01)
-        policy = RegularizationPolicy(eigen_floor=1e-3)
-        w, diag = minimize_quadratic(q, policy)
+        w, diag = minimize_quadratic(q)
         assert diag.clamped_eigenvalues == 0
         base = eval_poly(q, w)
         for _ in range(100):
@@ -146,7 +147,14 @@ class TestExactLogistic:
         w, diag = minimize_logistic_exact(ds, policy=policy)
         assert diag.converged or diag.hit_iteration_cap
         if diag.converged:
-            assert diag.grad_inf <= policy.gd_tol
+            assert diag.grad_inf <= optimizer_mod.GRAD_TOL
+
+    def test_iteration_cap_is_reported(self, rng):
+        ds = random_dataset(rng, 5, 2)
+        _, diag = minimize_logistic_exact(ds, RegularizationPolicy(max_gd_iters=1))
+        assert diag.iterations == 1
+        assert diag.converged is False
+        assert diag.hit_iteration_cap is True
 
     def test_gradient_matches_finite_differences(self, rng):
         ds = random_dataset(rng, 12, 3)
@@ -237,13 +245,10 @@ class TestNewton:
 
 
 class TestPolicy:
-    def test_floor_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RegularizationPolicy(eigen_floor=0.0)
-
     def test_defaults(self):
+        assert optimizer_mod.EIGEN_FLOOR == 1e-3
+        assert optimizer_mod.GRAD_TOL == 1e-8
         p = RegularizationPolicy()
-        assert p.eigen_floor == 1e-3
+        assert [f.name for f in fields(p)] == ["max_gd_iters", "gd_step"]
         assert p.max_gd_iters == 5000
         assert p.gd_step == 0.1
-        assert p.gd_tol == 1e-8

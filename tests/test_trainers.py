@@ -30,7 +30,7 @@ from fairdp.trainers import (
 )
 
 from synthdata import make_adult_like
-from toys import GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, toy_d2, toy_d3
+from toys import GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, noise_free, toy_d2, toy_d3
 
 
 def load_golden(name):
@@ -39,7 +39,8 @@ def load_golden(name):
 
 class TestFm:
     def test_huge_epsilon_approaches_clean_minimizer(self, conditioned_ds):
-        clean = train_fm(conditioned_ds, 1e9, seed=3, disable_noise=True)
+        with noise_free():
+            clean = train_fm(conditioned_ds, 1e9, seed=3)
         noisy = train_fm(conditioned_ds, 1e9, seed=3)
         assert np.linalg.norm(noisy.w - clean.w) <= 1e-3
 
@@ -70,7 +71,8 @@ class TestRelaxedFm:
         assert sigma < laplace_std
 
     def test_huge_epsilon_approaches_clean_minimizer(self, conditioned_ds):
-        clean = train_relaxed_fm(conditioned_ds, 1e9, 1e-3, seed=5, disable_noise=True)
+        with noise_free():
+            clean = train_relaxed_fm(conditioned_ds, 1e9, 1e-3, seed=5)
         noisy = train_relaxed_fm(conditioned_ds, 1e9, 1e-3, seed=5)
         assert np.linalg.norm(noisy.w - clean.w) <= 1e-3
 
@@ -108,8 +110,8 @@ class TestPdfc:
         np.testing.assert_array_equal(without.c1, lr_poly(ds).c1)
         for train, args in ((train_pdfc, (0.5, 0.5)),
                             (train_adfc, (0.5, 0.5, 1e-3, 1e-3))):
-            clean = [train(ds, *args, s_index=0, alpha1=a, seed=9, disable_noise=True)
-                     for a in (5.0, 0.0)]
+            with noise_free():
+                clean = [train(ds, *args, s_index=0, alpha1=a, seed=9) for a in (5.0, 0.0)]
             np.testing.assert_array_equal(clean[0].w, clean[1].w)
         pdfc = train_pdfc(ds, 0.5, 0.5, s_index=0, alpha1=5.0, seed=9)
         assert pdfc.sensitivity_used == l1_sensitivity_fair(3, 5.0) == 9 / 4 + 11 * 3
@@ -126,8 +128,8 @@ class TestPdfc:
         assert model.budgets.s_index == 1
 
     def test_zero_noise_hook_reproduces_fair_lr(self, conditioned_ds):
-        hooked = train_pdfc(conditioned_ds, 0.1, 0.2, s_index=2, alpha1=1.0,
-                            seed=4, disable_noise=True)
+        with noise_free():
+            hooked = train_pdfc(conditioned_ds, 0.1, 0.2, s_index=2, alpha1=1.0, seed=4)
         fair = train_fair_lr(conditioned_ds, alpha1=1.0)
         assert np.abs(hooked.w - fair.w).max() <= 1e-8
 
@@ -159,8 +161,9 @@ class TestAdfc:
         )
 
     def test_zero_noise_hook_reproduces_fair_lr(self, conditioned_ds):
-        hooked = train_adfc(conditioned_ds, 0.3, 0.3, 1e-4, 1e-4, s_index=0,
-                            alpha1=1.0, seed=6, disable_noise=True)
+        with noise_free():
+            hooked = train_adfc(conditioned_ds, 0.3, 0.3, 1e-4, 1e-4, s_index=0,
+                                alpha1=1.0, seed=6)
         fair = train_fair_lr(conditioned_ds, alpha1=1.0)
         assert np.abs(hooked.w - fair.w).max() <= 1e-8
 
@@ -177,7 +180,8 @@ class TestBaselines:
 
     def test_fair_lr_alpha_zero_equals_clean_fm(self, conditioned_ds):
         fair = train_fair_lr(conditioned_ds, alpha1=0.0)
-        clean_fm = train_fm(conditioned_ds, 1.0, seed=0, disable_noise=True)
+        with noise_free():
+            clean_fm = train_fm(conditioned_ds, 1.0, seed=0)
         np.testing.assert_array_equal(fair.w, clean_fm.w)
 
     def test_fair_lr_reduces_rd_on_adult_like_data(self):
@@ -211,9 +215,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_epsilon_outside_open_positive_range(self, method, eps):
         name = "eps_s" if method in ("PDFC", "ADFC") else "epsilon"
-        for disable_noise in (False, True):
-            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-                PRIVATE_TRAINERS[method](toy_d3(), eps, disable_noise=disable_noise)
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            PRIVATE_TRAINERS[method](toy_d3(), eps)
 
     def test_eps_n_checked_too(self):
         with pytest.raises(ValueError, match="eps_n must be finite and positive"):
@@ -228,16 +231,16 @@ class TestInputValidation:
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_overflowing_noise_scale_names_epsilon(self, method):
         name = "eps_s" if method in ("PDFC", "ADFC") else "epsilon"
-        for disable_noise in (False, True):
-            with pytest.raises(ValueError, match=f"{name} 1e-320 is too small"):
-                PRIVATE_TRAINERS[method](toy_d3(), 1e-320, disable_noise=disable_noise)
+        with pytest.raises(ValueError, match=f"{name} 1e-320 is too small"):
+            PRIVATE_TRAINERS[method](toy_d3(), 1e-320)
 
     @pytest.mark.parametrize("train", [train_pdfc, train_adfc])
     @pytest.mark.parametrize("s_index", [3, 7, -1])
     def test_s_index_out_of_range_even_without_noise(self, train, s_index):
         args = (1.0, 1.0) if train is train_pdfc else (1.0, 1.0, 1e-3, 1e-3)
-        with pytest.raises(ValueError, match=f"s_index {s_index} out of range for d=3"):
-            train(toy_d3(), *args, s_index=s_index, disable_noise=True)
+        with noise_free():
+            with pytest.raises(ValueError, match=f"s_index {s_index} out of range for d=3"):
+                train(toy_d3(), *args, s_index=s_index)
 
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_rows_outside_unit_ball_rejected_before_noise(self, method, monkeypatch):
@@ -247,9 +250,8 @@ class TestInputValidation:
         ds = encode(raw, schema)
         for name in ("l1_sensitivity_fair", "l2_sensitivity_fair", "perturb"):
             monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
-        for disable_noise in (False, True):
-            with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):
-                PRIVATE_TRAINERS[method](ds, 1.0, disable_noise=disable_noise)
+        with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):
+            PRIVATE_TRAINERS[method](ds, 1.0)
 
     @pytest.mark.parametrize("X, problem", [
         ([[0.5, -0.1], [0.2, 0.2]], "negative or NaN"),
@@ -292,7 +294,8 @@ class TestModelInvariants:
     def test_monotone_noise_sanity(self, conditioned_ds):
         # Mean distance to the clean solution shrinks as eps grows.
         ds = conditioned_ds
-        clean_plain = train_fm(ds, 1.0, seed=0, disable_noise=True).w
+        with noise_free():
+            clean_plain = train_fm(ds, 1.0, seed=0).w
         clean_fair = train_fair_lr(ds, alpha1=1.0).w
 
         def mean_dist(train_fn, clean):

@@ -5,10 +5,13 @@ bit-for-bit (see regen_goldens.py).
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from fairdp import trainers
 from fairdp.dataset import EncodedDataset
 from fairdp.polynomial import PolyObjective
 
@@ -37,6 +40,14 @@ def manifest_for_golden(out_dir) -> str:
     text = (Path(out_dir) / "manifest.json").read_text()
     dataset = json.loads(text)["config"]["dataset"]
     return text.replace(json.dumps(dataset), json.dumps("<dataset>"))
+
+
+@contextmanager
+def noise_free():
+    """Within the block the private trainers add no noise: their ``perturb``
+    is the identity, so they solve the clean objective."""
+    with mock.patch.object(trainers, "perturb", lambda poly, *args: poly):
+        yield
 
 
 def toy_d2():
