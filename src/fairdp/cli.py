@@ -272,18 +272,18 @@ def _run_options(args, cfg) -> tuple[int, Path, dict]:
     return seed, out_dir, options
 
 
-def _write_outputs(args, cfg, out_dir: Path, command: str, seed: int, ds,
+def _write_outputs(args, cfg, out_dir: Path, command: str, seed: int, fingerprint: str,
                    schema: Schema, config: dict, files: dict[str, str]) -> None:
     """Create ``out_dir`` and write ``files`` (name -> text) in order, then
     manifest.json: the seed, the config (dataset, schema and ``config``), the
-    dataset fingerprint and the names of the files."""
+    dataset ``fingerprint`` and the names of the files."""
     manifest = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": {"dataset": str(_eff(args, cfg, "dataset")),
                    "schema": _schema_dict(schema), **config},
-        "dataset_fingerprint": ds.fingerprint(),
+        "dataset_fingerprint": fingerprint,
         "outputs": list(files),
     }
     try:
@@ -320,7 +320,7 @@ def cmd_train(args) -> int:
     )
 
     acc, rd = score(model, test_ds)
-    _write_outputs(args, cfg, out_dir, "train", seed, ds, schema,
+    _write_outputs(args, cfg, out_dir, "train", seed, ds.fingerprint(), schema,
                    {"method": method, **budgets, **options},
                    {"model.json": _json_text(model.to_dict())})
 
@@ -354,7 +354,7 @@ def cmd_sweep(args) -> int:
     report = run_experiment(ds, config)
 
     _write_outputs(
-        args, cfg, out_dir, "sweep", seed, ds, schema,
+        args, cfg, out_dir, "sweep", seed, report.dataset_fingerprint, schema,
         {"methods": list(methods), "eps_grid": list(eps_grid),
          "delta_grid": list(delta_grid), "runs": runs, **options},
         {"report.json": _json_text(report.to_dict()),
@@ -377,14 +377,15 @@ def cmd_report(args) -> int:
     path = Path(args.report)
     if not path.exists():
         raise CLIError(f"report file not found: {path}")
+    # Rendering computes the statistics, so a run value that is not a
+    # number surfaces there.
     try:
         report = ExperimentReport.from_dict(json.loads(_read_text(path)))
+        text = ("\n".join(report_csv_lines(report)) + "\n" if args.format == "csv"
+                else render_table(report))
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CLIError(f"malformed report file {path}: {exc}") from None
-    if args.format == "csv":
-        print("\n".join(report_csv_lines(report)))
-    else:
-        print(render_table(report), end="")
+    print(text, end="")
     return 0
 
 
@@ -416,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", help="privacy budget (train) or comma list (sweep)")
         p.add_argument("--delta", help="failure probability or comma list (sweep)")
         p.add_argument("--s-attr", help="attribute getting its own budget, or 'random'")
-        p.add_argument("--alpha1", type=float, help="fairness penalty weight (default 1)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--test-fraction", type=float, help="held-out fraction (default 0.2)")
+        p.add_argument("--alpha1", help="fairness penalty weight (default 1)")
+        p.add_argument("--seed", help="master seed (default 0)")
+        p.add_argument("--test-fraction", help="held-out fraction (default 0.2)")
         p.add_argument("--out", help="output directory (default .)")
 
     p_train = sub.add_parser("train", help="train one model and write model.json")
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and write reports")
     common(p_sweep)
     p_sweep.add_argument("--methods", help="comma-separated method list")
-    p_sweep.add_argument("--runs", type=int, help="independent runs per point (default 10)")
+    p_sweep.add_argument("--runs", help="independent runs per point (default 10)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_report = sub.add_parser("report", help="render a saved report")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
+        if not isinstance(self.runs, int):
+            raise ValueError(f"runs must be an integer, got {self.runs!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.eps_grid:
@@ -153,17 +156,44 @@ class RunResult:
     params: dict
 
 
+def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
+    """Mean and sample std (ddof=1; 0.0 for one value); None, None when empty."""
+    if not values:
+        return None, None
+    std = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
+    return float(np.mean(values)), std
+
+
 @dataclass(frozen=True)
 class PointAggregate:
+    """A grid point's runs, or the error that ended them.  The statistics are
+    computed from the runs on first use and kept."""
+
     point: GridPoint
-    runs: tuple[RunResult, ...]
-    acc_mean: float | None
-    acc_std: float | None
-    rd_mean: float | None
-    rd_std: float | None
-    undefined_rd_count: int
-    failed: bool = False
+    runs: tuple[RunResult, ...] = ()
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
+
+    @cached_property
+    def _acc(self) -> tuple[float | None, float | None]:
+        return _mean_std([r.accuracy for r in self.runs])
+
+    @cached_property
+    def _rd(self) -> tuple[float | None, float | None]:
+        return _mean_std([r.risk_difference for r in self.runs
+                          if r.risk_difference is not None])
+
+    acc_mean = property(lambda self: self._acc[0])
+    acc_std = property(lambda self: self._acc[1])
+    rd_mean = property(lambda self: self._rd[0])
+    rd_std = property(lambda self: self._rd[1])
+
+    @property
+    def undefined_rd_count(self) -> int:
+        return sum(r.risk_difference is None for r in self.runs)
 
     def to_dict(self) -> dict:
         return {
@@ -205,30 +235,16 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        points = []
-        for pd in data["points"]:
-            runs = tuple(RunResult(**r) for r in pd.get("runs", []))
-            points.append(
-                PointAggregate(
-                    point=GridPoint(pd["method"], pd["epsilon"], pd["delta"]),
-                    runs=runs,
-                    acc_mean=pd["accuracy"]["mean"],
-                    acc_std=pd["accuracy"]["std"],
-                    rd_mean=pd["risk_difference"]["mean"],
-                    rd_std=pd["risk_difference"]["std"],
-                    undefined_rd_count=pd["risk_difference"]["undefined_count"],
-                    failed=pd.get("failed", False),
-                    error=pd.get("error"),
-                )
-            )
-        return cls(
-            points=tuple(points),
-            runs=data["runs"],
-            master_seed=data["master_seed"],
-            dataset_n=data["dataset"]["n"],
-            dataset_d=data["dataset"]["d"],
-            dataset_fingerprint=data["dataset"]["fingerprint"],
+        """Read back what ``to_dict`` wrote: each point's method, epsilon,
+        delta, runs and error; the statistics are computed from the runs."""
+        points = tuple(
+            PointAggregate(GridPoint(pd["method"], pd["epsilon"], pd["delta"]),
+                           tuple(RunResult(**r) for r in pd["runs"]), pd["error"])
+            for pd in data["points"]
         )
+        dataset = data["dataset"]
+        return cls(points, data["runs"], data["master_seed"],
+                   dataset["n"], dataset["d"], dataset["fingerprint"])
 
     def find(self, method: str, epsilon: float | None = None,
              delta: float | None = None) -> PointAggregate:
@@ -314,31 +330,6 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
                       delta_n=delta_n, s_index=s_index, alpha1=alpha1, seed=seed)
 
 
-def _aggregate(point: GridPoint, results: list[RunResult]) -> PointAggregate:
-    accs = [r.accuracy for r in results]
-    rds = [r.risk_difference for r in results if r.risk_difference is not None]
-    undefined = len(results) - len(rds)
-
-    def stats(values):
-        if not values:
-            return None, None
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) >= 2 else 0.0
-        return mean, std
-
-    acc_mean, acc_std = stats(accs)
-    rd_mean, rd_std = stats(rds)
-    return PointAggregate(
-        point=point,
-        runs=tuple(results),
-        acc_mean=acc_mean,
-        acc_std=acc_std,
-        rd_mean=rd_mean,
-        rd_std=rd_std,
-        undefined_rd_count=undefined,
-    )
-
-
 def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep and aggregate mean +- sample std per grid point.
 
@@ -386,10 +377,9 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
     for p in points:
         outcome = outcomes[_effective_key(p, config.alpha1, config.s_attr)]
         if isinstance(outcome, Exception):
-            aggregates.append(replace(_aggregate(p, []), failed=True,
-                                      error=f"{type(outcome).__name__}: {outcome}"))
+            aggregates.append(PointAggregate(p, error=f"{type(outcome).__name__}: {outcome}"))
         else:
-            aggregates.append(_aggregate(p, outcome))
+            aggregates.append(PointAggregate(p, tuple(outcome)))
     return ExperimentReport(
         points=tuple(aggregates),
         runs=config.runs,

@@ -101,6 +101,19 @@ def test_sweep_goes_through_the_traced_names(monkeypatch):
     }
 
 
+def test_report_exposes_what_the_benchmark_reads():
+    # Checked on an instance: a dataclass field without a default is not a
+    # class attribute, so a check on the class would miss it.
+    config = evaluation.ExperimentConfig(methods=("LR", "FM"), eps_grid=(1.0,), runs=2)
+    report = evaluation.run_experiment(cli.load_encoded_dataset(TOY_CSV, TOY_SCHEMA)[0], config)
+    assert len(report.points) == 2
+    assert report.find("FM", 1.0) is report.points[1]
+    assert report.to_dict()["points"][1]["method"] == "FM"
+    for p in report.points:
+        assert isinstance(p.point.method, str) and p.failed is False
+        assert isinstance(p.acc_mean, float) and isinstance(p.rd_mean, float)
+
+
 def test_experiment_config_accepts_jobs():
     assert "jobs" in inspect.signature(evaluation.ExperimentConfig).parameters
     cfg = evaluation.ExperimentConfig(methods=("FM",), runs=1, jobs=1)

@@ -429,6 +429,26 @@ def test_unconvertible_config_value_names_the_option(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags, text", [
+    (["train", "--method", "fm", "--eps", "1"], ["--seed", "abc"],
+     "--seed expects an integer, got 'abc'"),
+    (["train", "--method", "fm", "--eps", "1"], ["--alpha1", "x"],
+     "--alpha1 expects a number, got 'x'"),
+    (["train", "--method", "fm", "--eps", "1"], ["--test-fraction", "0.2x"],
+     "--test-fraction expects a number, got '0.2x'"),
+    (["train", "--method", "fm"], ["--eps", "one"], "--eps expects a number, got 'one'"),
+    (["sweep", "--methods", "fm"], ["--runs", "2.5"], "--runs expects an integer, got '2.5'"),
+    (["sweep", "--methods", "fm"], ["--seed", "1.0"], "--seed expects an integer, got '1.0'"),
+])
+def test_unconvertible_flag_names_the_option(tmp_path, capsys, command, flags, text):
+    # A flag goes through the same converter as a config value.
+    rc = main([*command, *flags, "--dataset", str(tmp_path / "missing.csv"),
+               "--schema", TOY_SCHEMA, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("golden", sorted(MANIFEST_GOLDEN_RUNS))
 def test_manifest_matches_golden(tmp_path, golden):
     assert main(MANIFEST_GOLDEN_RUNS[golden] + ["--out", str(tmp_path)]) == 0
@@ -448,6 +468,23 @@ class TestSweep:
         csv_text = (tmp_path / "report.csv").read_text()
         assert csv_text.splitlines()[0].startswith("method,eps,delta")
         assert len(csv_text.splitlines()) == 5  # header + 2 methods x 2 eps
+
+    def test_dataset_hashed_once(self, tmp_path, monkeypatch):
+        # report.json and manifest.json share one fingerprint of the data.
+        calls = []
+        real = dataset_mod.EncodedDataset.fingerprint
+
+        def counted(ds):
+            calls.append(ds.n)
+            return real(ds)
+
+        monkeypatch.setattr(dataset_mod.EncodedDataset, "fingerprint", counted)
+        assert main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                     "--methods", "lr,fm", "--eps", "1", "--runs", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert (read_json(tmp_path / "manifest.json")["dataset_fingerprint"]
+                == read_json(tmp_path / "report.json")["dataset"]["fingerprint"])
 
     def test_default_grid_lengths(self, tmp_path):
         rc = main([
@@ -547,6 +584,35 @@ class TestReport:
         bad.write_text("{\"runs\": 1}")
         assert main(["report", str(bad)]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["runs", "error"])
+    def test_point_without_runs_or_error_is_malformed(self, tmp_path, capsys, key):
+        report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
+        del report["points"][1][key]
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(report))
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: malformed report file {bad}: '{key}'\n"
+
+    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_non_numeric_run_accuracy_is_malformed(self, tmp_path, capsys, value, fmt):
+        report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
+        report["points"][0]["runs"][0]["accuracy"] = value
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(report))
+        assert main(["report", str(bad), "--format", fmt]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed report file {bad}: ")
+
+    def test_statistics_come_from_the_runs(self, tmp_path, capsys):
+        # Stored statistics that contradict the runs are not read.
+        report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
+        for point in report["points"]:
+            point["accuracy"] = point["risk_difference"] = point["failed"] = None
+        edited = tmp_path / "r.json"
+        edited.write_text(json.dumps(report))
+        assert main(["report", str(edited)]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "cli_report_table.txt").read_text()
 
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == 2

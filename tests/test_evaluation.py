@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -13,6 +14,7 @@ from fairdp.evaluation import (
     ExperimentConfig,
     ExperimentReport,
     GridPoint,
+    PointAggregate,
     accuracy,
     derive_seed,
     predict_labels,
@@ -316,6 +318,8 @@ class TestExperiment:
         (dict(test_fraction=math.nan), "test_fraction"),
         (dict(alpha1=math.nan), "alpha1"),
         (dict(alpha1=-math.inf), "alpha1"),
+        (dict(runs=2.5), "runs must be an integer"),
+        (dict(runs=0), "runs must be >= 1"),
     ])
     def test_bad_grid_rejected_at_construction(self, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -325,6 +329,18 @@ class TestExperiment:
         rep = run_experiment(toy_d3(), self.config())
         back = ExperimentReport.from_dict(rep.to_dict())
         assert back.to_dict() == rep.to_dict()
+
+    def test_a_point_holds_only_its_runs_and_error(self):
+        # Every statistic is computed from the runs; a point fails exactly
+        # when it carries an error.
+        assert [f.name for f in dataclasses.fields(PointAggregate)] == ["point", "runs", "error"]
+        rep = run_experiment(toy_d3(), self.config(methods=("FairLR", "ADFC"),
+                                                   delta_grid=(0.999,)))
+        failed = rep.find("ADFC", 0.5)
+        assert failed.failed and failed.runs == ()
+        assert (failed.acc_mean, failed.acc_std, failed.rd_mean, failed.rd_std,
+                failed.undefined_rd_count) == (None, None, None, None, 0)
+        assert not PointAggregate(GridPoint("LR"), ()).failed
 
 
 class TestRendering:

@@ -53,6 +53,21 @@ def neighboring_pair(rng, n, d):
     return a, b
 
 
+def one_coordinate_pair(rng, n, d):
+    """Like :func:`neighboring_pair`, but every row, the replaced one too,
+    is a unit vector times 0, 1 or one uniform draw."""
+    X = np.zeros((n + 1, d))
+    X[np.arange(n + 1), rng.integers(d, size=n + 1)] = rng.choice([0.0, 1.0, rng.random()],
+                                                                size=n + 1)
+    y = rng.integers(0, 2, size=n + 1)
+    z = rng.integers(0, 2, size=n + 1)
+    names = tuple(f"f{i}" for i in range(d))
+    rows = [n, *range(1, n)]
+    a = EncodedDataset(X=X[:n], y=y[:n], z=z[:n], feature_names=names)
+    b = EncodedDataset(X=X[rows], y=y[rows], z=z[rows], feature_names=names)
+    return a, b
+
+
 def monomials(d):
     """All d + d^2 monomial ids in canonical (noise-draw) order: (e,) is the
     degree-1 monomial w_e, (e, l) the ordered degree-2 monomial w_e w_l."""
@@ -115,6 +130,31 @@ class TestSensitivityFormulas:
                 l1f, l2f = coefficient_diffs(fair_poly(a, alpha1), fair_poly(b, alpha1))
                 assert l1f <= l1_sensitivity_fair(d, alpha1)
                 assert l2f <= l2_sensitivity_fair(d, alpha1)
+
+
+class TestSplitBudgetLedger:
+    # PDFC draws Laplace noise at scale Delta1/eps_s on the monomials S that
+    # contain w_s and Delta1/eps_n on the rest.  Replacing one row moves the
+    # fair coefficients by v, so the output density changes by at most
+    # exp((eps_s sum_S |v| + eps_n sum_N |v|) / Delta1); that realised loss
+    # must stay within the epsilon PDFC records.
+    EPS_PAIRS = np.array([(10.0, 0.01), (0.01, 10.0), (1.0, 1.0), (3.0, 0.3), (0.3, 3.0)])
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_realised_loss_within_composed_epsilon(self, rng, d):
+        eps_s, eps_n = self.EPS_PAIRS.T
+        composed = np.array([compose_split_epsilon(es, en, d) for es, en in self.EPS_PAIRS])
+        masks = [sensitive_mask(d, s) for s in range(d)]
+        pairs = [make(rng, 5, d) for make in (neighboring_pair, one_coordinate_pair)
+                 for _ in range(100)]
+        for alpha1 in (0.0, 1.0, 20.0):
+            sensitivity = l1_sensitivity_fair(d, alpha1)
+            for a, b in pairs:
+                pa, pb = fair_poly(a, alpha1), fair_poly(b, alpha1)
+                v = np.abs(np.concatenate([pa.c1 - pb.c1, (pa.c2 - pb.c2).ravel()]))
+                for mask in masks:
+                    loss = (eps_s * v[mask].sum() + eps_n * v[~mask].sum()) / sensitivity
+                    assert (loss <= composed).all(), (alpha1, loss, composed)
 
 
 class TestGaussianSigma:
