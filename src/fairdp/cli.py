@@ -8,9 +8,10 @@ train   train one model on an 80-20 split, write model.json + manifest.json
 sweep   run a (method x epsilon x delta) grid, write report.json/report.csv
 report  render a saved report as a text table or CSV
 
-Flags follow a ``--config FILE`` of ``key = value`` lines (same keys as the
-long flag names); explicit flags win over file values.  All randomness flows
-from one ``--seed`` recorded in the manifest.
+The schema comes only from ``--schema FILE``.  A ``--config FILE`` holds
+``key = value`` lines for the command's own long options; explicit flags win,
+and any other key is an error.  All randomness flows from one ``--seed``
+recorded in the manifest.
 
 ``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr,
 test-fraction) through one reader, check every value before loading data,
@@ -92,9 +93,11 @@ def _read_text(path: str | Path) -> str:
         raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def parse_keyvalue_file(path: str | Path) -> dict[str, str]:
-    """Plain-text config: one ``key = value`` per line, ``#`` comments."""
+def parse_keyvalue_file(path: str | Path, normalize=str) -> dict[str, str]:
+    """Plain-text config: one ``key = value`` per line, ``#`` comments.  Each
+    key is stored as ``normalize(key)``; a key given twice is an error."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -102,7 +105,10 @@ def parse_keyvalue_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise CLIError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        out[key.strip()] = value.strip()
+        key = normalize(key.strip())
+        if key in out:
+            raise CLIError(f"{path}: lines {lines[key]} and {lineno}: repeated key {key!r}")
+        out[key], lines[key] = value.strip(), lineno
     return out
 
 
@@ -134,14 +140,26 @@ def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
     return values
 
 
+def _read_config(args) -> dict[str, str]:
+    """The ``--config`` file's values by option name, a dash in a key read as
+    an underscore.  A key that is not an option of this command is an error."""
+    if not args.config:
+        return {}
+    cfg = parse_keyvalue_file(args.config, lambda key: key.replace("-", "_"))
+    options = vars(args).keys() - {"command", "func", "config"}
+    for key in cfg:
+        if key not in options:
+            raise CLIError(f"{args.config}: {key!r} is not an option of fairdp {args.command}")
+    return cfg
+
+
 def _eff(args, cfg: dict[str, str], key: str, default=None, kind=None):
-    """Effective option value: explicit flag, else config file, else default,
-    converted by ``kind`` (int or float) when given.  Config files may spell
-    keys with either dashes or underscores."""
-    value = getattr(args, key.replace("-", "_"), None)
+    """Effective value of option ``key`` (its attribute name): explicit flag,
+    else config file, else default, converted by ``kind`` (int or float) when
+    given."""
+    value = getattr(args, key)
     if value is None:
-        spellings = (key, key.replace("-", "_"), key.replace("_", "-"))
-        value = next((cfg[k] for k in spellings if k in cfg), default)
+        value = cfg.get(key, default)
     return _number(kind, key, value) if kind else value
 
 
@@ -175,9 +193,6 @@ _SCHEMA_TABLE = {
     "add_constant_feature": ("add_constant_feature", bool),
 }
 
-# Keys the schema flags (--label, ...) can set.
-_SCHEMA_KEYS = (*(k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is not bool), "columns")
-
 
 def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
     missing = [k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is str and k not in kv]
@@ -204,19 +219,8 @@ def _schema_dict(schema: Schema) -> dict:
     return out
 
 
-def _load_with_schema_kv(dataset_path, kv: dict[str, str], origin: str):
-    if not Path(dataset_path).exists():
-        raise CLIError(f"dataset file not found: {dataset_path}")
-    schema = _schema_from_kv(kv, origin)
-    try:
-        raw = load_csv(dataset_path, _split_names(kv.get("columns", "")) or None)
-    except OSError as exc:  # a directory, no permission, ...
-        raise CLIError(f"cannot read {dataset_path}: {exc.strerror or exc}") from None
-    return build_dataset(raw, schema), schema, raw
-
-
 def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
-    """CSV + schema file -> normalized EncodedDataset.
+    """CSV + schema file -> (normalized EncodedDataset, Schema, RawTable).
 
     A ``columns`` key in the schema file names the columns of a header-less
     file (e.g. the UCI Adult data files), and every row must have that many
@@ -224,35 +228,25 @@ def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
     """
     if not Path(schema_path).exists():
         raise CLIError(f"schema file not found: {schema_path}")
-    return _load_with_schema_kv(
-        dataset_path, parse_keyvalue_file(schema_path), str(schema_path)
-    )
+    kv = parse_keyvalue_file(schema_path)
+    if not Path(dataset_path).exists():
+        raise CLIError(f"dataset file not found: {dataset_path}")
+    schema = _schema_from_kv(kv, str(schema_path))
+    try:
+        raw = load_csv(dataset_path, _split_names(kv.get("columns", "")) or None)
+    except OSError as exc:  # a directory, no permission, ...
+        raise CLIError(f"cannot read {dataset_path}: {exc.strerror or exc}") from None
+    return build_dataset(raw, schema), schema, raw
 
 
 def _resolve_dataset(args, cfg):
-    """(dataset, schema); the schema from --schema FILE or the flags (--label, ...)."""
-    dataset_path = _eff(args, cfg, "dataset")
+    """(dataset, schema) from --dataset and --schema."""
+    dataset_path, schema_path = _eff(args, cfg, "dataset"), _eff(args, cfg, "schema")
     if dataset_path is None:
         raise CLIError("--dataset is required")
-    given = {k: v for k in (*_SCHEMA_TABLE, "columns") if (v := _eff(args, cfg, k)) is not None}
-    schema_path = _eff(args, cfg, "schema")
-    if schema_path is not None:
-        # The schema file is the whole schema; a flag or config value is dropped.
-        for key in given:
-            where = (f"--{key.replace('_', '-')}" if getattr(args, key, None) is not None
-                     else f"config key {key!r}")
-            print(f"warning: {where} has no effect with --schema; "
-                  "set it in the schema file", file=sys.stderr)
-        return load_encoded_dataset(dataset_path, schema_path)[:2]
-    kv = {k: v for k, v in given.items() if k in _SCHEMA_KEYS}
-    if not kv:
-        raise CLIError("--schema file or schema flags (--label, ...) required")
-    # No flag sets the schema booleans; a config file value would be dropped.
-    dropped = [k for k in given if k not in kv]
-    if dropped:
-        raise CLIError(f"config key {dropped[0]!r} has no effect with schema flags; "
-                       "set it in a --schema file")
-    return _load_with_schema_kv(dataset_path, kv, "schema flags")[:2]
+    if schema_path is None:
+        raise CLIError("--schema is required")
+    return load_encoded_dataset(dataset_path, schema_path)[:2]
 
 
 def _run_options(args, cfg) -> tuple[int, Path, dict]:
@@ -265,8 +259,8 @@ def _run_options(args, cfg) -> tuple[int, Path, dict]:
         raise CLIError(f"--out {out_dir} exists and is not a directory")
     options = {
         "alpha1": _eff(args, cfg, "alpha1", 1.0, float),
-        "s_attr": _eff(args, cfg, "s-attr", "random"),
-        "test_fraction": _eff(args, cfg, "test-fraction", 0.2, float),
+        "s_attr": _eff(args, cfg, "s_attr", "random"),
+        "test_fraction": _eff(args, cfg, "test_fraction", 0.2, float),
     }
     check_run_options(options["alpha1"], options["test_fraction"])
     return seed, out_dir, options
@@ -303,7 +297,7 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = parse_keyvalue_file(args.config) if args.config else {}
+    cfg = _read_config(args)
     method = _canonical_method(_eff(args, cfg, "method") or "")
     names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
     eps, delta, *pairs = (_eff(args, cfg, k, kind=float) for k in names)
@@ -333,7 +327,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_keyvalue_file(args.config) if args.config else {}
+    cfg = _read_config(args)
     methods_text = _eff(args, cfg, "methods")
     if not methods_text:
         raise CLIError("--methods is required (comma-separated list)")
@@ -404,16 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.set_defaults(func=cmd_fetch)
 
     def common(p):
-        p.add_argument("--config", help="key=value config file; flags win")
+        p.add_argument("--config", help="key = value file of this command's options; flags win")
         p.add_argument("--dataset", help="CSV data file")
-        p.add_argument("--schema", help="schema config file")
-        p.add_argument("--label", help="label column (alternative to --schema)")
-        p.add_argument("--label-positive", help="label value mapped to y=1")
-        p.add_argument("--protected", help="protected attribute column")
-        p.add_argument("--protected-positive", help="protected value mapped to z=1")
-        p.add_argument("--numeric", help="comma list of numeric feature columns")
-        p.add_argument("--categorical", help="comma list of categorical columns")
-        p.add_argument("--columns", help="column names for a header-less file")
+        p.add_argument("--schema", help="schema file (required)")
         p.add_argument("--eps", help="privacy budget (train) or comma list (sweep)")
         p.add_argument("--delta", help="failure probability or comma list (sweep)")
         p.add_argument("--s-attr", help="attribute getting its own budget, or 'random'")

@@ -238,8 +238,8 @@ class ExperimentReport:
         """Read back what ``to_dict`` wrote: each point's method, epsilon,
         delta, runs and error; the statistics are computed from the runs."""
         points = tuple(
-            PointAggregate(GridPoint(pd["method"], pd["epsilon"], pd["delta"]),
-                           tuple(RunResult(**r) for r in pd["runs"]), pd["error"])
+            PointAggregate(_grid_point(pd), tuple(RunResult(**r) for r in pd["runs"]),
+                           pd["error"])
             for pd in data["points"]
         )
         dataset = data["dataset"]
@@ -257,6 +257,19 @@ class ExperimentReport:
                 continue
             return p
         raise KeyError(f"no grid point for {method} eps={epsilon} delta={delta}")
+
+
+def _grid_point(pd: dict) -> GridPoint:
+    """A report point's grid point.  A method that is not a string, or an
+    epsilon or delta that is neither a number nor null, is a TypeError."""
+    if not isinstance(pd["method"], str):
+        raise TypeError(f"method {pd['method']!r} is not a string")
+    for key in ("epsilon", "delta"):
+        value = pd[key]
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise TypeError(f"{key} {value!r} is neither a number nor null")
+    return GridPoint(pd["method"], pd["epsilon"], pd["delta"])
 
 
 def _close(a: float | None, b: float) -> bool:

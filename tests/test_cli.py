@@ -1,12 +1,20 @@
 import gc
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 import fairdp.dataset as dataset_mod
 from fairdp import evaluation
-from fairdp.cli import CLIError, _schema_from_kv, main, parse_keyvalue_file
+from fairdp.cli import (
+    CLIError,
+    _schema_from_kv,
+    build_parser,
+    load_encoded_dataset,
+    main,
+    parse_keyvalue_file,
+)
 from fairdp.dataset import RawTable, RemoteFile
 
 from toys import (
@@ -17,6 +25,10 @@ from toys import (
     TOY_SCHEMA,
     manifest_for_golden,
 )
+
+
+README = Path(__file__).parent.parent / "README.md"
+ADULT_SCHEMA = Path(__file__).parent.parent / "schemas" / "adult.schema"
 
 
 def read_json(path):
@@ -199,35 +211,6 @@ class TestTrain:
         assert rc == 0
         assert read_json(tmp_path / "out" / "model.json")["method"] == "FM"
 
-    def test_schema_via_flags_without_file(self, tmp_path):
-        rc = main([
-            "train", "--dataset", TOY_CSV,
-            "--label", "income", "--label-positive", "yes",
-            "--protected", "sex", "--protected-positive", "Male",
-            "--numeric", "age,hours", "--categorical", "dept",
-            "--method", "fm", "--eps", "1.0", "--seed", "2",
-            "--out", str(tmp_path),
-        ])
-        assert rc == 0
-        manifest = read_json(tmp_path / "manifest.json")
-        assert manifest["config"]["schema"]["categorical"] == ["dept"]
-
-    def test_schema_flags_match_schema_file(self, tmp_path):
-        common = [
-            "train", "--dataset", TOY_CSV, "--method", "fm", "--eps", "1.0",
-            "--seed", "2",
-        ]
-        assert main(common + ["--schema", TOY_SCHEMA,
-                              "--out", str(tmp_path / "f")]) == 0
-        assert main(common + [
-            "--label", "income", "--label-positive", "yes",
-            "--protected", "sex", "--protected-positive", "Male",
-            "--numeric", "age,hours", "--categorical", "dept",
-            "--out", str(tmp_path / "g"),
-        ]) == 0
-        assert (tmp_path / "f/model.json").read_bytes() == \
-            (tmp_path / "g/model.json").read_bytes()
-
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -244,83 +227,6 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--eps", "2.0",
                      "--out", str(out2)]) == 0
         assert read_json(out2 / "model.json")["budgets"]["epsilon"] == 2.0
-
-    @pytest.mark.parametrize("key", [
-        "add_constant_feature", "include_protected_in_features", "add-constant-feature",
-    ])
-    def test_config_schema_boolean_with_schema_flags_rejected(self, tmp_path, capsys, key):
-        # No flag sets the schema booleans, so with the schema from flags a
-        # config file value would be dropped and the manifest would record
-        # false: the combination fails before the data is read.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = true\n")
-        out = tmp_path / "out"
-        rc = main([
-            "train", "--config", str(cfg), "--dataset", str(tmp_path / "missing.csv"),
-            "--label", "income", "--label-positive", "yes",
-            "--protected", "sex", "--protected-positive", "Male",
-            "--numeric", "age,hours", "--categorical", "dept",
-            "--method", "fm", "--eps", "1.0", "--out", str(out),
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key.replace("-", "_") in err
-        assert "not found" not in err
-        assert not out.exists()
-
-    def test_config_schema_boolean_with_schema_file_still_runs(self, tmp_path):
-        # With a --schema file the schema is that file's; the run is unchanged.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("add_constant_feature = true\n")
-        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
-                  "--method", "fm", "--eps", "1.0", "--seed", "2"]
-        assert main(common + ["--out", str(tmp_path / "a")]) == 0
-        assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a/model.json").read_bytes() == \
-            (tmp_path / "b/model.json").read_bytes()
-
-    @pytest.mark.parametrize("key", [
-        "add_constant_feature", "include_protected_in_features", "add-constant-feature",
-    ])
-    def test_config_schema_boolean_with_schema_file_warns(self, tmp_path, capsys, key):
-        # The schema file's booleans apply; the dropped config value is named.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = true\n")
-        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
-                  "--method", "fm", "--eps", "1.0", "--seed", "2"]
-        assert main(common + ["--out", str(tmp_path / "a")]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(common + ["--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        name = key.replace("-", "_")
-        assert capsys.readouterr().err == (
-            f"warning: config key '{name}' has no effect with --schema; "
-            "set it in the schema file\n"
-        )
-        for out in ("model.json", "manifest.json"):
-            assert (tmp_path / "a" / out).read_bytes() == (tmp_path / "b" / out).read_bytes()
-
-    @pytest.mark.parametrize("flags, config, warning", [
-        (["--label", "nosuchcol"], "", "--label"),
-        (["--numeric", "nosuch"], "", "--numeric"),
-        (["--label-positive", "no"], "", "--label-positive"),
-        (["--columns", "a,b"], "", "--columns"),
-        ([], "protected = nosuch\n", "config key 'protected'"),
-        ([], "categorical = nosuch\n", "config key 'categorical'"),
-    ])
-    def test_schema_keys_with_schema_file_warn(self, tmp_path, capsys, flags, config,
-                                               warning):
-        # The schema file is the whole schema: a flag or config value for one
-        # of its keys is dropped, and named.
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        common = ["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--method", "lr"]
-        assert main(common + ["--out", str(tmp_path / "a")]) == 0
-        assert capsys.readouterr().err == ""
-        assert main(common + [*flags, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().err == (
-            f"warning: {warning} has no effect with --schema; set it in the schema file\n")
-        assert (tmp_path / "a/model.json").read_bytes() == \
-            (tmp_path / "b/model.json").read_bytes()
 
     def test_columns_key_count_mismatch_names_line(self, tmp_path, capsys):
         # A columns key whose length does not match the file fails on the
@@ -400,6 +306,52 @@ def test_missing_config_file_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    *((command, line, key) for command in ("train", "sweep")
+      for line, key in (("sed = 5", "sed"), ("label = income", "label"),
+                        ("add-constant-feature = true", "add_constant_feature"))),
+    ("train", "runs = 2", "runs"),  # a sweep option
+])
+def test_config_key_that_is_no_option_is_an_error(tmp_path, capsys, command, line, key):
+    # Only the command's own options may appear in its --config file; the
+    # dataset path does not exist, so the key check must trip first.
+    config = tmp_path / "c.cfg"
+    config.write_text(f"seed = 1\n{line}\n")
+    flags = {"train": ["--method", "fm", "--eps", "1.0"], "sweep": ["--methods", "fm"]}
+    rc = main([command, *flags[command], "--config", str(config),
+               "--dataset", str(tmp_path / "missing.csv"), "--schema", TOY_SCHEMA,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: {key!r} is not an option of fairdp {command}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--method", "fm", "--eps", "1.0"],
+    ["sweep", "--methods", "fm"],
+])
+def test_repeated_config_key_is_an_error(tmp_path, capsys, command):
+    # The dash and underscore spellings of one option are one key.
+    config = tmp_path / "c.cfg"
+    config.write_text("test-fraction = 0.2\n# the same option again\ntest_fraction = 0.3\n")
+    rc = main([*command, "--config", str(config), "--dataset", TOY_CSV,
+               "--schema", TOY_SCHEMA, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: lines 1 and 3: repeated key 'test_fraction'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_schema_key_is_an_error(tmp_path):
+    # A second numeric line would silently drop the first one's columns.
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text() + "numeric = hours\n")
+    with pytest.raises(CLIError) as exc:
+        load_encoded_dataset(TOY_CSV, schema)
+    assert str(exc.value) == f"{schema}: lines 6 and 8: repeated key 'numeric'"
 
 
 @pytest.mark.parametrize("command, line, text", [
@@ -554,12 +506,18 @@ class TestSweep:
         assert rc == 0
         assert not read_json(tmp_path / "report.json")["points"][0]["failed"]
 
-    def test_jobs_flag_is_unrecognised(self, capsys):
+    @pytest.mark.parametrize("flag", [
+        "--jobs", "--label", "--label-positive", "--protected", "--protected-positive",
+        "--numeric", "--categorical", "--columns",
+    ])
+    def test_jobs_flag_is_unrecognised(self, capsys, flag):
+        # Neither the removed --jobs nor a schema flag is an option: the
+        # schema comes only from the --schema file.
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
-                  "--methods", "fm", "--jobs", "2"])
+                  "--methods", "fm", flag, "2"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 class TestReport:
@@ -604,6 +562,22 @@ class TestReport:
         assert main(["report", str(bad), "--format", fmt]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed report file {bad}: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("method", 7), ("method", None), ("epsilon", "x"), ("epsilon", True),
+        ("delta", "1e-3"), ("delta", [1]),
+    ])
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_non_numeric_point_budget_or_method_is_malformed(self, tmp_path, capsys, key,
+                                                             value, fmt):
+        report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
+        report["points"][0][key] = value
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(report))
+        assert main(["report", str(bad), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed report file {bad}: {key} ")
+        assert captured.out == ""
+
     def test_statistics_come_from_the_runs(self, tmp_path, capsys):
         # Stored statistics that contradict the runs are not read.
         report = read_json(GOLDEN_DIR / "cli_sweep_report.json")
@@ -628,6 +602,35 @@ class TestReport:
         bad.write_text(json.dumps(report))
         assert main(["report", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed report file {bad}: ")
+
+
+def test_readme_commands_parse():
+    # Every `fairdp ...` line in the README's code blocks is accepted by the
+    # parser; nothing is run.
+    blocks = README.read_text().split("```")[1::2]
+    commands = [shlex.split(line, comments=True)
+                for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("fairdp ")]
+    assert {command[1] for command in commands} == {"fetch", "train", "sweep", "report"}
+    for command in commands:
+        build_parser().parse_args(command[1:])
+
+
+def test_shipped_adult_schema_loads(tmp_path):
+    # Two rows in the header-less UCI layout, which the schema's columns key names.
+    data = tmp_path / "adult.data"
+    data.write_text(
+        "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, Not-in-family,"
+        " White, Male, 2174, 0, 40, United-States, <=50K\n"
+        "50, Self-emp-not-inc, 83311, Masters, 14, Married-civ-spouse, Exec-managerial,"
+        " Husband, Black, Female, 0, 0, 13, Cuba, >50K\n"
+    )
+    ds, schema, raw = load_encoded_dataset(data, ADULT_SCHEMA)
+    assert (len(raw.column_names), raw.n_rows) == (15, 2)
+    assert (schema.label_column, schema.protected_column) == ("income", "sex")
+    assert ds.y.tolist() == [0, 1] and ds.z.tolist() == [1, 0]
+    assert ds.d == 6 + 7 * 2  # six numeric columns, seven two-valued categorical ones
 
 
 class TestFetchCommand:
