@@ -9,14 +9,15 @@ sweep   run a (method x epsilon x delta) grid, write report.json/report.csv
 report  render a saved report as a text table or CSV
 
 The schema comes only from ``--schema FILE``.  A ``--config FILE`` holds
-``key = value`` lines for the command's own long options; explicit flags win,
-and any other key is an error.  All randomness flows from one ``--seed``
-recorded in the manifest.
+``key = value`` lines for the command's own long options; its values become
+the parser's defaults, so explicit flags win, and any other key is an error.
+All randomness flows from one ``--seed`` recorded in the manifest.
 
 ``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr,
-test-fraction) through one reader, check every value before loading data,
-and write their files and ``manifest.json`` through one writer.  How a
-split-budget method divides (eps, delta) is decided in ``evaluation``.
+test-fraction; their defaults are ``ExperimentConfig``'s) through one reader,
+check every value before loading data, and write their files and
+``manifest.json`` through one writer.  How a split-budget method divides
+(eps, delta) is decided in ``evaluation``.
 """
 
 from __future__ import annotations
@@ -143,24 +144,12 @@ def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
 def _read_config(args) -> dict[str, str]:
     """The ``--config`` file's values by option name, a dash in a key read as
     an underscore.  A key that is not an option of this command is an error."""
-    if not args.config:
-        return {}
     cfg = parse_keyvalue_file(args.config, lambda key: key.replace("-", "_"))
-    options = vars(args).keys() - {"command", "func", "config"}
+    options = vars(args).keys() - {"command", "func", "parser", "config"}
     for key in cfg:
         if key not in options:
             raise CLIError(f"{args.config}: {key!r} is not an option of fairdp {args.command}")
     return cfg
-
-
-def _eff(args, cfg: dict[str, str], key: str, default=None, kind=None):
-    """Effective value of option ``key`` (its attribute name): explicit flag,
-    else config file, else default, converted by ``kind`` (int or float) when
-    given."""
-    value = getattr(args, key)
-    if value is None:
-        value = cfg.get(key, default)
-    return _number(kind, key, value) if kind else value
 
 
 def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
@@ -182,6 +171,7 @@ _FEATURES = "feature_columns"
 
 # Schema-file key -> (Schema field, value kind).  Text keys are required;
 # the two column lists fill the one feature field, numeric columns first.
+# Besides these keys a schema file may hold only ``columns``.
 _SCHEMA_TABLE = {
     "label": ("label_column", str),
     "label_positive": ("label_positive", str),
@@ -195,6 +185,9 @@ _SCHEMA_TABLE = {
 
 
 def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
+    for key in kv:
+        if key not in _SCHEMA_TABLE and key != "columns":
+            raise CLIError(f"{origin}: unknown schema key {key!r}")
     missing = [k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is str and k not in kv]
     if missing:
         raise CLIError(f"{origin}: missing schema keys: {', '.join(missing)}")
@@ -239,34 +232,33 @@ def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
     return build_dataset(raw, schema), schema, raw
 
 
-def _resolve_dataset(args, cfg):
+def _resolve_dataset(args):
     """(dataset, schema) from --dataset and --schema."""
-    dataset_path, schema_path = _eff(args, cfg, "dataset"), _eff(args, cfg, "schema")
-    if dataset_path is None:
+    if args.dataset is None:
         raise CLIError("--dataset is required")
-    if schema_path is None:
+    if args.schema is None:
         raise CLIError("--schema is required")
-    return load_encoded_dataset(dataset_path, schema_path)[:2]
+    return load_encoded_dataset(args.dataset, args.schema)[:2]
 
 
-def _run_options(args, cfg) -> tuple[int, Path, dict]:
+def _run_options(args) -> tuple[int, Path, dict]:
     """The seed, the output directory and the options both commands share,
     checked before any data is loaded; the option names are
     ``ExperimentConfig`` field names.  The directory is made only on write."""
-    seed = _eff(args, cfg, "seed", 0, int)
-    out_dir = Path(_eff(args, cfg, "out", "."))
+    seed = _number(int, "seed", args.seed)
+    out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
         raise CLIError(f"--out {out_dir} exists and is not a directory")
     options = {
-        "alpha1": _eff(args, cfg, "alpha1", 1.0, float),
-        "s_attr": _eff(args, cfg, "s_attr", "random"),
-        "test_fraction": _eff(args, cfg, "test_fraction", 0.2, float),
+        "alpha1": _number(float, "alpha1", args.alpha1),
+        "s_attr": args.s_attr,
+        "test_fraction": _number(float, "test_fraction", args.test_fraction),
     }
     check_run_options(options["alpha1"], options["test_fraction"])
     return seed, out_dir, options
 
 
-def _write_outputs(args, cfg, out_dir: Path, command: str, seed: int, fingerprint: str,
+def _write_outputs(args, out_dir: Path, command: str, seed: int, fingerprint: str,
                    schema: Schema, config: dict, files: dict[str, str]) -> None:
     """Create ``out_dir`` and write ``files`` (name -> text) in order, then
     manifest.json: the seed, the config (dataset, schema and ``config``), the
@@ -275,7 +267,7 @@ def _write_outputs(args, cfg, out_dir: Path, command: str, seed: int, fingerprin
         "command": command,
         "version": __version__,
         "seed": seed,
-        "config": {"dataset": str(_eff(args, cfg, "dataset")),
+        "config": {"dataset": str(args.dataset),
                    "schema": _schema_dict(schema), **config},
         "dataset_fingerprint": fingerprint,
         "outputs": list(files),
@@ -297,16 +289,15 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _read_config(args)
-    method = _canonical_method(_eff(args, cfg, "method") or "")
+    method = _canonical_method(args.method or "")
     names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
-    eps, delta, *pairs = (_eff(args, cfg, k, kind=float) for k in names)
+    eps, delta, *pairs = (_number(float, k, getattr(args, k)) for k in names)
     _validate_budgets(method, eps, delta, *pairs)
-    seed, out_dir, options = _run_options(args, cfg)
+    seed, out_dir, options = _run_options(args)
     # The manifest records the split budgets a split-budget method uses.
     budgets = dict(zip(names, (eps, delta, *split_budgets(method, eps, delta, *pairs))))
 
-    ds, schema = _resolve_dataset(args, cfg)
+    ds, schema = _resolve_dataset(args)
     train_ds, test_ds = split(ds, options["test_fraction"], derive_seed("split", seed, 0))
     model = train_method(
         train_ds, method, derive_seed("train", seed, 0, method),
@@ -314,7 +305,7 @@ def cmd_train(args) -> int:
     )
 
     acc, rd = score(model, test_ds)
-    _write_outputs(args, cfg, out_dir, "train", seed, ds.fingerprint(), schema,
+    _write_outputs(args, out_dir, "train", seed, ds.fingerprint(), schema,
                    {"method": method, **budgets, **options},
                    {"model.json": _json_text(model.to_dict())})
 
@@ -327,28 +318,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _read_config(args)
-    methods_text = _eff(args, cfg, "methods")
-    if not methods_text:
+    if not args.methods:
         raise CLIError("--methods is required (comma-separated list)")
-    methods = tuple(_canonical_method(m) for m in _split_names(methods_text))
-    eps_text = _eff(args, cfg, "eps")
-    delta_text = _eff(args, cfg, "delta")
-    eps_grid = _parse_float_list("eps", eps_text) if eps_text else DEFAULT_EPS_GRID
-    delta_grid = _parse_float_list("delta", delta_text) if delta_text else DEFAULT_DELTA_GRID
-    runs = _eff(args, cfg, "runs", 10, int)
-    seed, out_dir, options = _run_options(args, cfg)
+    methods = tuple(_canonical_method(m) for m in _split_names(args.methods))
+    eps_grid = _parse_float_list("eps", args.eps) if args.eps else DEFAULT_EPS_GRID
+    delta_grid = _parse_float_list("delta", args.delta) if args.delta else DEFAULT_DELTA_GRID
+    runs = _number(int, "runs", args.runs)
+    seed, out_dir, options = _run_options(args)
 
     # Built before the data is loaded: a bad grid fails before any compute.
     config = ExperimentConfig(methods=methods, eps_grid=eps_grid, delta_grid=delta_grid,
                               runs=runs, master_seed=seed, **options)
-    ds, schema = _resolve_dataset(args, cfg)
+    ds, schema = _resolve_dataset(args)
     if set(methods) & set(SPLIT_METHODS):  # an unknown --s-attr fails before any fit
         resolve_s_index(ds, options["s_attr"], 0)
     report = run_experiment(ds, config)
 
     _write_outputs(
-        args, cfg, out_dir, "sweep", seed, report.dataset_fingerprint, schema,
+        args, out_dir, "sweep", seed, report.dataset_fingerprint, schema,
         {"methods": list(methods), "eps_grid": list(eps_grid),
          "delta_grid": list(delta_grid), "runs": runs, **options},
         {"report.json": _json_text(report.to_dict()),
@@ -397,32 +384,36 @@ def build_parser() -> argparse.ArgumentParser:
                                              f"or {DEFAULT_CACHE})")
     p_fetch.set_defaults(func=cmd_fetch)
 
-    def common(p):
+    def common(p, func):
+        p.set_defaults(func=func, parser=p)  # main() sets --config values here
         p.add_argument("--config", help="key = value file of this command's options; flags win")
         p.add_argument("--dataset", help="CSV data file")
         p.add_argument("--schema", help="schema file (required)")
         p.add_argument("--eps", help="privacy budget (train) or comma list (sweep)")
         p.add_argument("--delta", help="failure probability or comma list (sweep)")
-        p.add_argument("--s-attr", help="attribute getting its own budget, or 'random'")
-        p.add_argument("--alpha1", help="fairness penalty weight (default 1)")
-        p.add_argument("--seed", help="master seed (default 0)")
-        p.add_argument("--test-fraction", help="held-out fraction (default 0.2)")
-        p.add_argument("--out", help="output directory (default .)")
+        p.add_argument("--s-attr", default=ExperimentConfig.s_attr,
+                       help="attribute getting its own budget, or 'random' (default %(default)s)")
+        p.add_argument("--alpha1", default=ExperimentConfig.alpha1,
+                       help="fairness penalty weight (default %(default)s)")
+        p.add_argument("--seed", default=ExperimentConfig.master_seed,
+                       help="master seed (default %(default)s)")
+        p.add_argument("--test-fraction", default=ExperimentConfig.test_fraction,
+                       help="held-out fraction (default %(default)s)")
+        p.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
     p_train = sub.add_parser("train", help="train one model and write model.json")
-    common(p_train)
+    common(p_train, cmd_train)
     p_train.add_argument("--method", help="|".join(METHODS))
     p_train.add_argument("--eps-s", help="budget for the designated attribute")
     p_train.add_argument("--eps-n", help="budget for the remaining attributes")
     p_train.add_argument("--delta-s", help="delta for the designated attribute")
     p_train.add_argument("--delta-n", help="delta for the remaining attributes")
-    p_train.set_defaults(func=cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid and write reports")
-    common(p_sweep)
+    common(p_sweep, cmd_sweep)
     p_sweep.add_argument("--methods", help="comma-separated method list")
-    p_sweep.add_argument("--runs", help="independent runs per point (default 10)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--runs", default=ExperimentConfig.runs,
+                         help="independent runs per point (default %(default)s)")
 
     p_report = sub.add_parser("report", help="render a saved report")
     p_report.add_argument("report", help="path to report.json")
@@ -436,6 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # The config values become the command's defaults (every argument
+            # exists by now), so in the second pass an explicit flag wins.
+            args.parser.set_defaults(**_read_config(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (CLIError, FetchError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

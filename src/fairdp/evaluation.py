@@ -308,11 +308,16 @@ def split_budgets(method: str, eps, delta, eps_s=None, eps_n=None, delta_s=None,
     """(eps_s, eps_n, delta_s, delta_n) as ``method`` uses them: PDFC and ADFC
     give the ``s_attr`` column eps_s[/delta_s] and the rest eps_n[/delta_n]; a
     pair left out becomes eps for both epsilons and 1 - sqrt(1 - delta) for
-    both deltas, which composes back to (eps, delta).  Other methods get the
-    pairs back unchanged."""
-    if method in SPLIT_METHODS and None in (eps_s, eps_n):
+    both deltas, which composes back to (eps, delta), and half a pair is an
+    error.  Other methods get the pairs back unchanged."""
+    if method not in SPLIT_METHODS:
+        return eps_s, eps_n, delta_s, delta_n
+    for name, pair in (("eps", (eps_s, eps_n)), ("delta", (delta_s, delta_n))):
+        if pair.count(None) == 1 and (name == "eps" or method in DELTA_METHODS):
+            raise ValueError(f"method {method} takes both {name}_s and {name}_n, or neither")
+    if eps_s is None:
         eps_s = eps_n = eps
-    if method in SPLIT_METHODS and method in DELTA_METHODS and None in (delta_s, delta_n):
+    if method in DELTA_METHODS and delta_s is None:
         delta_s = delta_n = split_total_delta(delta)
     return eps_s, eps_n, delta_s, delta_n
 

@@ -2,7 +2,7 @@
 mask for attribute-wise budgets, coefficient perturbation and budget
 composition.  The four private trainers share one path through it
 (``trainers._private_fit``): a fair sensitivity bound, ``perturb`` at one
-or two scales of one noise kind, and the composed budget.
+or two scales of one noise kind, and the recorded budget.
 
 Sensitivities are the closed-form worst-case bounds over neighboring datasets
 (one row replaced), never data-dependent quantities.  For rows in the
@@ -21,6 +21,8 @@ to the one-at-a-time stream), but log and cos go through the C library
 (``math.log``/``math.cos``), not numpy's ufuncs: numpy's SIMD log differs from
 libm in the last bit on some inputs and CPUs, which would make every private
 output depend on the host.  sqrt is correctly rounded and stays vectorized.
+Outputs are therefore bit-identical only across C libraries whose log and cos
+round the same way: neither is specified to the last bit.
 """
 
 from __future__ import annotations

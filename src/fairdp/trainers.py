@@ -51,7 +51,7 @@ SPLIT_METHODS = ("PDFC", "ADFC")  # split the budget around w_s
 
 @dataclass(frozen=True)
 class BudgetInfo:
-    """Composite budget plus the raw split parts it was composed from."""
+    """Recorded budget plus the raw split parts it was derived from."""
 
     epsilon: float
     delta: float | None = None
@@ -108,7 +108,10 @@ def _private_fit(
     deltas Gaussian at the sigma calibrated for the fair L2 bound; monomials
     containing w_s get the (eps_s[, delta_s]) scale, the rest (eps_n[,
     delta_n]).  PDFC/ADFC perturb the fairness-penalized quadratic and record
-    split budgets; FM/RelaxedFM are the single-budget alpha1 = 0 case on the
+    split budgets: PDFC the composed eps, ADFC the eps of the group with the
+    smaller sigma (every coefficient's sigma is at least that one, which
+    certifies its group's (eps, delta_i), and delta_i is at most the composed
+    delta); FM/RelaxedFM are the single-budget alpha1 = 0 case on the
     plain quadratic, where the fair bounds equal the plain ones bit for bit.
     The bounds assume rows in the nonnegative unit ball; other data is
     rejected before any noise scale is computed.
@@ -135,8 +138,12 @@ def _private_fit(
     poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
     w, diag = minimize_quadratic(poly)
     if split_budget:
+        if kind == "laplace":
+            epsilon = compose_split_epsilon(eps_s, eps_n, ds.d)
+        else:  # equal budgets give compose_split_epsilon's value bit for bit
+            epsilon = eps_s if scale_s <= scale_n else eps_n
         budgets = BudgetInfo(
-            epsilon=compose_split_epsilon(eps_s, eps_n, ds.d),
+            epsilon=epsilon,
             delta=None if delta_s is None else compose_split_delta(delta_s, delta_n),
             eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n, s_index=s_index,
         )

@@ -157,6 +157,22 @@ class TestTrain:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {text}\n"
 
+    @pytest.mark.parametrize("flags, text", [
+        (["--method", "pdfc", "--eps", "5", "--eps-s", "0.1"],
+         "method PDFC takes both eps_s and eps_n, or neither"),
+        (["--method", "adfc", "--eps", "1", "--delta", "1e-3", "--delta-s", "1e-9"],
+         "method ADFC takes both delta_s and delta_n, or neither"),
+    ])
+    def test_half_budget_pair_fails_before_data(self, tmp_path, capsys, flags, text):
+        # Half a pair used to be replaced by the total without a word.  The
+        # dataset path does not exist: the pair check must trip first.
+        out = tmp_path / "out"
+        rc = main(["train", "--dataset", str(tmp_path / "missing.csv"), "--schema", TOY_SCHEMA,
+                   "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
     def test_bad_budget_rejected_before_data(self, tmp_path, capsys):
         # dataset path does not exist: budget validation must trip first
         rc = main([
@@ -345,6 +361,22 @@ def test_repeated_config_key_is_an_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("add-constant-feature = true", "add-constant-feature"),
+    ("numerc = hours", "numerc"),
+])
+def test_unknown_schema_key_is_an_error(tmp_path, capsys, line, key):
+    # A misspelt key used to be dropped, and the run recorded the default.
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text() + line + "\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", str(schema), "--method", "lr",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {schema}: unknown schema key {key!r}\n"
+    assert not out.exists()
+
+
 def test_repeated_schema_key_is_an_error(tmp_path):
     # A second numeric line would silently drop the first one's columns.
     schema = tmp_path / "s.schema"
@@ -399,6 +431,49 @@ def test_unconvertible_flag_names_the_option(tmp_path, capsys, command, flags, t
     assert rc == 2
     assert capsys.readouterr().err == f"error: {text}\n"
     assert not (tmp_path / "out").exists()
+
+
+# A value unlike the default for each option of train and sweep (--out and
+# --config aside): a config value that is lost shows in the outputs.
+OPTION_VALUES = {
+    "train": {"dataset": TOY_CSV, "schema": TOY_SCHEMA, "method": "adfc", "eps": "1",
+              "delta": "1e-3", "eps-s": "0.5", "eps-n": "2", "delta-s": "1e-4",
+              "delta-n": "2e-4", "s-attr": "hours", "alpha1": "2", "seed": "7",
+              "test-fraction": "0.3"},
+    "sweep": {"dataset": TOY_CSV, "schema": TOY_SCHEMA, "methods": "lr,pdfc,adfc",
+              "eps": "0.5,2", "delta": "1e-3,1e-5", "runs": "2", "s-attr": "hours",
+              "alpha1": "2", "seed": "7", "test-fraction": "0.3"},
+}
+
+
+def _options(command):
+    names = vars(build_parser().parse_args([command])).keys()
+    names -= {"command", "func", "parser", "config"}
+    return sorted(name.replace("_", "-") for name in names)
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in OPTION_VALUES for option in _options(command)])
+def test_config_line_equals_flag(tmp_path, capsys, command, option):
+    # An option given as a --config line gives the same bytes as its flag.
+    out = tmp_path / "out"
+    values = {**OPTION_VALUES[command], "out": str(out)}
+
+    def run(*argv):
+        if out.exists():
+            for path in out.iterdir():
+                path.unlink()
+        status = main([command, *argv])
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return status, capsys.readouterr(), files
+
+    by_flag = run(*(arg for name, value in values.items() for arg in (f"--{name}", value)))
+    config = tmp_path / "c.cfg"
+    config.write_text(f"{option} = {values.pop(option)}\n")
+    by_config = run("--config", str(config),
+                    *(arg for name, value in values.items() for arg in (f"--{name}", value)))
+    assert by_flag[0] == 0
+    assert by_config == by_flag
 
 
 @pytest.mark.parametrize("golden", sorted(MANIFEST_GOLDEN_RUNS))

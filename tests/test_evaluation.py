@@ -23,6 +23,7 @@ from fairdp.evaluation import (
     risk_difference,
     run_experiment,
     score,
+    split_budgets,
 )
 from fairdp.trainers import TrainedModel
 
@@ -117,6 +118,18 @@ class TestScore:
         ds = EncodedDataset(X=X, y=[1, 0, 0, 1, 1], z=z, feature_names=("a", "b"))
         model = fixed_model([1.0, -1.0])
         assert score(model, ds) == (accuracy(model, ds), risk_difference(model, ds))
+
+
+class TestSplitBudgets:
+    @pytest.mark.parametrize("method, pairs, name", [
+        ("PDFC", {"eps_s": 0.1}, "eps"),
+        ("ADFC", {"eps_n": 0.1}, "eps"),
+        ("ADFC", {"delta_s": 1e-9}, "delta"),
+    ])
+    def test_half_pair_is_an_error(self, method, pairs, name):
+        # It used to be replaced by the total without a word.
+        with pytest.raises(ValueError, match=f"method {method} takes both {name}_s and {name}_n, or neither"):
+            split_budgets(method, 5.0, 1e-3, **pairs)
 
 
 class TestDeriveSeed:

@@ -23,6 +23,7 @@ from fairdp.mechanisms import (
     split_total_delta,
 )
 from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
+from fairdp.trainers import train_adfc
 
 from conftest import random_unit_rows
 from toys import GOLDEN_DIR, perturb_golden_inputs
@@ -32,9 +33,12 @@ def log_privacy_profile(eps, sigma, sensitivity):
     """log delta(eps) of the Gaussian mechanism (Balle & Wang, ICML 2018,
     Thm 8): delta(eps) = Phi(D/2s - eps s/D) - e^eps Phi(-D/2s - eps s/D),
     with D the L2 sensitivity and s the noise scale, in log space so that
-    small tails keep their relative precision."""
+    small tails keep their relative precision.  A delta that rounds to 0 is
+    -inf."""
     a, b = sensitivity / (2.0 * sigma), eps * sigma / sensitivity
     first, second = log_ndtr(a - b), log_ndtr(-a - b)
+    if eps + second - first >= 0:
+        return -math.inf
     return first + math.log1p(-math.exp(eps + second - first))
 
 
@@ -155,6 +159,40 @@ class TestSplitBudgetLedger:
                 for mask in masks:
                     loss = (eps_s * v[mask].sum() + eps_n * v[~mask].sum()) / sensitivity
                     assert (loss <= composed).all(), (alpha1, loss, composed)
+
+
+class TestGaussianSplitBudgetLedger:
+    # ADFC draws Gaussian noise at sigma_s on the monomials S that contain
+    # w_s and sigma_n on the rest.  Replacing one row moves the fair
+    # coefficients by v, so the pair of output laws is the Gaussian
+    # mechanism's at unit noise with sensitivity mu = ||v / sigma||_2; its
+    # exact privacy profile at the epsilon ADFC records must stay within the
+    # delta it records.
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_realised_delta_within_recorded(self, rng, d):
+        masks = [sensitive_mask(d, s) for s in range(d)]
+        pairs = [make(rng, 5, d) for make in (neighboring_pair, one_coordinate_pair)
+                 for _ in range(100)]
+        for alpha1 in (0.0, 1.0, 20.0):
+            sensitivity = l2_sensitivity_fair(d, alpha1)
+            diffs = []
+            for a, b in pairs:
+                pa, pb = fair_poly(a, alpha1), fair_poly(b, alpha1)
+                v = np.concatenate([pa.c1 - pb.c1, (pa.c2 - pb.c2).ravel()])
+                diffs += [(np.linalg.norm(v[mask]), np.linalg.norm(v[~mask])) for mask in masks]
+            for delta in (1e-3, 1e-7):
+                part = split_total_delta(delta)
+                for eps_s, eps_n in TestSplitBudgetLedger.EPS_PAIRS:
+                    recorded = train_adfc(pairs[0][0], eps_s, eps_n, part, part, 0,
+                                          alpha1).budgets
+                    sigma_s = gaussian_sigma(eps_s, part, sensitivity)
+                    sigma_n = gaussian_sigma(eps_n, part, sensitivity)
+                    for norm_s, norm_n in diffs:
+                        mu = math.hypot(norm_s / sigma_s, norm_n / sigma_n)
+                        if mu > 0:
+                            realised = log_privacy_profile(recorded.epsilon, 1.0, mu)
+                            assert realised <= math.log(recorded.delta), (
+                                alpha1, eps_s, eps_n, delta, realised)
 
 
 class TestGaussianSigma:

@@ -155,7 +155,8 @@ class TestAdfc:
         model = train_adfc(toy_d3(), eps_s=0.5, eps_n=1.0, delta_s=1e-3,
                            delta_n=1e-4, s_index=1, alpha1=1.0, seed=13)
         np.testing.assert_array_equal(model.w, np.array(golden["w"]))
-        assert model.budgets.epsilon == pytest.approx(0.5 / 3 + 2.0 / 3, rel=1e-12)
+        # (1.0, 1e-4) calibrates the smaller sigma, so eps_n is what is certified.
+        assert model.budgets.epsilon == 1.0
         assert model.budgets.delta == pytest.approx(
             1.0 - (1.0 - 1e-3) * (1.0 - 1e-4), rel=1e-12
         )
@@ -280,7 +281,9 @@ class TestModelInvariants:
         pdfc = train_pdfc(conditioned_ds, 0.4, 1.3, s_index=1, seed=8)
         assert pdfc.budgets.epsilon == compose_split_epsilon(0.4, 1.3, d)
         adfc = train_adfc(conditioned_ds, 0.4, 1.3, 1e-3, 1e-5, s_index=1, seed=8)
-        assert adfc.budgets.epsilon == compose_split_epsilon(0.4, 1.3, d)
+        # ADFC records the eps whose (eps, delta) calibrates the smaller sigma.
+        assert gaussian_sigma(1.3, 1e-5, 1.0) < gaussian_sigma(0.4, 1e-3, 1.0)
+        assert adfc.budgets.epsilon == 1.3
         assert adfc.budgets.delta == compose_split_delta(1e-3, 1e-5)
 
     def test_budgets_present_iff_private(self):
