@@ -16,15 +16,14 @@ All randomness flows from one ``--seed`` recorded in the manifest.
 ``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr,
 test-fraction; their defaults are ``ExperimentConfig``'s) through one reader,
 check every value before loading data, and write their files and
-``manifest.json`` through one writer.  How a split-budget method divides
-(eps, delta) is decided in ``evaluation``.
+``manifest.json`` through one writer.  ``evaluation.method_budgets`` checks
+a method's budgets and divides a split-budget method's (eps, delta).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -48,16 +47,16 @@ from .evaluation import (
     accuracy,  # noqa: F401 - re-exported, like the trainers below
     check_run_options,
     derive_seed,
+    method_budgets,
     render_table,
     report_csv_lines,
     resolve_s_index,
     risk_difference,  # noqa: F401 - re-exported
     run_experiment,
     score,
-    split_budgets,
     train_method,
 )
-from .trainers import DELTA_METHODS, METHODS, PRIVATE_METHODS, SPLIT_METHODS
+from .trainers import METHODS, SPLIT_METHODS
 # Re-exported: scripts that drive single fits (bench/run.py) import the
 # trainers from here; tests/test_bench_contract.py pins the names.
 from .trainers import (  # noqa: F401
@@ -89,9 +88,12 @@ def _canonical_method(name: str) -> str:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:  # a directory, no permission, ...
         raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CLIError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                       f"at byte {exc.start})") from None
 
 
 def parse_keyvalue_file(path: str | Path, normalize=str) -> dict[str, str]:
@@ -150,21 +152,6 @@ def _read_config(args) -> dict[str, str]:
         if key not in options:
             raise CLIError(f"{args.config}: {key!r} is not an option of fairdp {args.command}")
     return cfg
-
-
-def _validate_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n):
-    for name, v in (("--eps", eps), ("--eps-s", eps_s), ("--eps-n", eps_n)):
-        if v is not None and not 0.0 < v < math.inf:
-            raise CLIError(f"{name} must be finite and positive, got {v}")
-    for name, v in (("--delta", delta), ("--delta-s", delta_s), ("--delta-n", delta_n)):
-        if v is not None and not 0.0 < v < 1.0:
-            raise CLIError(f"{name} must be in (0, 1), got {v}")
-    for flag, total, parts, needed in (("eps", eps, (eps_s, eps_n), PRIVATE_METHODS),
-                                       ("delta", delta, (delta_s, delta_n), DELTA_METHODS)):
-        if method in needed and total is None:
-            pair = f" or both --{flag}-s/--{flag}-n" if method in SPLIT_METHODS else ""
-            if not pair or None in parts:
-                raise CLIError(f"method {method} requires --{flag}{pair}")
 
 
 _FEATURES = "feature_columns"
@@ -275,7 +262,7 @@ def _write_outputs(args, out_dir: Path, command: str, seed: int, fingerprint: st
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in {**files, "manifest.json": _json_text(manifest)}.items():
-            (out_dir / name).write_text(text)
+            (out_dir / name).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise CLIError(f"cannot write {exc.filename or out_dir}: {exc.strerror or exc}") from None
 
@@ -291,11 +278,8 @@ def cmd_fetch(args) -> int:
 def cmd_train(args) -> int:
     method = _canonical_method(args.method or "")
     names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
-    eps, delta, *pairs = (_number(float, k, getattr(args, k)) for k in names)
-    _validate_budgets(method, eps, delta, *pairs)
+    budgets = method_budgets(method, **{k: _number(float, k, getattr(args, k)) for k in names})
     seed, out_dir, options = _run_options(args)
-    # The manifest records the split budgets a split-budget method uses.
-    budgets = dict(zip(names, (eps, delta, *split_budgets(method, eps, delta, *pairs))))
 
     ds, schema = _resolve_dataset(args)
     train_ds, test_ds = split(ds, options["test_fraction"], derive_seed("split", seed, 0))
@@ -321,8 +305,9 @@ def cmd_sweep(args) -> int:
     if not args.methods:
         raise CLIError("--methods is required (comma-separated list)")
     methods = tuple(_canonical_method(m) for m in _split_names(args.methods))
-    eps_grid = _parse_float_list("eps", args.eps) if args.eps else DEFAULT_EPS_GRID
-    delta_grid = _parse_float_list("delta", args.delta) if args.delta else DEFAULT_DELTA_GRID
+    eps_grid = DEFAULT_EPS_GRID if args.eps is None else _parse_float_list("eps", args.eps)
+    delta_grid = (DEFAULT_DELTA_GRID if args.delta is None
+                  else _parse_float_list("delta", args.delta))
     runs = _number(int, "runs", args.runs)
     seed, out_dir, options = _run_options(args)
 

@@ -206,13 +206,14 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
     whitespace-trimmed.  Rows containing a missing-value marker ("?" or an
     empty cell) are dropped and counted in ``n_dropped``.  Blank lines and
     lines starting with ``|`` are skipped.  A row whose cell count differs
-    from the number of column names raises :class:`ParseError` naming the line.
+    from the number of column names raises :class:`ParseError` naming the line;
+    a column name given twice, or text that is not UTF-8, raises it too.
     """
     path = Path(path)
-    names = None if column_names is None else tuple(column_names)
+    names = None if column_names is None else _distinct(path, tuple(column_names))
     rows: list[tuple[str, ...]] = []
     dropped = 0
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             for record in reader:
@@ -222,7 +223,7 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
                     continue
                 cells = tuple(map(str.strip, record))
                 if names is None:
-                    names = cells
+                    names = _distinct(path, cells)
                     continue
                 if len(cells) != len(names):
                     raise ParseError(
@@ -235,11 +236,20 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
                 rows.append(cells)
         except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
             raise ParseError(f"{path.name}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     if names is None or (column_names is not None and not rows and not dropped):
         raise ParseError(f"{path.name}: file is empty")
     if not rows:
         raise ParseError(f"{path.name}: no usable rows (all dropped or missing)")
     return RawTable(column_names=names, rows=tuple(rows), n_dropped=dropped)
+
+
+def _distinct(path: Path, names: tuple[str, ...]) -> tuple[str, ...]:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"{path.name}: column name {name!r} is repeated")
+    return names
 
 
 def _column(raw: RawTable, name: str) -> list[str]:
@@ -429,7 +439,7 @@ def fetch_dataset(
     pin_path = cache_dir / "checksums.json"
     pins: dict[str, str] = {}
     if pin_path.exists():
-        pins = json.loads(pin_path.read_text())
+        pins = json.loads(pin_path.read_text(encoding="utf-8"))
 
     out: dict[str, Path] = {}
     for remote in registry[name]:
@@ -458,5 +468,5 @@ def fetch_dataset(
                 remote.filename, target.stat().st_size, remote.size,
             )
         out[remote.filename] = target
-    pin_path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    pin_path.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return out

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import EncodedDataset, split
-from .mechanisms import split_total_delta
+from .mechanisms import check_budget, split_total_delta
 from .optimizer import RegularizationPolicy
 from .trainers import (
     DELTA_METHODS,
@@ -130,11 +130,9 @@ class ExperimentConfig:
         if not self.delta_grid:
             raise ValueError("delta grid is empty")
         for e in self.eps_grid:
-            if not 0.0 < e < math.inf:
-                raise ValueError(f"epsilon grid value must be finite and positive, got {e}")
+            check_budget("epsilon grid value", e)
         for dv in self.delta_grid:
-            if not 0.0 < dv < 1.0:
-                raise ValueError(f"delta grid value must be in (0, 1), got {dv}")
+            check_budget("delta grid value", dv)
         check_run_options(self.alpha1, self.test_fraction)
 
     def grid(self) -> list[GridPoint]:
@@ -303,23 +301,36 @@ def _effective_key(point: GridPoint, alpha1: float, s_attr: str) -> tuple:
     return (m, eps, dlt, a1, s)
 
 
-def split_budgets(method: str, eps, delta, eps_s=None, eps_n=None, delta_s=None,
-                  delta_n=None) -> tuple:
-    """(eps_s, eps_n, delta_s, delta_n) as ``method`` uses them: PDFC and ADFC
-    give the ``s_attr`` column eps_s[/delta_s] and the rest eps_n[/delta_n]; a
-    pair left out becomes eps for both epsilons and 1 - sqrt(1 - delta) for
-    both deltas, which composes back to (eps, delta), and half a pair is an
-    error.  Other methods get the pairs back unchanged."""
-    if method not in SPLIT_METHODS:
-        return eps_s, eps_n, delta_s, delta_n
-    for name, pair in (("eps", (eps_s, eps_n)), ("delta", (delta_s, delta_n))):
-        if pair.count(None) == 1 and (name == "eps" or method in DELTA_METHODS):
-            raise ValueError(f"method {method} takes both {name}_s and {name}_n, or neither")
-    if eps_s is None:
-        eps_s = eps_n = eps
-    if method in DELTA_METHODS and delta_s is None:
-        delta_s = delta_n = split_total_delta(delta)
-    return eps_s, eps_n, delta_s, delta_n
+def method_budgets(method: str, eps=None, delta=None, eps_s=None, eps_n=None,
+                   delta_s=None, delta_n=None) -> dict:
+    """The six budgets by name as ``method`` reads them, None for the rest.
+    Each value given must be in range, read or not.  A private method needs
+    eps, RelaxedFM and ADFC delta.  PDFC (eps) and ADFC (eps and delta) take
+    whole (_s, _n) pairs or fill them from the totals: eps for both epsilons
+    and 1 - sqrt(1 - delta) for both deltas, which composes back to (eps, delta)."""
+    given = dict(eps=eps, delta=delta, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n)
+    for name, value in given.items():
+        if value is not None:
+            check_budget(name, value)
+    split_budget = method in SPLIT_METHODS
+    read = [total for total, methods in (("eps", PRIVATE_METHODS), ("delta", DELTA_METHODS))
+            if method in methods]
+    for total in read:
+        pair = (given[f"{total}_s"], given[f"{total}_n"])
+        if given[total] is None and (not split_budget or None in pair):
+            either = f" or both {total}_s and {total}_n" if split_budget else ""
+            raise ValueError(f"method {method} requires {total}{either}")
+    budgets = dict.fromkeys(given)
+    for total in read:
+        budgets[total] = given[total]
+        if split_budget:
+            pair = (given[f"{total}_s"], given[f"{total}_n"])
+            if pair.count(None) == 1:
+                raise ValueError(f"method {method} takes both {total}_s and {total}_n, or neither")
+            if pair[0] is None:
+                pair = (eps, eps) if total == "eps" else (split_total_delta(delta),) * 2
+            budgets[f"{total}_s"], budgets[f"{total}_n"] = pair
+    return budgets
 
 
 def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
@@ -327,25 +338,24 @@ def train_method(train_ds: EncodedDataset, method: str, seed: int, *,
                  alpha1: float = 1.0, s_attr: str = "random",
                  policy: RegularizationPolicy | None = None) -> TrainedModel:
     """Train one model of any method; the sweep and ``train`` share this table.
-    PDFC and ADFC divide their budget as ``split_budgets`` says."""
+    The budgets are checked, and PDFC and ADFC's divided, by ``method_budgets``."""
+    b = method_budgets(method, eps, delta, eps_s, eps_n, delta_s, delta_n)
     if method == "LR":
         return train_lr(train_ds, policy=policy)
     if method == "FairLR":
         return train_fair_lr(train_ds, alpha1=alpha1)
     if method == "FM":
-        return train_fm(train_ds, eps, seed=seed)
+        return train_fm(train_ds, b["eps"], seed=seed)
     if method == "RelaxedFM":
-        return train_relaxed_fm(train_ds, eps, delta, seed=seed)
+        return train_relaxed_fm(train_ds, b["eps"], b["delta"], seed=seed)
     if method not in SPLIT_METHODS:
         raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
     s_index = resolve_s_index(train_ds, s_attr, derive_seed("s-attr", seed))
-    eps_s, eps_n, delta_s, delta_n = split_budgets(
-        method, eps, delta, eps_s, eps_n, delta_s, delta_n)
     if method == "PDFC":
-        return train_pdfc(train_ds, eps_s=eps_s, eps_n=eps_n, s_index=s_index,
+        return train_pdfc(train_ds, eps_s=b["eps_s"], eps_n=b["eps_n"], s_index=s_index,
                           alpha1=alpha1, seed=seed)
-    return train_adfc(train_ds, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s,
-                      delta_n=delta_n, s_index=s_index, alpha1=alpha1, seed=seed)
+    return train_adfc(train_ds, eps_s=b["eps_s"], eps_n=b["eps_n"], delta_s=b["delta_s"],
+                      delta_n=b["delta_n"], s_index=s_index, alpha1=alpha1, seed=seed)
 
 
 def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentReport:

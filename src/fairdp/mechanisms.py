@@ -65,8 +65,7 @@ def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_budget("delta", delta)
     if delta >= _DELTA_SUP:
         raise ValueError(
             f"delta must be below sqrt(2/pi) ~ {_DELTA_SUP:.4f} for the calibration "
@@ -166,6 +165,16 @@ def perturb(
 
 # --- budget composition ------------------------------------------------------
 
+def check_budget(name: str, value: float | None) -> None:
+    """Raise ValueError naming budget ``name`` unless ``value`` is in range:
+    a delta (a name that starts with "delta") in (0, 1), an epsilon finite
+    and positive."""
+    delta = name.startswith("delta")
+    if value is None or not 0.0 < value < (1.0 if delta else math.inf):
+        rule = "in (0, 1)" if delta else "finite and positive"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
 def compose_split_epsilon(eps_s: float, eps_n: float, d: int) -> float:
     """Composite budget of attribute-wise perturbation: eps_s/d + eps_n(d-1)/d.
 
@@ -182,14 +191,12 @@ def compose_split_epsilon(eps_s: float, eps_n: float, d: int) -> float:
 def compose_split_delta(delta_s: float, delta_n: float) -> float:
     """Composite failure probability: 1 - (1 - delta_s)(1 - delta_n)."""
     for dv in (delta_s, delta_n):
-        if not 0.0 < dv < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {dv}")
+        check_budget("delta", dv)
     return 1.0 - (1.0 - delta_s) * (1.0 - delta_n)
 
 
 def split_total_delta(delta: float) -> float:
     """Equal per-group delta whose composition gives back ``delta`` exactly:
     delta_s = delta_n = 1 - sqrt(1 - delta)."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    check_budget("delta", delta)
     return 1.0 - math.sqrt(1.0 - delta)

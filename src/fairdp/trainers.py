@@ -32,6 +32,7 @@ import numpy as np
 
 from .dataset import EncodedDataset
 from .mechanisms import (
+    check_budget,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sigma,
@@ -104,8 +105,9 @@ def _private_fit(
 ) -> TrainedModel:
     """The one perturb-and-solve path of the four private methods.
 
-    Without deltas the noise is Laplace at the fair L1 bound over eps, with
-    deltas Gaussian at the sigma calibrated for the fair L2 bound; monomials
+    FM and PDFC draw Laplace noise at the fair L1 bound over eps, RelaxedFM
+    and ADFC Gaussian noise at the sigma calibrated for the fair L2 bound
+    (a delta they lack is an error, not a switch to Laplace); monomials
     containing w_s get the (eps_s[, delta_s]) scale, the rest (eps_n[,
     delta_n]).  PDFC/ADFC perturb the fairness-penalized quadratic and record
     split budgets: PDFC the composed eps, ADFC the eps of the group with the
@@ -113,19 +115,22 @@ def _private_fit(
     certifies its group's (eps, delta_i), and delta_i is at most the composed
     delta); FM/RelaxedFM are the single-budget alpha1 = 0 case on the
     plain quadratic, where the fair bounds equal the plain ones bit for bit.
-    The bounds assume rows in the nonnegative unit ball; other data is
-    rejected before any noise scale is computed.
+    The bounds assume rows in the nonnegative unit ball; other data, and a
+    budget out of range, is rejected before any noise scale is computed.
     """
-    split_budget = method in SPLIT_METHODS
+    split_budget, gaussian = method in SPLIT_METHODS, method in DELTA_METHODS
     names = ("eps_s", "eps_n") if split_budget else ("epsilon", "epsilon")
     for name, eps in zip(names, (eps_s, eps_n)):
-        if not 0.0 < eps < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {eps}")
+        check_budget(name, eps)
+    if gaussian:
+        delta_names = ("delta_s", "delta_n") if split_budget else ("delta", "delta")
+        for name, delta in zip(delta_names, (delta_s, delta_n)):
+            check_budget(name, delta)
     if not 0 <= s_index < ds.d:
         raise ValueError(f"s_index {s_index} out of range for d={ds.d}")
     ds.check_normalized()
     poly = fair_poly(ds, alpha1) if split_budget else lr_poly(ds)
-    if delta_s is None:
+    if not gaussian:
         kind, sensitivity = "laplace", l1_sensitivity_fair(ds.d, alpha1)
         scale_s, scale_n = sensitivity / eps_s, sensitivity / eps_n
     else:

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import fairdp.dataset as dataset_mod
 from fairdp import evaluation
 from fairdp.cli import (
+    _SCHEMA_TABLE,
     CLIError,
     _schema_from_kv,
     build_parser,
@@ -101,6 +105,20 @@ class TestTrain:
         assert len(manifest["dataset_fingerprint"]) == 64
         assert manifest["outputs"] == ["model.json"]
 
+    @pytest.mark.parametrize("flags, read", [
+        (["--method", "fm", "--eps", "1", "--eps-s", "0.01", "--delta", "0.5"], {"eps": 1.0}),
+        (["--method", "pdfc", "--eps", "1", "--delta-s", "1e-3"],
+         {"eps": 1.0, "eps_s": 1.0, "eps_n": 1.0}),
+        (["--method", "lr", "--eps", "1"], {}),
+    ])
+    def test_manifest_records_only_budgets_read(self, tmp_path, flags, read):
+        # Budgets the method never reads used to be recorded as given.
+        assert main(["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+                     "--out", str(tmp_path), *flags]) == 0
+        config = read_json(tmp_path / "manifest.json")["config"]
+        names = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
+        assert {k: config[k] for k in names} == {**dict.fromkeys(names), **read}
+
     def test_missing_dataset_path_fails_before_compute(self, tmp_path, capsys):
         rc = main([
             "train", "--dataset", str(tmp_path / "nope.csv"), "--schema", TOY_SCHEMA,
@@ -141,15 +159,15 @@ class TestTrain:
         assert "delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags, text", [
-        (["--method", "fm"], "method FM requires --eps"),
-        (["--method", "relaxedfm", "--delta", "1e-3"], "method RelaxedFM requires --eps"),
-        (["--method", "relaxedfm", "--eps", "1"], "method RelaxedFM requires --delta"),
+        (["--method", "fm"], "method FM requires eps"),
+        (["--method", "relaxedfm", "--delta", "1e-3"], "method RelaxedFM requires eps"),
+        (["--method", "relaxedfm", "--eps", "1"], "method RelaxedFM requires delta"),
         (["--method", "pdfc", "--eps-s", "1"],
-         "method PDFC requires --eps or both --eps-s/--eps-n"),
+         "method PDFC requires eps or both eps_s and eps_n"),
         (["--method", "adfc", "--eps-n", "1", "--delta", "1e-3"],
-         "method ADFC requires --eps or both --eps-s/--eps-n"),
+         "method ADFC requires eps or both eps_s and eps_n"),
         (["--method", "adfc", "--eps", "1", "--delta-s", "1e-3"],
-         "method ADFC requires --delta or both --delta-s/--delta-n"),
+         "method ADFC requires delta or both delta_s and delta_n"),
     ])
     def test_missing_budget_texts(self, tmp_path, capsys, flags, text):
         rc = main(["train", "--dataset", str(tmp_path / "missing.csv"),
@@ -180,7 +198,7 @@ class TestTrain:
             TOY_SCHEMA, "--method", "fm", "--eps", "-1.0",
         ])
         assert rc == 2
-        assert "--eps" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: eps must be finite and positive, got -1.0\n"
 
     @pytest.mark.parametrize("flags, name", [
         (["--method", "fm", "--eps", "nan"], "--eps"),
@@ -188,18 +206,20 @@ class TestTrain:
         (["--method", "pdfc", "--eps", "1", "--eps-s", "inf", "--eps-n", "1"], "--eps-s"),
         (["--method", "fm", "--eps", "1", "--alpha1", "nan"], "alpha1"),
         (["--method", "fm", "--eps", "1", "--test-fraction", "1.5"], "test_fraction"),
+        (["--method", "lr", "--eps", "1", "--delta", "5"], "--delta"),  # checked, though unread
     ])
     def test_bad_input_fails_before_data(self, tmp_path, capsys, flags, name):
         # The dataset path does not exist: the input check must trip first,
-        # exit 2 and write nothing.
+        # exit 2 and write nothing.  The error names the option as its
+        # config key.
         out = tmp_path / "out"
         rc = main([
             "train", "--dataset", str(tmp_path / "missing.csv"), "--schema", TOY_SCHEMA,
             "--out", str(out), *flags,
         ])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and name in err and "not found" not in err
+        key = name.lstrip("-").replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
         assert not out.exists()
 
     def test_unknown_method(self, capsys):
@@ -401,6 +421,9 @@ def test_repeated_schema_key_is_an_error(tmp_path):
     (["sweep", "--methods", "relaxedfm"], "delta = 1e-3,?",
      "--delta expects a number, got '?'"),
     (["sweep", "--methods", "fm"], "eps = ,", "--eps expects a comma list of numbers, got ','"),
+    (["sweep", "--methods", "fm"], "eps =", "--eps expects a comma list of numbers, got ''"),
+    (["sweep", "--methods", "relaxedfm"], "delta =",
+     "--delta expects a comma list of numbers, got ''"),
 ])
 def test_unconvertible_config_value_names_the_option(tmp_path, capsys, command, line, text):
     # The dataset path does not exist: the conversion must fail first.
@@ -423,6 +446,9 @@ def test_unconvertible_config_value_names_the_option(tmp_path, capsys, command, 
     (["train", "--method", "fm"], ["--eps", "one"], "--eps expects a number, got 'one'"),
     (["sweep", "--methods", "fm"], ["--runs", "2.5"], "--runs expects an integer, got '2.5'"),
     (["sweep", "--methods", "fm"], ["--seed", "1.0"], "--seed expects an integer, got '1.0'"),
+    (["sweep", "--methods", "fm"], ["--eps", ""], "--eps expects a comma list of numbers, got ''"),
+    (["sweep", "--methods", "relaxedfm"], ["--delta", ""],
+     "--delta expects a comma list of numbers, got ''"),
 ])
 def test_unconvertible_flag_names_the_option(tmp_path, capsys, command, flags, text):
     # A flag goes through the same converter as a config value.
@@ -690,6 +716,57 @@ def test_readme_commands_parse():
     assert {command[1] for command in commands} == {"fetch", "train", "sweep", "report"}
     for command in commands:
         build_parser().parse_args(command[1:])
+
+
+def test_readme_schema_block_shows_every_key():
+    # The README calls any key not shown in its schema block an error.
+    block = README.read_text().split("### Schema files", 1)[1].split("```")[1]
+    keys = {line.partition("=")[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == set(_SCHEMA_TABLE) | {"columns"}
+
+
+@pytest.mark.parametrize("target", ["dataset", "schema", "config"])
+def test_file_that_is_not_utf8_is_named(tmp_path, capsys, target):
+    files = {"dataset": tmp_path / "d.csv", "schema": tmp_path / "s.schema",
+             "config": tmp_path / "c.cfg"}
+    texts = {"dataset": Path(TOY_CSV).read_bytes(), "schema": Path(TOY_SCHEMA).read_bytes(),
+             "config": b"seed = 1\n"}
+    for name, path in files.items():
+        path.write_bytes(texts[name] + (b"# \xff\n" if name == target else b""))
+    out = tmp_path / "out"
+    rc = main(["train", "--method", "lr", "--dataset", str(files["dataset"]),
+               "--schema", str(files["schema"]), "--config", str(files["config"]),
+               "--out", str(out)])
+    assert rc == 2
+    position = len(texts[target]) + 2
+    assert capsys.readouterr().err == {
+        "dataset": "error: d.csv: not UTF-8 text (invalid start byte)\n",
+        "schema": f"error: cannot read {files['schema']}: not UTF-8 text "
+                  f"(invalid start byte at byte {position})\n",
+        "config": f"error: cannot read {files['config']}: not UTF-8 text "
+                  f"(invalid start byte at byte {position})\n",
+    }[target]
+    assert not out.exists()
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    # Run in a child that turns a file opened in the locale's encoding into
+    # an error: every text file the commands read or write names UTF-8.
+    config = tmp_path / "c.cfg"
+    config.write_text(f"dataset = {TOY_CSV}\nschema = {TOY_SCHEMA}\n", encoding="utf-8")
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from fairdp.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["train", "--config", str(config), "--method", "adfc", "--eps", "1",
+                  "--delta", "1e-3", "--out", str(tmp_path / "t")],
+                 ["sweep", "--config", str(config), "--methods", "fm", "--eps", "1",
+                  "--runs", "1", "--out", str(tmp_path / "s")],
+                 ["report", str(tmp_path / "s" / "report.json")]):
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", code, *argv], capture_output=True, encoding="utf-8", env=env)
+        assert (result.returncode, result.stderr) == (0, "")
 
 
 def test_shipped_adult_schema_loads(tmp_path):

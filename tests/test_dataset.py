@@ -85,6 +85,23 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"^t.csv: line 1 has 3 cells, expected 4$"):
             load_csv(path, column_names=["a", "b", "c", "d"])
 
+    @pytest.mark.parametrize("text, names", [
+        ("a,b,a\n1,2,3\n", None),
+        ("1,2,3\n", ["a", "b", "a"]),
+    ])
+    def test_repeated_column_name(self, tmp_path, text, names):
+        # A header or column list that repeats a name used to be read as if
+        # only its first column existed.
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(ParseError, match=r"^t.csv: column name 'a' is repeated$"):
+            load_csv(path, column_names=names)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        with pytest.raises(ParseError, match=r"^t.csv: not UTF-8 text \(invalid start byte\)$"):
+            load_csv(path)
+
     def test_empty_file_with_column_names(self, tmp_path):
         with pytest.raises(ParseError, match="file is empty"):
             load_csv(write(tmp_path, "t.csv", "\n"), column_names=["a"])

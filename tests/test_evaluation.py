@@ -17,14 +17,15 @@ from fairdp.evaluation import (
     PointAggregate,
     accuracy,
     derive_seed,
+    method_budgets,
     predict_labels,
     render_table,
     report_csv_lines,
     risk_difference,
     run_experiment,
     score,
-    split_budgets,
 )
+from fairdp.mechanisms import split_total_delta
 from fairdp.trainers import TrainedModel
 
 from toys import toy_d3
@@ -129,7 +130,54 @@ class TestSplitBudgets:
     def test_half_pair_is_an_error(self, method, pairs, name):
         # It used to be replaced by the total without a word.
         with pytest.raises(ValueError, match=f"method {method} takes both {name}_s and {name}_n, or neither"):
-            split_budgets(method, 5.0, 1e-3, **pairs)
+            method_budgets(method, 5.0, 1e-3, **pairs)
+
+
+BUDGET_NAMES = ("eps", "delta", "eps_s", "eps_n", "delta_s", "delta_n")
+
+
+class TestMethodBudgets:
+    @pytest.mark.parametrize("method, read", [
+        ("LR", {}),
+        ("FairLR", {}),
+        ("FM", {"eps": 2.0}),
+        ("RelaxedFM", {"eps": 2.0, "delta": 1e-3}),
+        ("PDFC", {"eps": 2.0, "eps_s": 2.0, "eps_n": 2.0}),
+        ("ADFC", {"eps": 2.0, "delta": 1e-3, "eps_s": 2.0, "eps_n": 2.0,
+                  "delta_s": split_total_delta(1e-3), "delta_n": split_total_delta(1e-3)}),
+    ])
+    def test_totals_fill_what_the_method_reads(self, method, read):
+        assert method_budgets(method, eps=2.0, delta=1e-3) == {
+            **dict.fromkeys(BUDGET_NAMES), **read}
+
+    @pytest.mark.parametrize("method, read", [
+        ("FM", {"eps": 2.0}),
+        ("PDFC", {"eps": 2.0, "eps_s": 0.5, "eps_n": 3.0}),
+        ("ADFC", {"eps": 2.0, "delta": 1e-3, "eps_s": 0.5, "eps_n": 3.0,
+                  "delta_s": 1e-4, "delta_n": 1e-5}),
+    ])
+    def test_pairs_are_read_only_by_their_methods(self, method, read):
+        given = dict(zip(BUDGET_NAMES, (2.0, 1e-3, 0.5, 3.0, 1e-4, 1e-5)))
+        assert method_budgets(method, **given) == {**dict.fromkeys(BUDGET_NAMES), **read}
+
+    @pytest.mark.parametrize("method, given, text", [
+        ("LR", {"delta": 5.0}, "delta must be in (0, 1), got 5.0"),
+        ("FM", {"eps": 1.0, "eps_n": math.inf}, "eps_n must be finite and positive, got inf"),
+        ("FM", {}, "method FM requires eps"),
+        ("RelaxedFM", {"eps": 1.0}, "method RelaxedFM requires delta"),
+        ("PDFC", {"eps_s": 1.0}, "method PDFC requires eps or both eps_s and eps_n"),
+        ("ADFC", {"eps": 1.0, "delta_n": 1e-3},
+         "method ADFC requires delta or both delta_s and delta_n"),
+    ])
+    def test_errors_name_config_keys(self, method, given, text):
+        with pytest.raises(ValueError) as exc:
+            method_budgets(method, **given)
+        assert str(exc.value) == text
+
+    def test_train_method_without_eps(self):
+        # A library call used to fail inside the trainer with a TypeError.
+        with pytest.raises(ValueError, match="^method FM requires eps$"):
+            evaluation.train_method(toy_d3(), "FM", 0)
 
 
 class TestDeriveSeed:

@@ -229,6 +229,20 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="eps_n 1e-320 is too small"):
             train_adfc(toy_d3(), 1.0, 1e-320, 1e-3, 1e-3, s_index=0)
 
+    @pytest.mark.parametrize("train, args, text", [
+        (train_relaxed_fm, (1.0, None, 0), "delta must be in (0, 1), got None"),
+        (train_adfc, (1.0, 1.0, None, None, 1), "delta_s must be in (0, 1), got None"),
+        (train_adfc, (1.0, 1.0, 1e-3, None, 1), "delta_n must be in (0, 1), got None"),
+        (train_adfc, (1.0, 1.0, 1e-3, 1.5, 1), "delta_n must be in (0, 1), got 1.5"),
+    ])
+    def test_gaussian_methods_require_delta(self, train, args, text, monkeypatch):
+        # Without a delta RelaxedFM and ADFC used to draw Laplace noise and
+        # return FM's and PDFC's models under their own names.
+        monkeypatch.setattr(trainers_mod, "perturb", None)  # no noise is drawn
+        with pytest.raises(ValueError) as exc:
+            train(toy_d3(), *args)
+        assert str(exc.value) == text
+
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_overflowing_noise_scale_names_epsilon(self, method):
         name = "eps_s" if method in ("PDFC", "ADFC") else "epsilon"
