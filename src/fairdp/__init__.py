@@ -8,7 +8,6 @@ from .dataset import (
     ParseError,
     RawTable,
     Schema,
-    ColumnSpec,
     build_dataset,
     encode,
     fetch_dataset,

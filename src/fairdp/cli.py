@@ -23,6 +23,7 @@ a method's budgets and divides a split-budget method's (eps, delta).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from pathlib import Path
 
 from . import __version__
 from .dataset import (
-    ColumnSpec,
     FetchError,
     ParseError,
     Schema,
@@ -154,49 +154,41 @@ def _read_config(args) -> dict[str, str]:
     return cfg
 
 
-_FEATURES = "feature_columns"
-
-# Schema-file key -> (Schema field, value kind).  Text keys are required;
-# the two column lists fill the one feature field, numeric columns first.
-# Besides these keys a schema file may hold only ``columns``.
-_SCHEMA_TABLE = {
-    "label": ("label_column", str),
-    "label_positive": ("label_positive", str),
-    "protected": ("protected_column", str),
-    "protected_positive": ("protected_positive", str),
-    "numeric": (_FEATURES, list),
-    "categorical": (_FEATURES, list),
-    "include_protected_in_features": ("include_protected_in_features", bool),
-    "add_constant_feature": ("add_constant_feature", bool),
-}
+# The words a schema file's boolean value may be, in any case.
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
+    """The :class:`Schema` whose fields are the file's keys.  A field without
+    a default is a required key; a column list is a comma list and a flag is
+    one of the ``_BOOLEANS`` words.  Besides these keys a schema file may
+    hold only ``columns``."""
+    fields = {f.name: f for f in dataclasses.fields(Schema)}
     for key in kv:
-        if key not in _SCHEMA_TABLE and key != "columns":
+        if key not in fields and key != "columns":
             raise CLIError(f"{origin}: unknown schema key {key!r}")
-    missing = [k for k, (_, kind) in _SCHEMA_TABLE.items() if kind is str and k not in kv]
+    missing = [k for k, f in fields.items() if f.default is dataclasses.MISSING and k not in kv]
     if missing:
         raise CLIError(f"{origin}: missing schema keys: {', '.join(missing)}")
-    fields = {_FEATURES: ()}
-    for key, (field, kind) in _SCHEMA_TABLE.items():
-        if kind is str:
-            fields[field] = kv[key]
-        elif kind is list:
-            fields[field] += tuple(ColumnSpec(n, key) for n in _split_names(kv.get(key, "")))
+    values = {}
+    for key, field in fields.items():
+        if key not in kv:
+            continue
+        text = kv[key]
+        if isinstance(field.default, bool):
+            if text.lower() not in _BOOLEANS:
+                raise CLIError(f"{origin}: {key} must be true or false, got {text!r}")
+            values[key] = _BOOLEANS[text.lower()]
+        elif isinstance(field.default, tuple):
+            values[key] = tuple(_split_names(text))
         else:
-            fields[field] = kv.get(key, "false").strip().lower() in ("1", "true", "yes")
-    if not fields[_FEATURES]:
+            values[key] = text
+    if not (values.get("numeric") or values.get("categorical")):
         raise CLIError(f"{origin}: schema lists no feature columns")
-    return Schema(**fields)
-
-
-def _schema_dict(schema: Schema) -> dict:
-    out = {}
-    for key, (field, kind) in _SCHEMA_TABLE.items():
-        value = getattr(schema, field)
-        out[key] = [c.name for c in value if c.kind == key] if kind is list else value
-    return out
+    try:
+        return Schema(**values)
+    except ValueError as exc:  # a column listed twice, or the label/protected one
+        raise CLIError(f"{origin}: {exc}") from None
 
 
 def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
@@ -255,7 +247,7 @@ def _write_outputs(args, out_dir: Path, command: str, seed: int, fingerprint: st
         "version": __version__,
         "seed": seed,
         "config": {"dataset": str(args.dataset),
-                   "schema": _schema_dict(schema), **config},
+                   "schema": dataclasses.asdict(schema), **config},
         "dataset_fingerprint": fingerprint,
         "outputs": list(files),
     }

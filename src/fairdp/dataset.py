@@ -4,9 +4,9 @@ with a binary protected attribute.
 Inputs are plain comma-separated files (optional header row, cells trimmed,
 ``?`` or empty cells treated as missing, ``|``-prefixed lines skipped per the
 UCI convention).  A :class:`Schema` names the label column, the protected
-column and the feature columns.  Encoded feature rows are scaled so that every
-row lies in the nonnegative part of the unit ball: per-column min-max to
-[0, 1] followed by a global division by sqrt(d).
+column and the numeric and categorical feature columns.  Encoded feature rows
+are scaled so that every row lies in the nonnegative part of the unit ball:
+per-column min-max to [0, 1] followed by a global division by sqrt(d).
 """
 
 from __future__ import annotations
@@ -61,45 +61,35 @@ class RawTable:
 
 
 @dataclass(frozen=True)
-class ColumnSpec:
-    name: str
-    kind: str  # "numeric" or "categorical"
-
-    def __post_init__(self):
-        if self.kind not in ("numeric", "categorical"):
-            raise ValueError(f"unknown column kind {self.kind!r} for {self.name!r}")
-
-
-@dataclass(frozen=True)
 class Schema:
-    """Which columns mean what.
+    """Which columns mean what; the fields are the schema file's keys.
 
     ``label_positive`` is the cell value mapped to y=1 and
-    ``protected_positive`` the value mapped to z=1.  The protected column is
-    kept out of the feature matrix unless ``include_protected_in_features``
-    is set.  ``add_constant_feature`` appends an always-on column (scaled
-    together with the rest, see :func:`build_dataset`).
+    ``protected_positive`` the value mapped to z=1.  The features are the
+    ``numeric`` columns, then the one-hot ``categorical`` ones.  Neither the
+    label nor the protected column may be listed among them: the protected
+    column joins the features, as one 0/1 column after the rest, only with
+    ``include_protected_in_features``.  ``add_constant_feature`` appends an
+    always-on column (scaled together with the rest, see
+    :func:`build_dataset`).
     """
 
-    label_column: str
+    label: str
     label_positive: str
-    protected_column: str
+    protected: str
     protected_positive: str
-    feature_columns: tuple[ColumnSpec, ...]
+    numeric: tuple[str, ...] = ()
+    categorical: tuple[str, ...] = ()
     include_protected_in_features: bool = False
     add_constant_feature: bool = False
 
     def __post_init__(self):
-        names = [c.name for c in self.feature_columns]
+        names = self.numeric + self.categorical
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names")
-        for special in (self.label_column, self.protected_column):
-            if special in names and not (
-                special == self.protected_column and self.include_protected_in_features
-            ):
-                raise ValueError(
-                    f"{special!r} is a label/protected column and may not also be a feature"
-                )
+        for role, column in (("label", self.label), ("protected", self.protected)):
+            if column in names:
+                raise ValueError(f"{column!r} is the {role} column and may not also be a feature")
 
 
 @dataclass(frozen=True)
@@ -272,31 +262,28 @@ def _binary_indicator(values: list[str], positive: str, what: str) -> np.ndarray
 
 def _encode_arrays(raw: RawTable, schema: Schema):
     """The parts of :func:`encode`: (X, y, z, feature_names), X writable."""
-    y = _binary_indicator(_column(raw, schema.label_column), schema.label_positive, "label")
-    z = _binary_indicator(
-        _column(raw, schema.protected_column), schema.protected_positive, "protected"
-    )
+    y = _binary_indicator(_column(raw, schema.label), schema.label_positive, "label")
+    z = _binary_indicator(_column(raw, schema.protected), schema.protected_positive, "protected")
 
     columns: list[np.ndarray] = []
-    names: list[str] = []
-    for spec in schema.feature_columns:
-        values = _column(raw, spec.name)
-        if spec.kind == "numeric":
-            try:
-                columns.append(np.array(list(map(float, values))))
-            except ValueError as exc:
-                raise ParseError(f"non-numeric cell in column {spec.name!r}: {exc}") from None
-            names.append(spec.name)
-        else:
-            codes: dict[str, int] = {}
-            idx = [codes.setdefault(v, len(codes)) for v in values]
-            block = np.zeros((len(values), len(codes)))
-            block[np.arange(len(values)), idx] = 1.0
-            columns.append(block)
-            names.extend(f"{spec.name}={cat}" for cat in codes)
+    names = list(schema.numeric)
+    for name in schema.numeric:
+        values = _column(raw, name)
+        try:
+            columns.append(np.array(list(map(float, values))))
+        except ValueError as exc:
+            raise ParseError(f"non-numeric cell in column {name!r}: {exc}") from None
+    for name in schema.categorical:
+        values = _column(raw, name)
+        codes: dict[str, int] = {}
+        idx = [codes.setdefault(v, len(codes)) for v in values]
+        block = np.zeros((len(values), len(codes)))
+        block[np.arange(len(values)), idx] = 1.0
+        columns.append(block)
+        names.extend(f"{name}={cat}" for cat in codes)
     if schema.include_protected_in_features:
         columns.append(z.astype(float))
-        names.append(schema.protected_column)
+        names.append(schema.protected)
     if not columns:
         raise ValueError("schema selects no feature columns")
     X = np.column_stack(columns)

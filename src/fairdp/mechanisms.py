@@ -41,14 +41,25 @@ def _check_dim(d: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
 
 
+def _finite_bound(bound: float, d: int, alpha1: float) -> float:
+    if not math.isfinite(bound):
+        raise ValueError(f"alpha1 {alpha1} gives a non-finite sensitivity bound "
+                         f"({bound}) at d = {d}")
+    return bound
+
+
 def l1_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
     _check_dim(d)
-    return d * d / 4.0 + (1.0 + 2.0 * abs(alpha1)) * d
+    return _finite_bound(d * d / 4.0 + (1.0 + 2.0 * abs(alpha1)) * d, d, alpha1)
 
 
 def l2_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
     _check_dim(d)
-    return math.sqrt(d * d / 16.0 + (1.0 + 2.0 * abs(alpha1)) ** 2 * d)
+    try:
+        bound = math.sqrt(d * d / 16.0 + (1.0 + 2.0 * abs(alpha1)) ** 2 * d)
+    except OverflowError:  # float ** raises where * gives inf
+        bound = math.inf
+    return _finite_bound(bound, d, alpha1)
 
 
 # --- noise calibration and sampling -----------------------------------------

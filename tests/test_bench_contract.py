@@ -1,10 +1,14 @@
 """The names the benchmark script (bench/run.py) and its tracer
 (bench/tracing.py) reach in ``fairdp``.  Several of them look unused in
 cli.py, so a clean-up could drop them; every benchmark fit would then fail,
-or a traced layer would silently read 0."""
+or a traced layer would silently read 0.  The schema texts that bench/gen.py
+writes must load too."""
 
+import importlib.util
 import inspect
 from collections import Counter
+from pathlib import Path
+
 
 from fairdp import cli, dataset, evaluation, mechanisms, optimizer, polynomial, trainers
 from fairdp.optimizer import RegularizationPolicy
@@ -126,3 +130,41 @@ def test_policy_accepts_the_trend_settings():
     # LR no longer reads gd_step, but the field must stay.
     policy = RegularizationPolicy(max_gd_iters=4000, gd_step=1.0)
     assert (policy.max_gd_iters, policy.gd_step) == (4000, 1.0)
+
+
+def _bench_gen():
+    path = Path(__file__).parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GEN = _bench_gen()
+
+
+def _load_bench_input(tmp_path, write, schema_text):
+    csv, schema = tmp_path / "data.csv", tmp_path / "data.schema"
+    write(csv, 200, 0)
+    schema.write_text(schema_text)
+    return cli.load_encoded_dataset(csv, schema)[0]
+
+
+# bench/gen.py writes its own schema texts; a schema-format change that broke
+# them would otherwise show only as every benchmark run failing.
+def test_bench_adult_schema_loads(tmp_path):
+    ds = _load_bench_input(tmp_path, GEN.write_adult_like, GEN.ADULT_SCHEMA)
+    assert ds.d == GEN.ADULT_D == 102
+    assert ds.feature_names[:6] == ("age", "fnlwgt", "education-num", "capital-gain",
+                                    "capital-loss", "hours-per-week")
+    one_hot = ds.feature_names[6:]
+    assert [name.partition("=")[0] for name in one_hot] == \
+        [column for column, k in GEN.CARDINALITY.items() for _ in range(k)]
+    assert set(one_hot) == {f"{column}={column[:4]}-{i}"
+                            for column, k in GEN.CARDINALITY.items() for i in range(k)}
+
+
+def test_bench_census_schema_loads(tmp_path):
+    ds = _load_bench_input(tmp_path, GEN.write_census, GEN.CENSUS_SCHEMA)
+    assert ds.d == GEN.CENSUS_D == 7
+    assert ds.feature_names == GEN.CENSUS_FEATURES

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -11,7 +12,6 @@ import pytest
 import fairdp.dataset as dataset_mod
 from fairdp import evaluation
 from fairdp.cli import (
-    _SCHEMA_TABLE,
     CLIError,
     _schema_from_kv,
     build_parser,
@@ -19,7 +19,7 @@ from fairdp.cli import (
     main,
     parse_keyvalue_file,
 )
-from fairdp.dataset import RawTable, RemoteFile
+from fairdp.dataset import RawTable, RemoteFile, Schema
 
 from toys import (
     FIXTURE_DIR,
@@ -54,10 +54,9 @@ class TestConfigParsing:
 
     def test_schema_file(self):
         schema = _schema_from_kv(parse_keyvalue_file(TOY_SCHEMA), TOY_SCHEMA)
-        assert schema.label_column == "income"
+        assert schema.label == "income"
         assert schema.protected_positive == "Male"
-        kinds = {c.name: c.kind for c in schema.feature_columns}
-        assert kinds == {"age": "numeric", "hours": "numeric", "dept": "categorical"}
+        assert (schema.numeric, schema.categorical) == (("age", "hours"), ("dept",))
 
     def test_schema_missing_keys(self, tmp_path):
         path = tmp_path / "s.cfg"
@@ -397,6 +396,72 @@ def test_unknown_schema_key_is_an_error(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
+BOOLEAN_KEYS = ("include_protected_in_features", "add_constant_feature")
+
+
+@pytest.mark.parametrize("key", BOOLEAN_KEYS)
+@pytest.mark.parametrize("word, value", [("true", True), ("YES", True), ("1", True),
+                                         ("False", False), ("no", False), ("0", False)])
+def test_schema_boolean_words(tmp_path, key, word, value):
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text() + f"{key} = {word}\n")
+    assert getattr(load_encoded_dataset(TOY_CSV, schema)[1], key) is value
+
+
+@pytest.mark.parametrize("key", BOOLEAN_KEYS)
+@pytest.mark.parametrize("word", ["ture", "true  # note", "", "on"])
+def test_schema_boolean_typo_is_an_error(tmp_path, capsys, key, word):
+    # Any word but true/yes/1 used to read as false, and the run recorded false.
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text() + f"{key} = {word}\n")
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", str(schema), "--method", "lr",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {schema}: {key} must be true or false, got {word!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["", "include_protected_in_features = true\n"])
+def test_protected_listed_as_feature_is_an_error(tmp_path, capsys, flag):
+    # Listed and flagged, sex used to be encoded twice: sex=Male equalled sex.
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text().replace(
+        "categorical = dept", "categorical = dept, sex") + flag)
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", str(schema), "--method", "lr",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == \
+        f"error: {schema}: 'sex' is the protected column and may not also be a feature\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "adfc", "--eps", "1", "--delta", "1e-5", "--alpha1", "1e200"],
+    ["--method", "pdfc", "--eps", "1", "--alpha1", "1e308"],
+])
+def test_alpha1_whose_bound_overflows_is_named(tmp_path, capsys, argv):
+    # ADFC used to exit 1 with an OverflowError traceback, and PDFC to blame eps_s.
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, *argv, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: alpha1 {float(argv[-1])} gives a "
+                                              "non-finite sensitivity bound")
+    assert not out.exists()
+
+
+def test_sweep_point_whose_bound_overflows_names_alpha1(tmp_path):
+    rc = main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--methods", "lr,adfc",
+               "--eps", "1", "--delta", "1e-3", "--alpha1", "1e200", "--runs", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    points = read_json(tmp_path / "report.json")["points"]
+    assert [p["error"] is None for p in points] == [True, False]
+    assert points[1]["error"].startswith("ValueError: alpha1 1e+200 ")
+
+
 def test_repeated_schema_key_is_an_error(tmp_path):
     # A second numeric line would silently drop the first one's columns.
     schema = tmp_path / "s.schema"
@@ -722,7 +787,7 @@ def test_readme_schema_block_shows_every_key():
     # The README calls any key not shown in its schema block an error.
     block = README.read_text().split("### Schema files", 1)[1].split("```")[1]
     keys = {line.partition("=")[0].strip() for line in block.splitlines() if "=" in line}
-    assert keys == set(_SCHEMA_TABLE) | {"columns"}
+    assert keys == {f.name for f in dataclasses.fields(Schema)} | {"columns"}
 
 
 @pytest.mark.parametrize("target", ["dataset", "schema", "config"])
@@ -780,7 +845,7 @@ def test_shipped_adult_schema_loads(tmp_path):
     )
     ds, schema, raw = load_encoded_dataset(data, ADULT_SCHEMA)
     assert (len(raw.column_names), raw.n_rows) == (15, 2)
-    assert (schema.label_column, schema.protected_column) == ("income", "sex")
+    assert (schema.label, schema.protected) == ("income", "sex")
     assert ds.y.tolist() == [0, 1] and ds.z.tolist() == [1, 0]
     assert ds.d == 6 + 7 * 2  # six numeric columns, seven two-valued categorical ones
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairdp.dataset import (
-    ColumnSpec,
     EncodedDataset,
     FetchError,
     ParseError,
@@ -36,11 +35,12 @@ def write(tmp_path, name, text):
 
 
 BASIC_SCHEMA = Schema(
-    label_column="income",
+    label="income",
     label_positive="yes",
-    protected_column="sex",
+    protected="sex",
     protected_positive="Male",
-    feature_columns=(ColumnSpec("age", "numeric"), ColumnSpec("dept", "categorical")),
+    numeric=("age",),
+    categorical=("dept",),
 )
 
 
@@ -142,11 +142,11 @@ class TestEncode:
 
     def test_protected_included_when_flagged(self):
         schema = Schema(
-            label_column="income",
+            label="income",
             label_positive="yes",
-            protected_column="sex",
+            protected="sex",
             protected_positive="Male",
-            feature_columns=(ColumnSpec("age", "numeric"),),
+            numeric=("age",),
             include_protected_in_features=True,
         )
         ds = encode(self.make_raw(), schema)
@@ -155,22 +155,22 @@ class TestEncode:
 
     def test_unseen_positive_label_errors(self):
         schema = Schema(
-            label_column="income",
+            label="income",
             label_positive=">50K",
-            protected_column="sex",
+            protected="sex",
             protected_positive="Male",
-            feature_columns=(ColumnSpec("age", "numeric"),),
+            numeric=("age",),
         )
         with pytest.raises(ValueError, match="label"):
             encode(self.make_raw(), schema)
 
     def test_missing_column_errors(self):
         schema = Schema(
-            label_column="income",
+            label="income",
             label_positive="yes",
-            protected_column="sex",
+            protected="sex",
             protected_positive="Male",
-            feature_columns=(ColumnSpec("salary", "numeric"),),
+            numeric=("salary",),
         )
         with pytest.raises(ValueError, match="salary"):
             encode(self.make_raw(), schema)
@@ -181,11 +181,11 @@ class TestEncode:
             rows=(("abc", "Male", "yes"), ("30", "Female", "no")),
         )
         schema = Schema(
-            label_column="income",
+            label="income",
             label_positive="yes",
-            protected_column="sex",
+            protected="sex",
             protected_positive="Male",
-            feature_columns=(ColumnSpec("age", "numeric"),),
+            numeric=("age",),
         )
         with pytest.raises(ParseError, match="age"):
             encode(raw, schema)
@@ -193,12 +193,20 @@ class TestEncode:
     def test_schema_rejects_label_as_feature(self):
         with pytest.raises(ValueError):
             Schema(
-                label_column="income",
+                label="income",
                 label_positive="yes",
-                protected_column="sex",
+                protected="sex",
                 protected_positive="Male",
-                feature_columns=(ColumnSpec("income", "numeric"),),
+                numeric=("income",),
             )
+
+    @pytest.mark.parametrize("include", [False, True])
+    def test_schema_rejects_protected_as_feature(self, include):
+        # Listed and flagged, the attribute used to be encoded twice: as the
+        # one-hot block sex=Male, sex=Female and again as the 0/1 column sex.
+        with pytest.raises(ValueError, match="'sex' is the protected column"):
+            dataclasses.replace(BASIC_SCHEMA, categorical=("dept", "sex"),
+                                include_protected_in_features=include)
 
 
 class TestNormalize:
@@ -247,11 +255,11 @@ class TestBuildDataset:
             rows=(("30", "Male", "yes"), ("40", "Female", "no")),
         )
         schema = Schema(
-            label_column="income",
+            label="income",
             label_positive="yes",
-            protected_column="sex",
+            protected="sex",
             protected_positive="Male",
-            feature_columns=(ColumnSpec("age", "numeric"),),
+            numeric=("age",),
             add_constant_feature=True,
         )
         ds = build_dataset(raw, schema)
@@ -277,15 +285,12 @@ class TestBuildDataset:
 
 
 BASIC_SCHEMAS_TOY = Schema(
-    label_column="income",
+    label="income",
     label_positive="yes",
-    protected_column="sex",
+    protected="sex",
     protected_positive="Male",
-    feature_columns=(
-        ColumnSpec("age", "numeric"),
-        ColumnSpec("hours", "numeric"),
-        ColumnSpec("dept", "categorical"),
-    ),
+    numeric=("age", "hours"),
+    categorical=("dept",),
 )
 
 
@@ -313,15 +318,14 @@ def reference_encode(raw, schema):
     def indicator(values, positive):
         return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
 
-    y = indicator(column(schema.label_column), schema.label_positive)
-    z = indicator(column(schema.protected_column), schema.protected_positive)
+    y = indicator(column(schema.label), schema.label_positive)
+    z = indicator(column(schema.protected), schema.protected_positive)
     columns, names = [], []
-    for spec in schema.feature_columns:
-        values = column(spec.name)
-        if spec.kind == "numeric":
-            columns.append(np.array([float(v) for v in values], dtype=float))
-            names.append(spec.name)
-            continue
+    for name in schema.numeric:
+        columns.append(np.array([float(v) for v in column(name)], dtype=float))
+        names.append(name)
+    for name in schema.categorical:
+        values = column(name)
         categories, seen = [], set()
         for v in values:
             if v not in seen:
@@ -329,10 +333,10 @@ def reference_encode(raw, schema):
                 categories.append(v)
         for cat in categories:
             columns.append(np.fromiter((1.0 if v == cat else 0.0 for v in values), dtype=float))
-            names.append(f"{spec.name}={cat}")
+            names.append(f"{name}={cat}")
     if schema.include_protected_in_features:
         columns.append(z.astype(float))
-        names.append(schema.protected_column)
+        names.append(schema.protected)
     return EncodedDataset(X=np.column_stack(columns), y=y, z=z, feature_names=tuple(names))
 
 
@@ -376,22 +380,23 @@ def tables(draw):
         cells = draw(st.lists(st.sampled_from([pos, neg]), min_size=n, max_size=n))
         cells[draw(st.integers(0, n - 1))] = pos
         cols[name] = cells
-    specs = []
+    numeric, categorical = [], []
     for i in range(draw(st.integers(0, 3))):
         pool = draw(st.sampled_from(NUMERIC_POOLS))
         cols[f"num{i}"] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-        specs.append(ColumnSpec(f"num{i}", "numeric"))
+        numeric.append(f"num{i}")
     for i in range(draw(st.integers(0, 3))):
         cols[f"cat{i}"] = draw(st.lists(CATEGORY_CELLS, min_size=n, max_size=n))
-        specs.append(ColumnSpec(f"cat{i}", "categorical"))
-    include = draw(st.booleans()) or not specs
+        categorical.append(f"cat{i}")
+    include = draw(st.booleans()) or not (numeric or categorical)
     order = draw(st.permutations(list(cols)))
     raw = RawTable(column_names=tuple(order),
                    rows=tuple(zip(*(cols[c] for c in order))))
     schema = Schema(
-        label_column="income", label_positive="yes",
-        protected_column="sex", protected_positive="Male",
-        feature_columns=tuple(draw(st.permutations(specs))),
+        label="income", label_positive="yes",
+        protected="sex", protected_positive="Male",
+        numeric=tuple(draw(st.permutations(numeric))),
+        categorical=tuple(draw(st.permutations(categorical))),
         include_protected_in_features=include,
         add_constant_feature=draw(st.booleans()),
     )
@@ -422,10 +427,9 @@ def adult_shaped_table(n=3000, seed=0):
     raw = RawTable(column_names=ADULT_ORDER,
                    rows=tuple(zip(*(cols[c] for c in ADULT_ORDER))))
     schema = Schema(
-        label_column="income", label_positive=">50K",
-        protected_column="sex", protected_positive="Male",
-        feature_columns=tuple(ColumnSpec(c, "numeric") for c in ADULT_NUMERIC)
-        + tuple(ColumnSpec(c, "categorical") for c in ADULT_CATEGORICAL),
+        label="income", label_positive=">50K",
+        protected="sex", protected_positive="Male",
+        numeric=ADULT_NUMERIC, categorical=tuple(ADULT_CATEGORICAL),
     )
     return raw, schema
 
@@ -435,15 +439,15 @@ def unique_encode(raw, schema):
     np.unique over a NumPy string array, re-ranked by first occurrence: the
     shortcut the oracle must reject."""
     X, names = [], []
-    for spec in schema.feature_columns:
-        idx = raw.column_names.index(spec.name)
+    for name in schema.categorical:
+        idx = raw.column_names.index(name)
         values = np.array([row[idx] for row in raw.rows])
         cats, first, inverse = np.unique(values, return_index=True, return_inverse=True)
         rank = np.argsort(np.argsort(first))
         block = np.zeros((raw.n_rows, len(cats)))
         block[np.arange(raw.n_rows), rank[inverse]] = 1.0
         X.append(block)
-        names += [f"{spec.name}={c}" for c in cats[np.argsort(first)]]
+        names += [f"{name}={c}" for c in cats[np.argsort(first)]]
     ds = encode(raw, schema)
     return EncodedDataset(X=np.column_stack(X), y=ds.y, z=ds.z, feature_names=tuple(names))
 
@@ -470,9 +474,9 @@ class TestEncoderOracle:
         raw = RawTable(column_names=("dept", "sex", "income"),
                        rows=(("x", "Male", "yes"), ("x\x00", "Female", "no"),
                              ("x", "Female", "no")))
-        schema = Schema(label_column="income", label_positive="yes",
-                        protected_column="sex", protected_positive="Male",
-                        feature_columns=(ColumnSpec("dept", "categorical"),))
+        schema = Schema(label="income", label_positive="yes",
+                        protected="sex", protected_positive="Male",
+                        categorical=("dept",))
         ds = encode(raw, schema)
         assert ds.feature_names == ("dept=x", "dept=x\x00")
         np.testing.assert_array_equal(ds.X, [[1, 0], [0, 1], [1, 0]])
@@ -487,9 +491,9 @@ class TestEncoderOracle:
         groups = [("Male", "yes")] + [("Female", "no")] * (len(cells) - 1)
         raw = RawTable(column_names=("v", "sex", "income"),
                        rows=tuple((c, *g) for c, g in zip(cells, groups)))
-        schema = Schema(label_column="income", label_positive="yes",
-                        protected_column="sex", protected_positive="Male",
-                        feature_columns=(ColumnSpec("v", "numeric"),))
+        schema = Schema(label="income", label_positive="yes",
+                        protected="sex", protected_positive="Male",
+                        numeric=("v",))
         X = build_dataset(raw, schema).X
         assert not np.signbit(X).any()
         assert_matches_reference(raw, schema)
@@ -498,9 +502,9 @@ class TestEncoderOracle:
     def test_non_finite_numeric_cell_rejected(self, cell):
         raw = RawTable(column_names=("age", "sex", "income"),
                        rows=((cell, "Male", "yes"), ("30", "Female", "no")))
-        schema = Schema(label_column="income", label_positive="yes",
-                        protected_column="sex", protected_positive="Male",
-                        feature_columns=(ColumnSpec("age", "numeric"),))
+        schema = Schema(label="income", label_positive="yes",
+                        protected="sex", protected_positive="Male",
+                        numeric=("age",))
         with pytest.raises(ValueError, match="X contains non-finite entries"):
             build_dataset(raw, schema)
 

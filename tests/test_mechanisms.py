@@ -121,6 +121,21 @@ class TestSensitivityFormulas:
                 with pytest.raises(ValueError):
                     fn(0, alpha1)
 
+    @pytest.mark.parametrize("fn, alpha1", [
+        *((l1_sensitivity_fair, a) for a in (1e307, -1e308, math.inf, math.nan)),
+        *((l2_sensitivity_fair, a) for a in (1e200, -1e308, math.inf, math.nan)),
+    ])
+    def test_non_finite_bound_names_alpha1(self, fn, alpha1):
+        # l2 used to raise OverflowError from the power at 1e200, and l1 to
+        # return inf, which a trainer then blamed on its epsilon.
+        with pytest.raises(ValueError, match=r"^alpha1 .* non-finite sensitivity bound"):
+            fn(102, alpha1)
+
+    def test_largest_finite_bounds_keep_the_formula(self):
+        assert l1_sensitivity_fair(102, 1e300) == 102 * 102 / 4.0 + (1.0 + 2.0 * 1e300) * 102
+        assert l2_sensitivity_fair(102, 1e150) == math.sqrt(
+            102 * 102 / 16.0 + (1.0 + 2.0 * 1e150) ** 2 * 102)
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_empirical_bounds_on_neighbors(self, rng, d):
         # Quick version of the acceptance sweep: measured coefficient
