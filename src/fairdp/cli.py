@@ -13,11 +13,12 @@ The schema comes only from ``--schema FILE``.  A ``--config FILE`` holds
 the parser's defaults, so explicit flags win, and any other key is an error.
 All randomness flows from one ``--seed`` recorded in the manifest.
 
-``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr,
-test-fraction; their defaults are ``ExperimentConfig``'s) through one reader,
-check every value before loading data, and write their files and
-``manifest.json`` through one writer.  ``evaluation.method_budgets`` checks
-a method's budgets and divides a split-budget method's (eps, delta).
+``train`` and ``sweep`` read their shared options (seed, alpha1, s-attr;
+their defaults are ``ExperimentConfig``'s) through one reader, check every
+value before loading data, and write their files and ``manifest.json``
+through one writer.  Both hold out ``evaluation.TEST_FRACTION`` of the rows.
+``evaluation.method_budgets`` checks a method's budgets and divides a
+split-budget method's (eps, delta).
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ from .dataset import (
     split,
 )
 from .evaluation import (
-    DEFAULT_DELTA_GRID,
-    DEFAULT_EPS_GRID,
+    TEST_FRACTION,
     ExperimentConfig,
     ExperimentReport,
     accuracy,  # noqa: F401 - re-exported, like the trainers below
-    check_run_options,
     derive_seed,
     method_budgets,
     render_table,
@@ -56,6 +55,7 @@ from .evaluation import (
     score,
     train_method,
 )
+from .polynomial import check_alpha1
 from .trainers import METHODS, SPLIT_METHODS
 # Re-exported: scripts that drive single fits (bench/run.py) import the
 # trainers from here; tests/test_bench_contract.py pins the names.
@@ -183,11 +183,9 @@ def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
             values[key] = tuple(_split_names(text))
         else:
             values[key] = text
-    if not (values.get("numeric") or values.get("categorical")):
-        raise CLIError(f"{origin}: schema lists no feature columns")
     try:
         return Schema(**values)
-    except ValueError as exc:  # a column listed twice, or the label/protected one
+    except ValueError as exc:  # no feature column, one listed twice, or the label/protected one
         raise CLIError(f"{origin}: {exc}") from None
 
 
@@ -228,12 +226,8 @@ def _run_options(args) -> tuple[int, Path, dict]:
     out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
         raise CLIError(f"--out {out_dir} exists and is not a directory")
-    options = {
-        "alpha1": _number(float, "alpha1", args.alpha1),
-        "s_attr": args.s_attr,
-        "test_fraction": _number(float, "test_fraction", args.test_fraction),
-    }
-    check_run_options(options["alpha1"], options["test_fraction"])
+    options = {"alpha1": _number(float, "alpha1", args.alpha1), "s_attr": args.s_attr}
+    check_alpha1(options["alpha1"])
     return seed, out_dir, options
 
 
@@ -274,7 +268,7 @@ def cmd_train(args) -> int:
     seed, out_dir, options = _run_options(args)
 
     ds, schema = _resolve_dataset(args)
-    train_ds, test_ds = split(ds, options["test_fraction"], derive_seed("split", seed, 0))
+    train_ds, test_ds = split(ds, TEST_FRACTION, derive_seed("split", seed, 0))
     model = train_method(
         train_ds, method, derive_seed("train", seed, 0, method),
         alpha1=options["alpha1"], s_attr=options["s_attr"], **budgets,
@@ -297,8 +291,9 @@ def cmd_sweep(args) -> int:
     if not args.methods:
         raise CLIError("--methods is required (comma-separated list)")
     methods = tuple(_canonical_method(m) for m in _split_names(args.methods))
-    eps_grid = DEFAULT_EPS_GRID if args.eps is None else _parse_float_list("eps", args.eps)
-    delta_grid = (DEFAULT_DELTA_GRID if args.delta is None
+    eps_grid = (ExperimentConfig.eps_grid if args.eps is None
+                else _parse_float_list("eps", args.eps))
+    delta_grid = (ExperimentConfig.delta_grid if args.delta is None
                   else _parse_float_list("delta", args.delta))
     runs = _number(int, "runs", args.runs)
     seed, out_dir, options = _run_options(args)
@@ -374,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fairness penalty weight (default %(default)s)")
         p.add_argument("--seed", default=ExperimentConfig.master_seed,
                        help="master seed (default %(default)s)")
-        p.add_argument("--test-fraction", default=ExperimentConfig.test_fraction,
-                       help="held-out fraction (default %(default)s)")
         p.add_argument("--out", default=".", help="output directory (default %(default)s)")
 
     p_train = sub.add_parser("train", help="train one model and write model.json")

@@ -69,9 +69,8 @@ class Schema:
     ``numeric`` columns, then the one-hot ``categorical`` ones.  Neither the
     label nor the protected column may be listed among them: the protected
     column joins the features, as one 0/1 column after the rest, only with
-    ``include_protected_in_features``.  ``add_constant_feature`` appends an
-    always-on column (scaled together with the rest, see
-    :func:`build_dataset`).
+    ``include_protected_in_features``.  A schema must select at least one
+    feature column.
     """
 
     label: str
@@ -81,10 +80,11 @@ class Schema:
     numeric: tuple[str, ...] = ()
     categorical: tuple[str, ...] = ()
     include_protected_in_features: bool = False
-    add_constant_feature: bool = False
 
     def __post_init__(self):
         names = self.numeric + self.categorical
+        if not (names or self.include_protected_in_features):
+            raise ValueError("schema lists no feature columns")
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names")
         for role, column in (("label", self.label), ("protected", self.protected)):
@@ -284,8 +284,6 @@ def _encode_arrays(raw: RawTable, schema: Schema):
     if schema.include_protected_in_features:
         columns.append(z.astype(float))
         names.append(schema.protected)
-    if not columns:
-        raise ValueError("schema selects no feature columns")
     X = np.column_stack(columns)
     return X, y, z, tuple(names)
 
@@ -328,17 +326,10 @@ def normalize(X: np.ndarray) -> np.ndarray:
 
 
 def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
-    """encode + normalize in one step; the form every trainer consumes.
-
-    The encoded matrix is scaled in place.  With ``add_constant_feature``
-    the always-1 column is appended after the min-max step so it survives
-    scaling, and the global sqrt(d) divisor counts it, preserving the
-    row-norm bound.
-    """
+    """encode + normalize in one step; the form every trainer consumes.  The
+    encoded matrix is scaled in place."""
     X, y, z, names = _encode_arrays(raw, schema)
     _min_max_in_place(X)
-    if schema.add_constant_feature:
-        X, names = np.column_stack([X, np.ones(len(X))]), names + ("const",)
     X /= math.sqrt(X.shape[1])
     return EncodedDataset(X=X, y=y, z=z, feature_names=names)
 

@@ -2,7 +2,7 @@
 protocol with aggregation into plot-ready reports.
 
 An experiment takes a grid of (method, epsilon, delta) points and, for each
-run index r, splits the dataset 80-20 afresh, then
+run index r, splits the dataset 80-20 afresh (``TEST_FRACTION``), then
 trains every point on that split and evaluates on the held-out part.  All
 randomness is derived from one master seed, so a report is a pure function
 of (dataset, config).
@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import EncodedDataset, split
 from .mechanisms import check_budget, split_total_delta
 from .optimizer import RegularizationPolicy
+from .polynomial import check_alpha1
 from .trainers import (
     DELTA_METHODS,
     FAIR_METHODS,
@@ -37,6 +38,7 @@ from .trainers import (
 
 DEFAULT_EPS_GRID = (1e-2, 10 ** -1.5, 1e-1, 1.0, 10 ** 0.5, 1e1)
 DEFAULT_DELTA_GRID = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
+TEST_FRACTION = 0.2  # the held-out share of every split, sweeps and train alike
 
 
 def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -94,24 +96,15 @@ class GridPoint:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def check_run_options(alpha1: float, test_fraction: float) -> None:
-    """The checks on the options every run shares, for sweeps and single fits."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    if not math.isfinite(alpha1):
-        raise ValueError(f"alpha1 must be finite, got {alpha1}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple[str, ...]
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    delta_grid: tuple[float, ...] = (1e-3,)
+    delta_grid: tuple[float, ...] = DEFAULT_DELTA_GRID
     runs: int = 10
     master_seed: int = 0
     alpha1: float = 1.0
     s_attr: str = "random"  # feature name, source-column name, or "random"
-    test_fraction: float = 0.2
     policy: RegularizationPolicy = field(default_factory=RegularizationPolicy)
     jobs: int = 1  # accepted and ignored: a sweep runs serially, one split per run
 
@@ -133,7 +126,7 @@ class ExperimentConfig:
             check_budget("epsilon grid value", e)
         for dv in self.delta_grid:
             check_budget("delta grid value", dv)
-        check_run_options(self.alpha1, self.test_fraction)
+        check_alpha1(self.alpha1)
 
     def grid(self) -> list[GridPoint]:
         points = []
@@ -378,7 +371,7 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
         if not live:
             break
         try:
-            train_ds, test_ds = split(ds, config.test_fraction,
+            train_ds, test_ds = split(ds, TEST_FRACTION,
                                       derive_seed("split", config.master_seed, r))
         except Exception as exc:  # noqa: BLE001 - fails every key, not the sweep
             outcomes.update(dict.fromkeys(live, exc))

@@ -73,17 +73,19 @@ def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float
 
         sigma = (sqrt(2) * Delta2 / (2 eps)) * (sqrt(L) + sqrt(L + eps)),
         L = log(sqrt(2/pi) / delta).
+
+    epsilon must be finite and positive, delta in (0, sqrt(2/pi)) and the
+    sensitivity finite and positive.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_budget("epsilon", epsilon)
     check_budget("delta", delta)
     if delta >= _DELTA_SUP:
         raise ValueError(
             f"delta must be below sqrt(2/pi) ~ {_DELTA_SUP:.4f} for the calibration "
             f"to be defined, got {delta}"
         )
-    if l2_sensitivity <= 0:
-        raise ValueError(f"sensitivity must be positive, got {l2_sensitivity}")
+    if not 0.0 < l2_sensitivity < math.inf:
+        raise ValueError(f"sensitivity must be finite and positive, got {l2_sensitivity}")
     big_l = math.log(_DELTA_SUP / delta)
     return (
         math.sqrt(2.0) * l2_sensitivity / (2.0 * epsilon)
@@ -193,16 +195,16 @@ def compose_split_epsilon(eps_s: float, eps_n: float, d: int) -> float:
     same real-valued formula but rounds to exactly eps when the two budgets
     coincide.
     """
-    if eps_s <= 0 or eps_n <= 0:
-        raise ValueError("epsilons must be positive")
+    check_budget("eps_s", eps_s)
+    check_budget("eps_n", eps_n)
     _check_dim(d)
     return eps_n + (eps_s - eps_n) / d
 
 
 def compose_split_delta(delta_s: float, delta_n: float) -> float:
     """Composite failure probability: 1 - (1 - delta_s)(1 - delta_n)."""
-    for dv in (delta_s, delta_n):
-        check_budget("delta", dv)
+    check_budget("delta_s", delta_s)
+    check_budget("delta_n", delta_n)
     return 1.0 - (1.0 - delta_s) * (1.0 - delta_n)
 
 

@@ -60,6 +60,12 @@ def lr_poly(ds: EncodedDataset) -> PolyObjective:
     return PolyObjective(c0=ds.n * math.log(2.0), c1=ds.logistic_c1, c2=ds.logistic_c2)
 
 
+def check_alpha1(alpha1: float) -> None:
+    """Raise ValueError unless the fairness weight alpha1 is finite."""
+    if not math.isfinite(alpha1):
+        raise ValueError(f"alpha1 must be finite, got {alpha1}")
+
+
 def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
     """Logistic quadratic with the fairness penalty folded into the linear term.
 
@@ -68,8 +74,7 @@ def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
     Orient the protected encoding (which group is z=1) so the clean boundary
     covariance is positive if the penalty is meant to shrink it.
     """
-    if not math.isfinite(alpha1):
-        raise ValueError(f"alpha1 must be finite, got {alpha1}")
+    check_alpha1(alpha1)
     base = lr_poly(ds)
     return PolyObjective(c0=base.c0, c1=base.c1 + alpha1 * ds.protected_cov, c2=base.c2)
 

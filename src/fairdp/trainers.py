@@ -92,6 +92,18 @@ class TrainedModel:
         return {**asdict(self), "w": self.w.tolist()}
 
 
+def _solve(poly, inputs: str) -> tuple[np.ndarray, dict]:
+    """``minimize_quadratic(poly)``'s weights and diagnostics (as a dict).  A
+    solve whose weights or residual overflow is a ValueError naming
+    ``inputs``, the settings that made the coefficients that large."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        w, diag = minimize_quadratic(poly)
+    if not (np.isfinite(w).all() and math.isfinite(diag.residual_inf)):
+        raise ValueError(f"the quadratic solve overflows at {inputs}: its weights or "
+                         "residual are not finite")
+    return w, asdict(diag)
+
+
 def _private_fit(
     ds: EncodedDataset,
     method: str,
@@ -141,7 +153,8 @@ def _private_fit(
         if not math.isfinite(scale):
             raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
     poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
-    w, diag = minimize_quadratic(poly)
+    w, diagnostics = _solve(poly, f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}"
+                            if split_budget else f"epsilon {eps_s}")
     if split_budget:
         if kind == "laplace":
             epsilon = compose_split_epsilon(eps_s, eps_n, ds.d)
@@ -161,7 +174,7 @@ def _private_fit(
         sensitivity_used=sensitivity,
         alpha1=alpha1,
         seed=seed,
-        diagnostics=asdict(diag),
+        diagnostics=diagnostics,
     )
 
 
@@ -225,7 +238,7 @@ def train_lr(
 
 def train_fair_lr(ds: EncodedDataset, alpha1: float = 1.0) -> TrainedModel:
     """No-noise limit of the fair trainers: minimize the clean penalized quadratic."""
-    w, diag = minimize_quadratic(fair_poly(ds, alpha1))
+    w, diagnostics = _solve(fair_poly(ds, alpha1), f"alpha1 {alpha1}")
     return TrainedModel(
         w=w,
         method="FairLR",
@@ -233,5 +246,5 @@ def train_fair_lr(ds: EncodedDataset, alpha1: float = 1.0) -> TrainedModel:
         sensitivity_used=None,
         alpha1=alpha1,
         seed=None,
-        diagnostics=asdict(diag),
+        diagnostics=diagnostics,
     )

@@ -4,6 +4,8 @@ cli.py, so a clean-up could drop them; every benchmark fit would then fail,
 or a traced layer would silently read 0.  The schema texts that bench/gen.py
 writes must load too."""
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from collections import Counter
@@ -130,6 +132,62 @@ def test_policy_accepts_the_trend_settings():
     # LR no longer reads gd_step, but the field must stay.
     policy = RegularizationPolicy(max_gd_iters=4000, gd_step=1.0)
     assert (policy.max_gd_iters, policy.gd_step) == (4000, 1.0)
+
+
+BENCH_RUN = Path(__file__).parent.parent / "bench" / "run.py"
+# The fairdp callables whose arguments bench/run.py spells out.
+CHECKED_CALLS = ("ExperimentConfig", "RegularizationPolicy", "split", *TRAINERS)
+
+
+def _bench_calls():
+    """(name, callee, positional count, keywords) for every call in
+    bench/run.py to a ``CHECKED_CALLS`` name, resolved through the script's
+    own ``from fairdp... import`` lines.  A ``**name`` argument is expanded
+    from the script's ``name = dict(...)`` assignment."""
+    tree = ast.parse(BENCH_RUN.read_text(encoding="utf-8"))
+    names, dicts = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("fairdp"):
+            module = importlib.import_module(node.module)
+            names.update((a.asname or a.name, getattr(module, a.name)) for a in node.names)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name) and node.value.func.id == "dict"):
+            for target in node.targets:
+                dicts[target.id] = [k.arg for k in node.value.keywords]
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            name, callee = func.id, names[func.id]
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and func.value.id in names):
+            name, callee = func.attr, getattr(names[func.value.id], func.attr, None)
+        else:
+            continue
+        if name not in CHECKED_CALLS:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        keywords = []
+        for k in node.keywords:
+            keywords += [k.arg] if k.arg else dicts[k.value.id]  # KeyError: unresolved **
+        calls.append((name, callee, len(node.args), keywords))
+    return calls
+
+
+def test_bench_call_arguments_bind_to_the_callees():
+    # Deleting or renaming a parameter the benchmark passes (for example
+    # ExperimentConfig.jobs or RegularizationPolicy.gd_step) fails here
+    # rather than in every benchmark run.
+    calls = _bench_calls()
+    assert {name for name, *_ in calls} == set(CHECKED_CALLS) - {"train_lr"}
+    for name, callee, n_args, keywords in calls:
+        assert callable(callee), name
+        try:
+            inspect.signature(callee).bind(*[None] * n_args, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"bench/run.py's call to {name}: {exc}") from None
 
 
 def _bench_gen():

@@ -20,6 +20,7 @@ from fairdp.cli import (
     parse_keyvalue_file,
 )
 from fairdp.dataset import RawTable, RemoteFile, Schema
+from fairdp.mechanisms import compose_split_epsilon
 
 from toys import (
     FIXTURE_DIR,
@@ -204,7 +205,7 @@ class TestTrain:
         (["--method", "fm", "--eps", "inf"], "--eps"),
         (["--method", "pdfc", "--eps", "1", "--eps-s", "inf", "--eps-n", "1"], "--eps-s"),
         (["--method", "fm", "--eps", "1", "--alpha1", "nan"], "alpha1"),
-        (["--method", "fm", "--eps", "1", "--test-fraction", "1.5"], "test_fraction"),
+        (["--method", "fm", "--eps", "1", "--alpha1", "inf"], "alpha1"),
         (["--method", "lr", "--eps", "1", "--delta", "5"], "--delta"),  # checked, though unread
     ])
     def test_bad_input_fails_before_data(self, tmp_path, capsys, flags, name):
@@ -346,7 +347,8 @@ def test_missing_config_file_is_an_input_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command, line, key", [
     *((command, line, key) for command in ("train", "sweep")
       for line, key in (("sed = 5", "sed"), ("label = income", "label"),
-                        ("add-constant-feature = true", "add_constant_feature"))),
+                        ("add-constant-feature = true", "add_constant_feature"),
+                        ("test-fraction = 0.3", "test_fraction"))),
     ("train", "runs = 2", "runs"),  # a sweep option
 ])
 def test_config_key_that_is_no_option_is_an_error(tmp_path, capsys, command, line, key):
@@ -371,18 +373,19 @@ def test_config_key_that_is_no_option_is_an_error(tmp_path, capsys, command, lin
 def test_repeated_config_key_is_an_error(tmp_path, capsys, command):
     # The dash and underscore spellings of one option are one key.
     config = tmp_path / "c.cfg"
-    config.write_text("test-fraction = 0.2\n# the same option again\ntest_fraction = 0.3\n")
+    config.write_text("s-attr = hours\n# the same option again\ns_attr = dept\n")
     rc = main([*command, "--config", str(config), "--dataset", TOY_CSV,
                "--schema", TOY_SCHEMA, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: {config}: lines 1 and 3: repeated key 'test_fraction'\n")
+        f"error: {config}: lines 1 and 3: repeated key 's_attr'\n")
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line, key", [
     ("add-constant-feature = true", "add-constant-feature"),
     ("numerc = hours", "numerc"),
+    ("add_constant_feature = false", "add_constant_feature"),  # a removed key
 ])
 def test_unknown_schema_key_is_an_error(tmp_path, capsys, line, key):
     # A misspelt key used to be dropped, and the run recorded the default.
@@ -396,7 +399,7 @@ def test_unknown_schema_key_is_an_error(tmp_path, capsys, line, key):
     assert not out.exists()
 
 
-BOOLEAN_KEYS = ("include_protected_in_features", "add_constant_feature")
+BOOLEAN_KEYS = ("include_protected_in_features",)
 
 
 @pytest.mark.parametrize("key", BOOLEAN_KEYS)
@@ -462,6 +465,63 @@ def test_sweep_point_whose_bound_overflows_names_alpha1(tmp_path):
     assert points[1]["error"].startswith("ValueError: alpha1 1e+200 ")
 
 
+def test_solve_that_overflows_is_an_error_and_fails_its_point(tmp_path, capsys):
+    # A huge but finite alpha1 used to exit 0 and write "residual_inf": NaN.
+    out = tmp_path / "out"
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--method", "pdfc",
+               "--eps", "1", "--alpha1", "1e300", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: the quadratic solve overflows at alpha1 1e+300, eps_s 1.0 and eps_n 1.0: "
+        "its weights or residual are not finite\n")
+    assert not out.exists()
+    rc = main(["sweep", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA, "--methods", "lr,pdfc",
+               "--eps", "1", "--alpha1", "1e300", "--runs", "1", "--out", str(out)])
+    assert rc == 0
+    points = read_json(out / "report.json")["points"]
+    assert [p["failed"] for p in points] == [False, True]
+    assert points[1]["error"].startswith("ValueError: the quadratic solve overflows at ")
+    assert "NaN" not in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize("method", ["pdfc", "adfc"])
+def test_protected_attribute_as_the_split_budget_attribute(tmp_path, method):
+    # The paper's configuration: the protected attribute is a feature and
+    # gets its own budget, eps_s/d + eps_n(d-1)/d counting it among the d.
+    schema = tmp_path / "s.schema"
+    schema.write_text(Path(TOY_SCHEMA).read_text() + "include_protected_in_features = true\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", TOY_CSV, "--schema", str(schema), "--method", method,
+                 "--eps-s", "0.5", "--eps-n", "2", "--delta", "1e-3", "--s-attr", "sex",
+                 "--out", str(out)]) == 0
+    ds = load_encoded_dataset(TOY_CSV, schema)[0]
+    assert ds.feature_names[-1] == "sex"
+    model = read_json(out / "model.json")
+    assert len(model["w"]) == ds.d
+    assert model["budgets"]["s_index"] == ds.d - 1
+    if method == "pdfc":
+        assert model["budgets"]["epsilon"] == compose_split_epsilon(0.5, 2.0, ds.d)
+
+
+@pytest.mark.parametrize("features, text", [
+    ("numeric = \ncategorical = \n", "schema lists no feature columns"),
+    ("include_protected_in_features = true\n", None),
+])
+def test_schema_needs_a_feature_column(tmp_path, capsys, features, text):
+    # The flag alone selects the protected column, for the CLI as for the library.
+    schema = tmp_path / "s.schema"
+    schema.write_text("".join(line + "\n" for line in Path(TOY_SCHEMA).read_text().splitlines()
+                              if not line.startswith(("numeric", "categorical"))) + features)
+    rc = main(["train", "--dataset", TOY_CSV, "--schema", str(schema), "--method", "fairlr",
+               "--out", str(tmp_path / "out")])
+    if text is None:
+        assert rc == 0
+        assert len(read_json(tmp_path / "out" / "model.json")["w"]) == 1
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {schema}: {text}\n"
+
+
 def test_repeated_schema_key_is_an_error(tmp_path):
     # A second numeric line would silently drop the first one's columns.
     schema = tmp_path / "s.schema"
@@ -476,8 +536,7 @@ def test_repeated_schema_key_is_an_error(tmp_path):
      "--seed expects an integer, got 'abc'"),
     (["train", "--method", "fm", "--eps", "1"], "alpha1 = x",
      "--alpha1 expects a number, got 'x'"),
-    (["train", "--method", "fm", "--eps", "1"], "test-fraction = 0.2x",
-     "--test-fraction expects a number, got '0.2x'"),
+    (["sweep", "--methods", "fm"], "alpha1 = 2x", "--alpha1 expects a number, got '2x'"),
     (["train", "--method", "fm"], "eps = one", "--eps expects a number, got 'one'"),
     (["train", "--method", "pdfc", "--eps", "1"], "eps_s = ?",
      "--eps-s expects a number, got '?'"),
@@ -506,8 +565,8 @@ def test_unconvertible_config_value_names_the_option(tmp_path, capsys, command, 
      "--seed expects an integer, got 'abc'"),
     (["train", "--method", "fm", "--eps", "1"], ["--alpha1", "x"],
      "--alpha1 expects a number, got 'x'"),
-    (["train", "--method", "fm", "--eps", "1"], ["--test-fraction", "0.2x"],
-     "--test-fraction expects a number, got '0.2x'"),
+    (["train", "--method", "pdfc", "--eps", "1"], ["--eps-s", "?"],
+     "--eps-s expects a number, got '?'"),
     (["train", "--method", "fm"], ["--eps", "one"], "--eps expects a number, got 'one'"),
     (["sweep", "--methods", "fm"], ["--runs", "2.5"], "--runs expects an integer, got '2.5'"),
     (["sweep", "--methods", "fm"], ["--seed", "1.0"], "--seed expects an integer, got '1.0'"),
@@ -529,11 +588,10 @@ def test_unconvertible_flag_names_the_option(tmp_path, capsys, command, flags, t
 OPTION_VALUES = {
     "train": {"dataset": TOY_CSV, "schema": TOY_SCHEMA, "method": "adfc", "eps": "1",
               "delta": "1e-3", "eps-s": "0.5", "eps-n": "2", "delta-s": "1e-4",
-              "delta-n": "2e-4", "s-attr": "hours", "alpha1": "2", "seed": "7",
-              "test-fraction": "0.3"},
+              "delta-n": "2e-4", "s-attr": "hours", "alpha1": "2", "seed": "7"},
     "sweep": {"dataset": TOY_CSV, "schema": TOY_SCHEMA, "methods": "lr,pdfc,adfc",
               "eps": "0.5,2", "delta": "1e-3,1e-5", "runs": "2", "s-attr": "hours",
-              "alpha1": "2", "seed": "7", "test-fraction": "0.3"},
+              "alpha1": "2", "seed": "7"},
 }
 
 
@@ -634,7 +692,7 @@ class TestSweep:
         ["--eps", "1.0,inf"],
         ["--eps", "0"],
         ["--delta", "1.0"],
-        ["--test-fraction", "1.5"],
+        ["--alpha1", "inf"],
         ["--alpha1", "nan"],
     ])
     def test_bad_config_fails_before_compute(self, tmp_path, capsys, flags):
@@ -674,7 +732,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag", [
         "--jobs", "--label", "--label-positive", "--protected", "--protected-positive",
-        "--numeric", "--categorical", "--columns",
+        "--numeric", "--categorical", "--columns", "--test-fraction",
     ])
     def test_jobs_flag_is_unrecognised(self, capsys, flag):
         # Neither the removed --jobs nor a schema flag is an option: the

@@ -208,6 +208,16 @@ class TestEncode:
             dataclasses.replace(BASIC_SCHEMA, categorical=("dept", "sex"),
                                 include_protected_in_features=include)
 
+    def test_schema_needs_a_feature_column(self):
+        # The flag alone selects one: the protected 0/1 column.
+        with pytest.raises(ValueError, match="^schema lists no feature columns$"):
+            dataclasses.replace(BASIC_SCHEMA, numeric=(), categorical=())
+        flag_only = dataclasses.replace(BASIC_SCHEMA, numeric=(), categorical=(),
+                                        include_protected_in_features=True)
+        ds = build_dataset(self.make_raw(), flag_only)
+        assert ds.feature_names == ("sex",)
+        np.testing.assert_array_equal(ds.X[:, 0], ds.z)
+
 
 class TestNormalize:
     def test_single_column_minmax(self):
@@ -249,37 +259,17 @@ class TestBuildDataset:
         ds = build_dataset(raw, schema)
         ds.check_normalized()
 
-    def test_constant_feature_survives_scaling(self):
-        raw = RawTable(
-            column_names=("age", "sex", "income"),
-            rows=(("30", "Male", "yes"), ("40", "Female", "no")),
-        )
-        schema = Schema(
-            label="income",
-            label_positive="yes",
-            protected="sex",
-            protected_positive="Male",
-            numeric=("age",),
-            add_constant_feature=True,
-        )
-        ds = build_dataset(raw, schema)
-        assert ds.feature_names[-1] == "const"
-        np.testing.assert_allclose(ds.X[:, -1], 1.0 / math.sqrt(2), rtol=1e-15)
-        ds.check_normalized()
-
-    @pytest.mark.parametrize("constant", [False, True])
-    def test_scaling_matches_direct_formula(self, constant):
-        # Bit-exact: per-column min-max of the encoded matrix, the optional
-        # all-ones column, then one division by sqrt(columns).
+    @pytest.mark.parametrize("include", [False, True])
+    def test_scaling_matches_direct_formula(self, include):
+        # Bit-exact: per-column min-max of the encoded matrix (the protected
+        # 0/1 column included), then one division by sqrt(columns).
         raw = load_csv(FIXTURE_DIR / "toy.csv")
-        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, add_constant_feature=constant)
+        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include)
         X = encode(raw, schema).X
         span = X.max(axis=0) - X.min(axis=0)
         unit = np.zeros_like(X)
         live = span > 0
         unit[:, live] = (X[:, live] - X.min(axis=0)[live]) / span[live]
-        if constant:
-            unit = np.column_stack([unit, np.ones(len(X))])
         expected = unit / math.sqrt(unit.shape[1])
         np.testing.assert_array_equal(build_dataset(raw, schema).X, expected)
 
@@ -347,11 +337,8 @@ def reference_build(raw, schema):
     unit = np.zeros_like(ds.X)
     live = span > 0
     unit[:, live] = (ds.X[:, live] - lo[live]) / span[live]
-    names = ds.feature_names
-    if schema.add_constant_feature:
-        unit, names = np.column_stack([unit, np.ones(ds.n)]), names + ("const",)
     return EncodedDataset(X=unit / math.sqrt(unit.shape[1]), y=ds.y, z=ds.z,
-                          feature_names=names)
+                          feature_names=ds.feature_names)
 
 
 def assert_matches_reference(raw, schema):
@@ -398,7 +385,6 @@ def tables(draw):
         numeric=tuple(draw(st.permutations(numeric))),
         categorical=tuple(draw(st.permutations(categorical))),
         include_protected_in_features=include,
-        add_constant_feature=draw(st.booleans()),
     )
     return raw, schema
 
@@ -464,10 +450,10 @@ class TestEncoderOracle:
         assert_matches_reference(raw, schema)
 
     @pytest.mark.parametrize("include", [False, True])
-    @pytest.mark.parametrize("constant", [False, True])
-    def test_toy_fixture(self, include, constant):
-        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, add_constant_feature=constant,
-                                     include_protected_in_features=include)
+    @pytest.mark.parametrize("numeric", [False, True])
+    def test_toy_fixture(self, include, numeric):
+        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include,
+                                     numeric=BASIC_SCHEMAS_TOY.numeric if numeric else ())
         assert_matches_reference(load_csv(FIXTURE_DIR / "toy.csv"), schema)
 
     def test_trailing_nul_is_its_own_category(self):

@@ -200,7 +200,6 @@ class TestExperiment:
             delta_grid=(1e-3,),
             runs=3,
             master_seed=7,
-            test_fraction=0.25,
         )
         base.update(kw)
         return ExperimentConfig(**base)
@@ -209,6 +208,10 @@ class TestExperiment:
         assert len(DEFAULT_EPS_GRID) == 6
         assert len(DEFAULT_DELTA_GRID) == 5
         assert DEFAULT_EPS_GRID[0] == 1e-2 and DEFAULT_EPS_GRID[-1] == 10.0
+        # The library's defaults are fairdp sweep's: one source for each grid.
+        cfg = ExperimentConfig(methods=("RelaxedFM",))
+        assert (cfg.eps_grid, cfg.delta_grid) == (DEFAULT_EPS_GRID, DEFAULT_DELTA_GRID)
+        assert len(cfg.grid()) == 30
 
     def test_deterministic_reports(self):
         ds = toy_d3()
@@ -268,6 +271,7 @@ class TestExperiment:
         real_split = evaluation.split
 
         def counted_split(ds, test_fraction, seed):
+            assert test_fraction == evaluation.TEST_FRACTION == 0.2
             splits.append(seed)
             return real_split(ds, test_fraction, seed)
 
@@ -286,7 +290,7 @@ class TestExperiment:
         rep = run_experiment(toy_d3(), cfg)
         assert not any(p.failed for p in rep.points)
         assert len(splits) == len(set(splits)) == cfg.runs
-        assert grams == [6] * cfg.runs  # once per 6-row train part
+        assert grams == [7] * cfg.runs  # once per 7-row train part
 
     def test_one_unit_ball_check_per_run(self, monkeypatch):
         checks = []
@@ -302,7 +306,7 @@ class TestExperiment:
         cfg = self.config(methods=("FM", "RelaxedFM", "PDFC", "ADFC"), delta_grid=(1e-3, 1e-5))
         rep = run_experiment(toy_d3(), cfg)
         assert not any(p.failed for p in rep.points)
-        assert checks == [6] * cfg.runs  # once per 6-row train part, not per fit
+        assert checks == [7] * cfg.runs  # once per 7-row train part, not per fit
 
     def test_one_prediction_per_key_and_run(self, monkeypatch):
         # Accuracy and risk difference come from one set of labels.
@@ -374,9 +378,9 @@ class TestExperiment:
         (dict(delta_grid=(0.0,)), "delta grid value"),
         (dict(delta_grid=(1e-3, 1.0)), "delta grid value"),
         (dict(delta_grid=(math.nan,)), "delta grid value"),
-        (dict(test_fraction=0.0), "test_fraction"),
-        (dict(test_fraction=1.5), "test_fraction"),
-        (dict(test_fraction=math.nan), "test_fraction"),
+        (dict(eps_grid=()), "epsilon grid is empty"),
+        (dict(delta_grid=()), "delta grid is empty"),
+        (dict(methods=("FM", "SVM")), "unknown method 'SVM'"),
         (dict(alpha1=math.nan), "alpha1"),
         (dict(alpha1=-math.inf), "alpha1"),
         (dict(runs=2.5), "runs must be an integer"),
@@ -408,7 +412,7 @@ class TestRendering:
     def make_report(self):
         return run_experiment(toy_d3(), ExperimentConfig(
             methods=("FairLR", "FM"), eps_grid=(1.0,), delta_grid=(1e-3,),
-            runs=2, master_seed=1, test_fraction=0.25,
+            runs=2, master_seed=1,
         ))
 
     def test_csv_header_and_rows(self):
@@ -432,7 +436,7 @@ class TestRendering:
                             feature_names=("a",))
         rep = run_experiment(ds, ExperimentConfig(
             methods=("FairLR",), eps_grid=(1.0,), delta_grid=(1e-3,),
-            runs=3, master_seed=0, test_fraction=0.25,
+            runs=3, master_seed=0,
         ))
         assert "n/a(3)" in render_table(rep)
 

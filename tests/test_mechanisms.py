@@ -280,6 +280,15 @@ class TestGaussianSigma:
         with pytest.raises(ValueError):
             gaussian_sigma(1.0, 1e-3, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_epsilon_and_sensitivity_out_of_range_rejected(self, bad):
+        # NaN and inf used to pass the `<= 0` tests and give sigma = nan.
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and positive, got {bad}$"):
+            gaussian_sigma(bad, 1e-5, 1.0)
+        with pytest.raises(ValueError,
+                           match=f"^sensitivity must be finite and positive, got {bad}$"):
+            gaussian_sigma(1.0, 1e-5, bad)
+
 
 class TestSamplers:
     def test_laplace_moments(self):
@@ -520,6 +529,13 @@ class TestComposition:
         for delta in (1e-3, 1e-5, 0.3):
             part = split_total_delta(delta)
             assert compose_split_delta(part, part) == pytest.approx(delta, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_split_epsilon_out_of_range_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^eps_s must be finite and positive, got {bad}$"):
+            compose_split_epsilon(bad, 1.0, 3)
+        with pytest.raises(ValueError, match=f"^eps_n must be finite and positive, got {bad}$"):
+            compose_split_epsilon(1.0, bad, 3)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,20 @@ class TestInputValidation:
             train_adfc(toy_d3(), 1.0, 1.0, 1e-3, 1e-3, s_index=0, alpha1=alpha1)
         with pytest.raises(ValueError, match="alpha1 must be finite"):
             train_fair_lr(toy_d3(), alpha1=alpha1)
+
+    @pytest.mark.parametrize("fit, inputs", [
+        (lambda ds: train_pdfc(ds, 1.0, 1.0, s_index=0, alpha1=1e300),
+         "alpha1 1e+300, eps_s 1.0 and eps_n 1.0"),
+        (lambda ds: train_fm(ds, 1e-300, seed=0), "epsilon 1e-300"),
+        (lambda ds: train_relaxed_fm(ds, 1e-300, 1e-5, seed=0), "epsilon 1e-300"),
+        (lambda ds: train_fair_lr(ds, alpha1=1e308), "alpha1 1e+308"),
+    ], ids=["PDFC", "FM", "RelaxedFM", "FairLR"])
+    def test_solve_that_overflows_names_its_inputs(self, fit, inputs):
+        # Finite but huge coefficients used to give NaN weights or residual
+        # (and RuntimeWarnings, errors under this suite's filter).
+        with pytest.raises(ValueError,
+                           match=re.escape(f"the quadratic solve overflows at {inputs}: ")):
+            fit(toy_d3())
 
 
 class TestModelInvariants:
