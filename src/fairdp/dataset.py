@@ -175,7 +175,12 @@ class EncodedDataset:
         return "" if top <= (1.0 + 1e-12) ** 2 else f"row norm exceeds 1: max={math.sqrt(top)}"
 
     def fingerprint(self) -> str:
-        """Content hash used to tie reports to the exact encoded data."""
+        """Content hash used to tie reports to the exact encoded data; it is
+        computed once per dataset."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         h = hashlib.sha256()
         for a in (self.X, self.y, self.z):
             h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), uncopied

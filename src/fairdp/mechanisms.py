@@ -15,14 +15,17 @@ sqrt(d^2/16 + d), bit for bit), which FM and RelaxedFM use.
 Noise is drawn one value per degree-1 coefficient and per ordered degree-2
 cell, in a fixed order (degree-1 ascending, then degree-2 row-major), so a
 seed fully determines the perturbed polynomial.  Both samplers are explicit
-transforms of the generator's uniform stream, which keeps golden tests
-portable across library versions.  The uniforms are drawn as one array (equal
-to the one-at-a-time stream), but log and cos go through the C library
-(``math.log``/``math.cos``), not numpy's ufuncs: numpy's SIMD log differs from
-libm in the last bit on some inputs and CPUs, which would make every private
-output depend on the host.  sqrt is correctly rounded and stays vectorized.
-Outputs are therefore bit-identical only across C libraries whose log and cos
-round the same way: neither is specified to the last bit.
+transforms of the generator's uniform stream, drawn as one array (equal to
+the one-at-a-time stream).  log is ``scipy.special.xlogy(1.0, x)``, scipy's
+compiled loop over the C library's scalar ``log``; cos is ``np.cos``; sqrt
+is correctly rounded.  ``np.log`` stays out: under numpy's AVX-512 dispatch
+it differs from the C library's log in the last bit on about 0.35% of
+uniforms.  The draws therefore equal the scalar ``math.log``/``math.cos``
+transform bit for bit exactly where numpy's float64 cos is the C library's
+cos, and outputs agree across hosts only where the C libraries' log and cos
+round the same way (neither is specified to the last bit).
+``TestBulkBitExact`` in ``tests/test_mechanisms.py`` fails on a host where
+the first condition does not hold.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import xlogy
 
 from .polynomial import PolyObjective
 
@@ -93,11 +97,6 @@ def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float
     )
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn (a ``math`` function) applied to every entry of a 1-d array."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-
-
 def _check_positive(scale: np.ndarray) -> None:
     if not (scale > 0).all():
         raise ValueError(f"scale must be positive, got {scale[~(scale > 0)][0]}")
@@ -109,13 +108,14 @@ def laplace_sample(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
 
     u < 1/2 maps to scale*log(2u), u >= 1/2 to -scale*log(2(1-u)).  A zero
     uniform (probability 2^-53) is nudged to the next representable value so
-    the transform stays finite.
+    the transform stays finite.  log is ``xlogy(1.0, x)``, the C library's
+    log in a compiled loop, equal to ``math.log`` bit for bit.
     """
     _check_positive(scale)
     u = rng.random(scale.size)
     u[u == 0.0] = 2.0 ** -53
     low = u < 0.5
-    magnitude = scale * _libm(math.log, np.where(low, 2.0 * u, 2.0 * (1.0 - u)))
+    magnitude = scale * xlogy(1.0, np.where(low, 2.0 * u, 2.0 * (1.0 - u)))
     return np.where(low, magnitude, -magnitude)
 
 
@@ -124,13 +124,15 @@ def gaussian_sample(rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
     Box-Muller on two consecutive uniforms.
 
     The sine twin is discarded so every draw consumes exactly two uniforms,
-    keeping the stream position independent of call history.
+    keeping the stream position independent of call history.  log is
+    ``xlogy(1.0, x)`` and cos is ``np.cos``, equal to ``math.log`` and
+    ``math.cos`` bit for bit wherever numpy's float64 cos is the C library's.
     """
     _check_positive(sigma)
     u = rng.random(2 * sigma.size)
     u1 = 1.0 - u[0::2]  # in (0, 1], log stays finite
-    radius = np.sqrt(-2.0 * _libm(math.log, u1))
-    return sigma * radius * _libm(math.cos, 2.0 * math.pi * u[1::2])
+    radius = np.sqrt(-2.0 * xlogy(1.0, u1))
+    return sigma * radius * np.cos(2.0 * math.pi * u[1::2])
 
 
 _SAMPLERS = {"laplace": laplace_sample, "gaussian": gaussian_sample}

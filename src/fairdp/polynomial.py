@@ -76,7 +76,12 @@ def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
     """
     check_alpha1(alpha1)
     base = lr_poly(ds)
-    return PolyObjective(c0=base.c0, c1=base.c1 + alpha1 * ds.protected_cov, c2=base.c2)
+    with np.errstate(over="ignore"):  # reported below instead
+        c1 = base.c1 + alpha1 * ds.protected_cov
+    if not np.isfinite(c1).all():
+        raise ValueError(f"alpha1 {alpha1} overflows the fairness term's linear "
+                         "coefficients")
+    return PolyObjective(c0=base.c0, c1=c1, c2=base.c2)
 
 
 def eval_poly(p: PolyObjective, w: np.ndarray) -> float:

@@ -152,9 +152,14 @@ def _private_fit(
     for name, eps, scale in zip(names, (eps_s, eps_n), (scale_s, scale_n)):
         if not math.isfinite(scale):
             raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
-    poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
-    w, diagnostics = _solve(poly, f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}"
-                            if split_budget else f"epsilon {eps_s}")
+    inputs = (f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}" if split_budget
+              else f"epsilon {eps_s}")
+    try:
+        with np.errstate(over="raise"):  # a draw or noisy coefficient past the float range
+            poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
+    except FloatingPointError:
+        raise ValueError(f"the noise overflows the coefficients at {inputs}") from None
+    w, diagnostics = _solve(poly, inputs)
     if split_budget:
         if kind == "laplace":
             epsilon = compose_split_epsilon(eps_s, eps_n, ds.d)

@@ -294,6 +294,12 @@ class TestGoldenPipeline:
             "4bae6472e0a916754d42b782e0d026f212e3d6c05fd2fcca4284c317c5d0f439"
         )
 
+    def test_fingerprint_hashed_once(self, monkeypatch):
+        ds = build_dataset(load_csv(FIXTURE_DIR / "toy.csv"), BASIC_SCHEMAS_TOY)
+        first = ds.fingerprint()
+        monkeypatch.setattr(hashlib, "sha256", None)  # a second hash would fail
+        assert ds.fingerprint() == first
+
 
 # --- encoder oracle -----------------------------------------------------------
 # A transcription of the per-category encoder that the array encoder replaced:

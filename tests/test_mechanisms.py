@@ -497,6 +497,54 @@ class TestBitExact:
         np.testing.assert_array_equal(np.concatenate(singles), arrays)
 
 
+class TestBulkBitExact:
+    """The samplers' log and cos equal ``math.log`` and ``math.cos`` bit for
+    bit on a million seeded uniforms and the edges.  At unit scale a Laplace
+    draw is +-log of its argument and a Gaussian draw sqrt(-2 log u1) cos(2 pi
+    u2), so the samplers' outputs are compared with the scalar transform.  A
+    host whose numpy float64 cos or scipy log is not the C library's fails
+    here, and every seeded private output would differ on it."""
+
+    EDGES = [2.0 ** -53, 0.5, 1.0 - 2.0 ** -53] * 2  # each edge as u1 and as u2
+
+    def streams(self):
+        """(generator, the uniforms it yields): a million seeded ones, then the edges."""
+        yield np.random.default_rng(0), np.random.default_rng(0).random(1_000_000)
+        yield ScriptedUniforms(self.EDGES), np.array(self.EDGES)
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        mismatched = np.flatnonzero(np.asarray(a).view(np.int64) != np.asarray(b).view(np.int64))
+        assert mismatched.size == 0, f"{mismatched.size} differ, first at {mismatched[:5]}"
+
+    def test_laplace_log(self):
+        for rng, u in self.streams():
+            out = laplace_sample(rng, np.ones(u.size))
+            expected = [math.log(2.0 * v) if v < 0.5 else -math.log(2.0 * (1.0 - v))
+                        for v in u.tolist()]
+            self.assert_same_bits(out, expected)
+
+    def test_gaussian_log_and_cos(self):
+        for rng, u in self.streams():
+            out = gaussian_sample(rng, np.ones(u.size // 2))
+            v = u.tolist()
+            expected = [math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
+                        for u1, u2 in zip(v[0::2], v[1::2])]
+            self.assert_same_bits(out, expected)
+
+    @pytest.mark.parametrize("kind", ["laplace", "gaussian"])
+    def test_no_per_value_python_path(self, kind, monkeypatch):
+        def scalar_call(x):
+            raise AssertionError("a noise draw went through the math module")
+
+        monkeypatch.setattr(math, "log", scalar_call)
+        monkeypatch.setattr(math, "cos", scalar_call)
+        d = 102
+        poly = PolyObjective(c0=0.0, c1=np.zeros(d), c2=np.zeros((d, d)))
+        out = perturb(poly, kind, 2.0, 0.5, 3, np.random.default_rng(0))
+        assert np.isfinite(out.c2).all() and (out.c2 != 0.0).all()
+
+
 class TestComposition:
     def test_equal_epsilons_identity(self):
         rng = np.random.default_rng(3)

@@ -303,6 +303,22 @@ class TestInputValidation:
                            match=re.escape(f"the quadratic solve overflows at {inputs}: ")):
             fit(toy_d3())
 
+    @pytest.mark.parametrize("fit, message", [
+        (lambda ds: train_fair_lr(ds, alpha1=1.7e308),
+         "alpha1 1.7e+308 overflows the fairness term's linear coefficients"),
+        (lambda ds: train_pdfc(ds, 1, 1, 0, alpha1=1e307),
+         "the noise overflows the coefficients at alpha1 1e+307, eps_s 1 and eps_n 1"),
+        (lambda ds: train_relaxed_fm(ds, 1e-307, 1e-3, seed=0),
+         "the noise overflows the coefficients at epsilon 1e-307"),
+    ], ids=["FairLR-fold", "PDFC-laplace", "RelaxedFM-gaussian"])
+    def test_coefficient_overflow_names_its_inputs(self, fit, message):
+        # The fold alpha1 * protected_cov and the noise draws used to emit a
+        # RuntimeWarning (an error under this suite's filter) and then fail
+        # with "polynomial coefficients must be finite", naming no setting.
+        ds = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit(ds)
+
 
 class TestModelInvariants:
     def test_budget_bookkeeping_recomputes(self, conditioned_ds):
