@@ -9,10 +9,8 @@ from .dataset import (
     RawTable,
     Schema,
     build_dataset,
-    encode,
     fetch_dataset,
     load_csv,
-    normalize,
     split,
 )
 from .evaluation import (

@@ -1,12 +1,13 @@
-"""CSV ingestion, encoding and normalization for binary classification tasks
-with a binary protected attribute.
+"""CSV ingestion and encoding for binary classification tasks with a binary
+protected attribute.
 
 Inputs are plain comma-separated files (optional header row, cells trimmed,
 ``?`` or empty cells treated as missing, ``|``-prefixed lines skipped per the
 UCI convention).  A :class:`Schema` names the label column, the protected
-column and the numeric and categorical feature columns.  Encoded feature rows
-are scaled so that every row lies in the nonnegative part of the unit ball:
-per-column min-max to [0, 1] followed by a global division by sqrt(d).
+column and the numeric and categorical feature columns.  :func:`build_dataset`
+is the one encoding path: it writes the feature matrix, already scaled so that
+every row lies in the nonnegative part of the unit ball (per-column min-max to
+[0, 1], then a global division by sqrt(d)), into a single allocation.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import logging
 import math
 import shutil
 import urllib.request
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +98,14 @@ class Schema:
 class EncodedDataset:
     """Numeric view of a table: features X, labels y, protected attribute z.
 
-    The container itself does not insist on normalized rows (encode and
-    normalize are separate steps); :meth:`check_normalized` verifies the
-    unit-ball invariant, which the private trainers require.
+    The container itself does not insist on normalized rows (a library
+    caller may build one from any matrix); :meth:`check_normalized` verifies
+    the unit-ball invariant, which :func:`build_dataset` output holds by
+    construction and the private trainers require.
 
     The degree-2 objective's sufficient statistics (``logistic_c1``,
-    ``logistic_c2``, ``protected_cov``) are computed on first use and kept.
+    ``logistic_c2``, ``protected_cov``) are computed on first use and kept;
+    none of them forms an (n, d) temporary.
     """
 
     X: np.ndarray
@@ -123,7 +127,7 @@ class EncodedDataset:
         if len(self.feature_names) != d:
             raise ValueError("feature_names must have one entry per column")
         for name, v in (("y", y), ("z", z)):
-            if not np.isin(v, (0, 1)).all():
+            if not (v.min() >= 0 and v.max() <= 1):  # int64: only 0 and 1
                 raise ValueError(f"{name} must contain only 0 and 1")
         for arr in (X, y, z):
             arr.setflags(write=False)
@@ -147,7 +151,7 @@ class EncodedDataset:
     @cached_property
     def logistic_c1(self) -> np.ndarray:
         """sum_i (1/2 - y_i) x_i, the linear term of the logistic quadratic."""
-        return _frozen(((0.5 - self.y)[:, None] * self.X).sum(axis=0))
+        return _frozen(_weighted_row_sum(0.5 - self.y, self.X))
 
     @cached_property
     def logistic_c2(self) -> np.ndarray:
@@ -157,7 +161,7 @@ class EncodedDataset:
     @cached_property
     def protected_cov(self) -> np.ndarray:
         """sum_i (z_i - z_bar) x_i, the decision-boundary covariance direction."""
-        return _frozen(((self.z - self.z_bar)[:, None] * self.X).sum(axis=0))
+        return _frozen(_weighted_row_sum(self.z - self.z_bar, self.X))
 
     def check_normalized(self) -> None:
         """Raise ValueError unless every row lies in the nonnegative unit
@@ -165,7 +169,7 @@ class EncodedDataset:
         outcome is computed once per dataset."""
         if self._unit_ball_error:
             raise ValueError("features must lie in the nonnegative unit ball "
-                             f"(build_dataset or normalize them): {self._unit_ball_error}")
+                             f"(build_dataset scales them into it): {self._unit_ball_error}")
 
     @cached_property
     def _unit_ball_error(self) -> str:
@@ -186,6 +190,26 @@ class EncodedDataset:
             h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), uncopied
         h.update("|".join(self.feature_names).encode())
         return h.hexdigest()
+
+
+SUM_BLOCK = 4096  # rows per product block of _weighted_row_sum
+
+
+def _weighted_row_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i, bit for bit ``(w[:, None] * X).sum(axis=0)``: NumPy adds
+    a C-ordered product's rows in order, so a (SUM_BLOCK + 1, d) buffer whose
+    row 0 carries the running sum stands in for the (n, d) product."""
+    n, d = X.shape
+    if d == 1 or not X.flags.c_contiguous:  # NumPy sums these pairwise
+        return (w[:, None] * X).sum(axis=0)
+    buf = np.empty((min(n, SUM_BLOCK) + 1, d))
+    head = 0  # buffer rows before the block's products: the running sum
+    for start in range(0, n, SUM_BLOCK):
+        stop = min(start + SUM_BLOCK, n)
+        np.multiply(w[start:stop, None], X[start:stop], out=buf[head:head + stop - start])
+        buf[0] = buf[:head + stop - start].sum(axis=0)
+        head = 1
+    return buf[0].copy()
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -247,96 +271,71 @@ def _distinct(path: Path, names: tuple[str, ...]) -> tuple[str, ...]:
     return names
 
 
-def _column(raw: RawTable, name: str) -> list[str]:
+def _column(raw: RawTable, name: str) -> Iterator[str]:
+    """The cells of one column, in row order, without a list of them."""
     try:
-        idx = raw.column_names.index(name)
+        return map(itemgetter(raw.column_names.index(name)), raw.rows)
     except ValueError:
         raise ValueError(f"column {name!r} not present in table") from None
-    return [row[idx] for row in raw.rows]
 
 
-def _binary_indicator(values: list[str], positive: str, what: str) -> np.ndarray:
-    observed = set(values)
-    if positive not in observed:
-        raise ValueError(
-            f"{what} positive value {positive!r} never observed "
-            f"(observed: {sorted(observed)[:8]}...)"
-        )
-    return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
-
-
-def _encode_arrays(raw: RawTable, schema: Schema):
-    """The parts of :func:`encode`: (X, y, z, feature_names), X writable."""
-    y = _binary_indicator(_column(raw, schema.label), schema.label_positive, "label")
-    z = _binary_indicator(_column(raw, schema.protected), schema.protected_positive, "protected")
-
-    columns: list[np.ndarray] = []
-    names = list(schema.numeric)
-    for name in schema.numeric:
-        values = _column(raw, name)
-        try:
-            columns.append(np.array(list(map(float, values))))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell in column {name!r}: {exc}") from None
-    for name in schema.categorical:
-        values = _column(raw, name)
-        codes: dict[str, int] = {}
-        idx = [codes.setdefault(v, len(codes)) for v in values]
-        block = np.zeros((len(values), len(codes)))
-        block[np.arange(len(values)), idx] = 1.0
-        columns.append(block)
-        names.extend(f"{name}={cat}" for cat in codes)
-    if schema.include_protected_in_features:
-        columns.append(z.astype(float))
-        names.append(schema.protected)
-    X = np.column_stack(columns)
-    return X, y, z, tuple(names)
-
-
-def encode(raw: RawTable, schema: Schema) -> EncodedDataset:
-    """Encode a raw table into numeric arrays.  X is NOT yet normalized.
-
-    Categorical columns are one-hot encoded with one indicator per observed
-    category, ordered by first occurrence.  Categories are exact Python
-    strings: no NumPy string array, which would drop trailing NULs.  Numeric
-    columns pass through.
-    """
-    return EncodedDataset(*_encode_arrays(raw, schema))
-
-
-def _min_max_in_place(X: np.ndarray) -> np.ndarray:
-    """Per-column min-max scaling of a float matrix to [0, 1], overwriting
-    it; constant columns collapse to exactly 0."""
-    if X.ndim != 2 or X.shape[1] < 1:
-        raise ValueError("X must be a 2-d matrix with at least one column")
-    if not np.isfinite(X).all():
-        raise ValueError("X contains non-finite entries")
-    lo = X.min(axis=0)
-    span = X.max(axis=0) - lo
-    live = span > 0
-    X -= lo
-    X /= np.where(live, span, 1.0)
-    X[:, ~live] = 0.0  # x - lo may be -0.0 where "0" and "-0" mix
-    return X
-
-
-def normalize(X: np.ndarray) -> np.ndarray:
-    """Scale a feature matrix into the nonnegative unit ball.
-
-    Each column is min-max scaled to [0, 1] (constant columns collapse to 0),
-    then every entry is divided by sqrt(d), so each row norm is at most 1.
-    """
-    unit = _min_max_in_place(np.array(X, dtype=float))
-    return unit / math.sqrt(unit.shape[1])
+def _binary_indicator(raw: RawTable, name: str, positive: str, what: str) -> np.ndarray:
+    v = np.fromiter(map(positive.__eq__, _column(raw, name)), np.int64, raw.n_rows)
+    if not v.any():
+        observed = sorted(set(_column(raw, name)))[:8]
+        raise ValueError(f"{what} positive value {positive!r} never observed "
+                         f"(observed: {observed}...)")
+    return v
 
 
 def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
-    """encode + normalize in one step; the form every trainer consumes.  The
-    encoded matrix is scaled in place."""
-    X, y, z, names = _encode_arrays(raw, schema)
-    _min_max_in_place(X)
-    X /= math.sqrt(X.shape[1])
-    return EncodedDataset(X=X, y=y, z=z, feature_names=names)
+    """The encoded table, rows scaled into the nonnegative unit ball: the form
+    every trainer consumes.
+
+    The features are the numeric columns, then one indicator per observed
+    category of each categorical column (first-seen order; categories are
+    exact Python strings, not a NumPy string array, which would drop trailing
+    NULs), then the protected 0/1 column if the schema includes it.  Each is
+    min-max scaled to [0, 1] (a constant one to exactly 0.0; no entry is
+    -0.0) and divided by sqrt(d), in place in the one (n, d) allocation.
+    """
+    y = _binary_indicator(raw, schema.label, schema.label_positive, "label")
+    z = _binary_indicator(raw, schema.protected, schema.protected_positive, "protected")
+    n, names, one_hot = raw.n_rows, list(schema.numeric), []
+    for name in schema.categorical:
+        codes: dict[str, int] = {}
+        idx = np.fromiter((codes.setdefault(v, len(codes)) for v in _column(raw, name)), np.intp, n)
+        one_hot.append((idx, len(codes)))
+        names.extend(f"{name}={cat}" for cat in codes)
+    if schema.include_protected_in_features:
+        names.append(schema.protected)
+    root = math.sqrt(len(names))
+
+    X = np.zeros((n, len(names)))
+    for j, name in enumerate(schema.numeric):
+        cells = _column(raw, name)
+        try:
+            X[:, j] = np.fromiter(map(float, cells), float, n)
+        except ValueError as exc:
+            raise ParseError(f"non-numeric cell in column {name!r}: {exc}") from None
+    for col in X.T[:len(schema.numeric)]:  # after all parse: a bad cell outranks an inf
+        lo, hi = col.min(), col.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("X contains non-finite entries")
+        if hi > lo:
+            col -= lo if lo else -0.0  # x - (-0.0) turns a "-0" cell into +0.0
+            col /= hi - lo
+            col /= root
+        else:
+            col.fill(0.0)
+    j = len(schema.numeric)
+    for idx, k in one_hot:
+        if k > 1:  # a one-category column is constant, so it stays 0.0
+            X[np.arange(n), j + idx] = 1.0 / root
+        j += k
+    if schema.include_protected_in_features and z.min() < z.max():
+        X[:, -1] = z / root
+    return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(names))
 
 
 def split(

@@ -9,10 +9,12 @@ covariance only with that orientation.  The z-effect strengths are tuned so
 the alpha1=1 fold cancels most of the covariance instead of overshooting.
 """
 
+import math
+
 import numpy as np
 from scipy.special import expit
 
-from fairdp.dataset import EncodedDataset, normalize
+from fairdp.dataset import EncodedDataset
 
 
 def make_adult_like(n: int, seed: int) -> EncodedDataset:
@@ -32,4 +34,6 @@ def make_adult_like(n: int, seed: int) -> EncodedDataset:
 
     X_raw = np.column_stack([degree, fulltime, senior, skill, union, urban, tenure])
     names = ("degree", "fulltime", "senior", "skill", "union", "urban", "tenure")
-    return EncodedDataset(X=normalize(X_raw), y=y, z=z, feature_names=names)
+    lo = X_raw.min(axis=0)  # per-column min-max, then / sqrt(d), as build_dataset scales
+    X = (X_raw - lo) / (X_raw.max(axis=0) - lo) / math.sqrt(X_raw.shape[1])
+    return EncodedDataset(X=X, y=y, z=z, feature_names=names)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairdp.dataset import (
+    SUM_BLOCK,
     EncodedDataset,
     FetchError,
     ParseError,
@@ -19,14 +21,12 @@ from fairdp.dataset import (
     RemoteFile,
     Schema,
     build_dataset,
-    encode,
     fetch_dataset,
     load_csv,
-    normalize,
     split,
 )
 
-from toys import FIXTURE_DIR
+from toys import FIXTURE_DIR, reference_encode
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -124,20 +124,20 @@ class TestEncode:
         )
 
     def test_protected_mapping(self):
-        ds = encode(self.make_raw(), BASIC_SCHEMA)
+        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
         np.testing.assert_array_equal(ds.z, [1, 0, 0, 1])
         np.testing.assert_array_equal(ds.y, [1, 0, 1, 0])
 
     def test_one_hot_columns_sum_to_one(self):
-        ds = encode(self.make_raw(), BASIC_SCHEMA)
-        onehot = ds.X[:, 1:]  # age is first
+        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
+        onehot = ds.X[:, 1:] * 2.0  # age is first; entries are 1/sqrt(4) or 0
         assert onehot.shape == (4, 3)
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(4))
         # first-seen category order
         assert ds.feature_names == ("age", "dept=eng", "dept=ops", "dept=hr")
 
     def test_protected_excluded_by_default(self):
-        ds = encode(self.make_raw(), BASIC_SCHEMA)
+        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
         assert "sex" not in ds.feature_names
 
     def test_protected_included_when_flagged(self):
@@ -149,9 +149,9 @@ class TestEncode:
             numeric=("age",),
             include_protected_in_features=True,
         )
-        ds = encode(self.make_raw(), schema)
+        ds = build_dataset(self.make_raw(), schema)
         assert ds.feature_names[-1] == "sex"
-        np.testing.assert_array_equal(ds.X[:, -1], ds.z)
+        np.testing.assert_array_equal(ds.X[:, -1], ds.z / math.sqrt(2))
 
     def test_unseen_positive_label_errors(self):
         schema = Schema(
@@ -162,7 +162,7 @@ class TestEncode:
             numeric=("age",),
         )
         with pytest.raises(ValueError, match="label"):
-            encode(self.make_raw(), schema)
+            build_dataset(self.make_raw(), schema)
 
     def test_missing_column_errors(self):
         schema = Schema(
@@ -173,7 +173,7 @@ class TestEncode:
             numeric=("salary",),
         )
         with pytest.raises(ValueError, match="salary"):
-            encode(self.make_raw(), schema)
+            build_dataset(self.make_raw(), schema)
 
     def test_non_numeric_cell_errors(self):
         raw = RawTable(
@@ -188,7 +188,7 @@ class TestEncode:
             numeric=("age",),
         )
         with pytest.raises(ParseError, match="age"):
-            encode(raw, schema)
+            build_dataset(raw, schema)
 
     def test_schema_rejects_label_as_feature(self):
         with pytest.raises(ValueError):
@@ -219,6 +219,20 @@ class TestEncode:
         np.testing.assert_array_equal(ds.X[:, 0], ds.z)
 
 
+def normalize(X):
+    """build_dataset's X for a table whose feature columns are the columns of
+    X, written as the shortest text that parses back to each value."""
+    n, d = X.shape
+    names = tuple(f"c{j}" for j in range(d))
+    groups = ["Male"] + ["Female"] * (n - 1)
+    raw = RawTable(column_names=(*names, "sex", "income"),
+                   rows=tuple((*map(repr, map(float, row)), g, "yes")
+                              for row, g in zip(X, groups)))
+    schema = Schema(label="income", label_positive="yes",
+                    protected="sex", protected_positive="Male", numeric=names)
+    return build_dataset(raw, schema).X
+
+
 class TestNormalize:
     def test_single_column_minmax(self):
         out = normalize(np.array([[0.0], [5.0], [10.0]]))
@@ -231,6 +245,7 @@ class TestNormalize:
     def test_random_matrix_row_norms(self, rng):
         X = rng.normal(size=(50, 6)) * 100 + 3
         out = normalize(X)
+        np.testing.assert_array_equal(out, scaled(X))
         assert (out >= 0).all()
         assert (np.linalg.norm(out, axis=1) <= 1.0 + 1e-12).all()
 
@@ -244,11 +259,12 @@ class TestNormalize:
     @settings(max_examples=100, deadline=None)
     def test_unit_ball_property(self, X):
         out = normalize(X)
+        np.testing.assert_array_equal(out, scaled(X))
         assert (out >= 0.0).all()
         assert (np.linalg.norm(out, axis=1) <= 1.0 + 1e-12).all()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^X contains non-finite entries$"):
             normalize(np.array([[1.0], [np.inf]]))
 
 
@@ -265,12 +281,7 @@ class TestBuildDataset:
         # 0/1 column included), then one division by sqrt(columns).
         raw = load_csv(FIXTURE_DIR / "toy.csv")
         schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include)
-        X = encode(raw, schema).X
-        span = X.max(axis=0) - X.min(axis=0)
-        unit = np.zeros_like(X)
-        live = span > 0
-        unit[:, live] = (X[:, live] - X.min(axis=0)[live]) / span[live]
-        expected = unit / math.sqrt(unit.shape[1])
+        expected = scaled(reference_encode(raw, schema).X)
         np.testing.assert_array_equal(build_dataset(raw, schema).X, expected)
 
 
@@ -286,7 +297,7 @@ BASIC_SCHEMAS_TOY = Schema(
 
 class TestGoldenPipeline:
     def test_encode_load_byte_stable(self):
-        # Golden: fingerprint of encode(load(fixture)) frozen at build time.
+        # Golden: fingerprint of build_dataset(load(fixture)) frozen at build time.
         raw = load_csv(FIXTURE_DIR / "toy.csv")
         assert raw.n_dropped == 1
         ds = build_dataset(raw, BASIC_SCHEMAS_TOY)
@@ -302,55 +313,31 @@ class TestGoldenPipeline:
 
 
 # --- encoder oracle -----------------------------------------------------------
-# A transcription of the per-category encoder that the array encoder replaced:
-# one pass over the rows per category and a masked min-max.  Every encoded
-# bit of encode/build_dataset must match it.
+# reference_encode (in toys.py) transcribes the per-category encoder that the
+# array encoder replaced; reference_build scales its output with a masked
+# min-max and one division by sqrt(d).  Every bit of build_dataset must match.
 
-def reference_encode(raw, schema):
-    def column(name):
-        idx = raw.column_names.index(name)
-        return [row[idx] for row in raw.rows]
-
-    def indicator(values, positive):
-        return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
-
-    y = indicator(column(schema.label), schema.label_positive)
-    z = indicator(column(schema.protected), schema.protected_positive)
-    columns, names = [], []
-    for name in schema.numeric:
-        columns.append(np.array([float(v) for v in column(name)], dtype=float))
-        names.append(name)
-    for name in schema.categorical:
-        values = column(name)
-        categories, seen = [], set()
-        for v in values:
-            if v not in seen:
-                seen.add(v)
-                categories.append(v)
-        for cat in categories:
-            columns.append(np.fromiter((1.0 if v == cat else 0.0 for v in values), dtype=float))
-            names.append(f"{name}={cat}")
-    if schema.include_protected_in_features:
-        columns.append(z.astype(float))
-        names.append(schema.protected)
-    return EncodedDataset(X=np.column_stack(columns), y=y, z=z, feature_names=tuple(names))
+def scaled(X):
+    """Per-column min-max to [0, 1] (a constant column to 0.0), then one
+    division by sqrt(d).  A zero is +0.0 whatever the sign of its cell: the
+    + 0.0 turns x - lo = -0.0 (a "-0" cell at a minimum of "0") into +0.0."""
+    lo = X.min(axis=0)
+    span = X.max(axis=0) - lo
+    unit = np.zeros_like(X)
+    live = span > 0
+    unit[:, live] = (X[:, live] - lo[live] + 0.0) / span[live]
+    return unit / math.sqrt(unit.shape[1])
 
 
 def reference_build(raw, schema):
     ds = reference_encode(raw, schema)
-    lo = ds.X.min(axis=0)
-    span = ds.X.max(axis=0) - lo
-    unit = np.zeros_like(ds.X)
-    live = span > 0
-    unit[:, live] = (ds.X[:, live] - lo[live]) / span[live]
-    return EncodedDataset(X=unit / math.sqrt(unit.shape[1]), y=ds.y, z=ds.z,
-                          feature_names=ds.feature_names)
+    return EncodedDataset(X=scaled(ds.X), y=ds.y, z=ds.z, feature_names=ds.feature_names)
 
 
 def assert_matches_reference(raw, schema):
-    assert encode(raw, schema).fingerprint() == reference_encode(raw, schema).fingerprint()
-    assert build_dataset(raw, schema).fingerprint() == \
-        reference_build(raw, schema).fingerprint()
+    ds, ref = build_dataset(raw, schema), reference_build(raw, schema)
+    assert ds.X.tobytes() == ref.X.tobytes()
+    assert ds.fingerprint() == ref.fingerprint()
 
 
 NUMERIC_POOLS = (
@@ -440,7 +427,7 @@ def unique_encode(raw, schema):
         block[np.arange(raw.n_rows), rank[inverse]] = 1.0
         X.append(block)
         names += [f"{name}={c}" for c in cats[np.argsort(first)]]
-    ds = encode(raw, schema)
+    ds = reference_encode(raw, schema)
     return EncodedDataset(X=np.column_stack(X), y=ds.y, z=ds.z, feature_names=tuple(names))
 
 
@@ -469,9 +456,9 @@ class TestEncoderOracle:
         schema = Schema(label="income", label_positive="yes",
                         protected="sex", protected_positive="Male",
                         categorical=("dept",))
-        ds = encode(raw, schema)
+        ds = build_dataset(raw, schema)
         assert ds.feature_names == ("dept=x", "dept=x\x00")
-        np.testing.assert_array_equal(ds.X, [[1, 0], [0, 1], [1, 0]])
+        np.testing.assert_array_equal(ds.X, np.array([[1, 0], [0, 1], [1, 0]]) / math.sqrt(2))
         assert_matches_reference(raw, schema)
         # A NumPy string array strips the NUL and merges the two categories.
         assert unique_encode(raw, schema).fingerprint() != \
@@ -498,6 +485,78 @@ class TestEncoderOracle:
                         protected="sex", protected_positive="Male",
                         numeric=("age",))
         with pytest.raises(ValueError, match="X contains non-finite entries"):
+            build_dataset(raw, schema)
+
+
+def table(columns, **schema):
+    """A RawTable of the given columns (name -> cells), with a label column
+    "income" (yes, no, yes, ...) and a protected column "sex" (Male, then
+    Female) unless they are given, and a Schema with these feature columns."""
+    n = len(next(iter(columns.values())))
+    cols = {"sex": ["Male"] + ["Female"] * (n - 1),
+            "income": ["yes", "no"] * (n // 2) + ["yes"] * (n % 2), **columns}
+    raw = RawTable(column_names=tuple(cols), rows=tuple(zip(*cols.values())))
+    return raw, Schema(label="income", label_positive="yes",
+                       protected="sex", protected_positive="Male", **schema)
+
+
+class TestBuildDatasetEdges:
+    """build_dataset against the encode-then-scale oracle, byte for byte."""
+
+    def test_one_category_column_is_exact_zeros(self):
+        raw, schema = table({"one": ["x"] * 4, "two": ["a", "b", "a", "b"]},
+                            categorical=("one", "two"))
+        X = build_dataset(raw, schema).X
+        assert X[:, 0].tobytes() == np.zeros(4).tobytes()
+        assert_matches_reference(raw, schema)
+
+    @pytest.mark.parametrize("sex", [["Male"] * 4, ["Male", "Female", "Male", "Female"]])
+    def test_protected_feature(self, sex):
+        raw, schema = table({"age": ["30", "40", "50", "60"], "sex": sex}, numeric=("age",),
+                            include_protected_in_features=True)
+        ds = build_dataset(raw, schema)
+        expected = ds.z / math.sqrt(2) if 0 < ds.z_bar < 1 else np.zeros(4)
+        assert ds.X[:, 1].tobytes() == expected.tobytes()
+        assert_matches_reference(raw, schema)
+
+    @pytest.mark.parametrize("cells", [("-0", "0", "1"), ("0", "-0", "1"), ("1", "-0", "0"),
+                                       ("-0", "1", "0"), ("-0", "-0", "2"), ("0", "-0", "0")])
+    def test_zero_signs_mixed(self, cells):
+        # A "-0" cell at a zero minimum reads as +0.0, as "0" would.
+        raw, schema = table({"v": list(cells), "w": ["5", "-0", "0"]}, numeric=("v", "w"))
+        X = build_dataset(raw, schema).X
+        assert not np.signbit(X).any()
+        plain, _ = table({"v": [c.lstrip("-") for c in cells], "w": ["5", "0", "0"]},
+                         numeric=("v", "w"))
+        assert X.tobytes() == build_dataset(plain, schema).X.tobytes()
+        assert_matches_reference(raw, schema)
+
+    def test_column_order(self):
+        # Numeric, then categorical, then protected, whatever the file order.
+        raw, schema = table({"d": ["p", "q", "p"], "a": ["1", "2", "4"], "c": ["u", "u", "v"],
+                             "b": ["3", "1", "2"]},
+                            numeric=("b", "a"), categorical=("d", "c"),
+                            include_protected_in_features=True)
+        ds = build_dataset(raw, schema)
+        assert ds.feature_names == ("b", "a", "d=p", "d=q", "c=u", "c=v", "sex")
+        assert_matches_reference(raw, schema)
+
+    @pytest.mark.parametrize("cell, error, message", [
+        ("inf", ValueError, "X contains non-finite entries"),
+        ("nan", ValueError, "X contains non-finite entries"),
+        ("abc", ParseError,
+         "non-numeric cell in column 'age': could not convert string to float: 'abc'"),
+    ])
+    def test_bad_cells(self, cell, error, message):
+        raw, schema = table({"age": ["30", cell, "40"]}, numeric=("age",))
+        with pytest.raises(ValueError) as exc:
+            build_dataset(raw, schema)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_bad_cell_reported_before_non_finite_one(self):
+        # Every numeric column is parsed before any is checked for finiteness.
+        raw, schema = table({"a": ["inf", "1"], "b": ["2", "abc"]}, numeric=("a", "b"))
+        with pytest.raises(ParseError, match="column 'b'"):
             build_dataset(raw, schema)
 
 
@@ -580,6 +639,83 @@ class TestEncodedDatasetInvariants:
         ds = EncodedDataset(X=np.ones((4, 1)) / 2, y=[0, 1, 0, 1], z=[1, 0, 0, 1],
                             feature_names=("a",))
         assert ds.z_bar == 0.5
+
+
+def blocked_sizes():
+    return [1, 100, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 17]
+
+
+class TestLinearStatistics:
+    """logistic_c1 and protected_cov sum w_i x_i a block of rows at a time,
+    bit for bit as the one-shot (w[:, None] * X).sum(axis=0)."""
+
+    @staticmethod
+    def one_hot_rows(gen, n, d):
+        X = np.zeros((n, d))
+        X[np.arange(n), gen.integers(0, d, size=n)] = 1.0 / math.sqrt(d)
+        return X
+
+    @pytest.mark.parametrize("n", blocked_sizes())
+    @pytest.mark.parametrize("kind", ["dense", "one-hot"])
+    def test_matches_one_shot_sum(self, n, kind):
+        from conftest import random_unit_rows
+        gen = np.random.default_rng(n)
+        d = 7
+        X = random_unit_rows(gen, n, d) if kind == "dense" else self.one_hot_rows(gen, n, d)
+        ds = EncodedDataset(X=X, y=gen.integers(0, 2, size=n), z=gen.integers(0, 2, size=n),
+                            feature_names=tuple("abcdefg"))
+        for got, w in ((ds.logistic_c1, 0.5 - ds.y), (ds.protected_cov, ds.z - ds.z_bar)):
+            assert got.tobytes() == (w[:, None] * ds.X).sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("shape, order", [((SUM_BLOCK + 5, 1), "C"),
+                                              ((2 * SUM_BLOCK + 5, 3), "F")])
+    def test_layouts_numpy_sums_pairwise(self, shape, order):
+        gen = np.random.default_rng(0)
+        X = np.asarray(gen.random(shape) / math.sqrt(shape[1]), order=order)
+        ds = EncodedDataset(X=X, y=gen.integers(0, 2, size=shape[0]),
+                            z=gen.integers(0, 2, size=shape[0]),
+                            feature_names=tuple(f"f{j}" for j in range(shape[1])))
+        w = ds.z - ds.z_bar
+        assert ds.protected_cov.tobytes() == (w[:, None] * ds.X).sum(axis=0).tobytes()
+
+
+def census_shaped_table(n, seed=0):
+    """Seven numeric columns (0/1 indicators and uniform values, as text)
+    plus 0/1 label and group columns: the census CSV's shape, d = 7."""
+    gen = np.random.default_rng(seed)
+    cols = {f"f{j}": list(map(repr, (gen.random(n) if j % 3 else gen.random(n) < 0.4)
+                                    .astype(float).tolist()))
+            for j in range(7)}
+    cols["group"] = list(map(str, gen.integers(0, 2, size=n)))
+    cols["y"] = list(map(str, gen.integers(0, 2, size=n)))
+    raw = RawTable(column_names=tuple(cols), rows=tuple(zip(*cols.values())))
+    return raw, Schema(label="y", label_positive="1", protected="group",
+                       protected_positive="1", numeric=tuple(cols)[:7])
+
+
+def traced_peak(f):
+    """Peak bytes that tracemalloc, which sees NumPy's buffers, traces
+    during f(), and f's result."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("shape", ["adult", "census"])
+    def test_build_dataset_allocates_x_once(self, shape):
+        raw, schema = (adult_shaped_table(n=32_561) if shape == "adult"
+                       else census_shaped_table(n=32_561))
+        peak, ds = traced_peak(lambda: build_dataset(raw, schema))
+        assert peak <= 1.5 * (ds.X.nbytes + ds.y.nbytes + ds.z.nbytes)
+
+    def test_linear_statistics_form_no_full_product(self):
+        train, _ = split(build_dataset(*adult_shaped_table(n=32_561)), 0.2, seed=0)
+        peak, _ = traced_peak(lambda: (train.logistic_c1, train.protected_cov))
+        assert peak < train.X.nbytes / 4
 
 
 class TestFetch:

@@ -7,7 +7,7 @@ import pytest
 
 from fairdp import trainers as trainers_mod
 from fairdp.cli import load_encoded_dataset
-from fairdp.dataset import EncodedDataset, encode, split
+from fairdp.dataset import EncodedDataset, split
 from fairdp.evaluation import accuracy, risk_difference
 from fairdp.mechanisms import (
     compose_split_delta,
@@ -31,7 +31,8 @@ from fairdp.trainers import (
 )
 
 from synthdata import make_adult_like
-from toys import GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, noise_free, toy_d2, toy_d3
+from toys import (GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, noise_free, reference_encode, toy_d2,
+                  toy_d3)
 
 
 def load_golden(name):
@@ -260,10 +261,10 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_rows_outside_unit_ball_rejected_before_noise(self, method, monkeypatch):
-        # encode() skips the scaling: toy.csv rows reach norm 79.4, where the
+        # reference_encode skips the scaling: toy.csv rows reach norm 79.4, where the
         # sensitivity bounds (which assume ||x|| <= 1, x >= 0) do not hold.
         _, schema, raw = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)
-        ds = encode(raw, schema)
+        ds = reference_encode(raw, schema)
         for name in ("l1_sensitivity_fair", "l2_sensitivity_fair", "perturb"):
             monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
         with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):

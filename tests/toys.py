@@ -50,6 +50,39 @@ def noise_free():
         yield
 
 
+def reference_encode(raw, schema):
+    """An unscaled EncodedDataset of a raw table, one pass over the rows per
+    category: the encoder build_dataset's output is checked against, and a
+    dataset outside the unit ball for the trainers' domain check."""
+    def column(name):
+        idx = raw.column_names.index(name)
+        return [row[idx] for row in raw.rows]
+
+    def indicator(values, positive):
+        return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
+
+    y = indicator(column(schema.label), schema.label_positive)
+    z = indicator(column(schema.protected), schema.protected_positive)
+    columns, names = [], []
+    for name in schema.numeric:
+        columns.append(np.array([float(v) for v in column(name)], dtype=float))
+        names.append(name)
+    for name in schema.categorical:
+        values = column(name)
+        categories, seen = [], set()
+        for v in values:
+            if v not in seen:
+                seen.add(v)
+                categories.append(v)
+        for cat in categories:
+            columns.append(np.fromiter((1.0 if v == cat else 0.0 for v in values), dtype=float))
+            names.append(f"{name}={cat}")
+    if schema.include_protected_in_features:
+        columns.append(z.astype(float))
+        names.append(schema.protected)
+    return EncodedDataset(X=np.column_stack(columns), y=y, z=z, feature_names=tuple(names))
+
+
 def toy_d2():
     X = np.array(
         [[0.50, 0.20],
