@@ -11,6 +11,7 @@ from .dataset import (
     build_dataset,
     fetch_dataset,
     load_csv,
+    read_dataset,
     split,
 )
 from .evaluation import (

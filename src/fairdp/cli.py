@@ -35,9 +35,8 @@ from .dataset import (
     FetchError,
     ParseError,
     Schema,
-    build_dataset,
     fetch_dataset,
-    load_csv,
+    read_dataset,
     split,
 )
 from .evaluation import (
@@ -190,7 +189,8 @@ def _schema_from_kv(kv: dict[str, str], origin: str) -> Schema:
 
 
 def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
-    """CSV + schema file -> (normalized EncodedDataset, Schema, RawTable).
+    """CSV + schema file -> (normalized EncodedDataset, Schema), the CSV
+    encoded as it is parsed (``dataset.read_dataset``).
 
     A ``columns`` key in the schema file names the columns of a header-less
     file (e.g. the UCI Adult data files), and every row must have that many
@@ -203,10 +203,10 @@ def load_encoded_dataset(dataset_path: str | Path, schema_path: str | Path):
         raise CLIError(f"dataset file not found: {dataset_path}")
     schema = _schema_from_kv(kv, str(schema_path))
     try:
-        raw = load_csv(dataset_path, _split_names(kv.get("columns", "")) or None)
+        ds = read_dataset(dataset_path, schema, _split_names(kv.get("columns", "")) or None)
     except OSError as exc:  # a directory, no permission, ...
         raise CLIError(f"cannot read {dataset_path}: {exc.strerror or exc}") from None
-    return build_dataset(raw, schema), schema, raw
+    return ds, schema
 
 
 def _resolve_dataset(args):
@@ -215,7 +215,7 @@ def _resolve_dataset(args):
         raise CLIError("--dataset is required")
     if args.schema is None:
         raise CLIError("--schema is required")
-    return load_encoded_dataset(args.dataset, args.schema)[:2]
+    return load_encoded_dataset(args.dataset, args.schema)
 
 
 def _run_options(args) -> tuple[int, Path, dict]:

@@ -4,10 +4,16 @@ protected attribute.
 Inputs are plain comma-separated files (optional header row, cells trimmed,
 ``?`` or empty cells treated as missing, ``|``-prefixed lines skipped per the
 UCI convention).  A :class:`Schema` names the label column, the protected
-column and the numeric and categorical feature columns.  :func:`build_dataset`
-is the one encoding path: it writes the feature matrix, already scaled so that
-every row lies in the nonnegative part of the unit ball (per-column min-max to
-[0, 1], then a global division by sqrt(d)), into a single allocation.
+column and the numeric and categorical feature columns.
+
+There is one parser and one encoder.  The encoder turns rows into the feature
+matrix, already scaled so that every row lies in the nonnegative part of the
+unit ball (per-column min-max to [0, 1], then a global division by sqrt(d)),
+in a single allocation.  :func:`read_dataset` encodes a file's rows in
+batches as the parser yields them, so no table of text cells is built;
+:func:`load_csv` keeps the parsed rows as a :class:`RawTable`, and
+:func:`build_dataset` encodes such a table.  Both routes give the same
+dataset and the same first error.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ import logging
 import math
 import shutil
 import urllib.request
-from collections.abc import Iterator, Sequence
+from array import array
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -115,8 +123,7 @@ class EncodedDataset:
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=np.int64)
-        z = np.asarray(self.z, dtype=np.int64)
+        y, z = np.asarray(self.y), np.asarray(self.z)
         if X.ndim != 2:
             raise ValueError("X must be a 2-d matrix")
         n, d = X.shape
@@ -127,8 +134,9 @@ class EncodedDataset:
         if len(self.feature_names) != d:
             raise ValueError("feature_names must have one entry per column")
         for name, v in (("y", y), ("z", z)):
-            if not (v.min() >= 0 and v.max() <= 1):  # int64: only 0 and 1
+            if not np.isin(v, (0, 1)).all():  # before the cast, which would truncate 0.7 to 0
                 raise ValueError(f"{name} must contain only 0 and 1")
+        y, z = np.asarray(y, dtype=np.int64), np.asarray(z, dtype=np.int64)
         for arr in (X, y, z):
             arr.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -228,12 +236,35 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
     from the number of column names raises :class:`ParseError` naming the line;
     a column name given twice, or text that is not UTF-8, raises it too.
     """
-    path = Path(path)
+    dropped: list[int] = []
+    rows = _parse(Path(path), column_names, dropped)
+    names = next(rows)
+    kept = tuple(rows)
+    return RawTable(column_names=names, rows=kept, n_dropped=len(dropped))
+
+
+def read_dataset(
+    path: str | Path, schema: Schema, column_names: Sequence[str] | None = None
+) -> EncodedDataset:
+    """``build_dataset(load_csv(path, column_names), schema)``, bit for bit and
+    with the same errors, but each batch of rows is encoded as soon as it is
+    parsed, so no table of strings is built."""
+    rows = _parse(Path(path), column_names, [])
+    return _encode(next(rows), rows, schema)
+
+
+def _parse(
+    path: Path, column_names: Sequence[str] | None, dropped: list[int]
+) -> Iterator[tuple[str, ...]]:
+    """Yield the column names, then each kept row of a CSV file as a tuple of
+    trimmed cells, by :func:`load_csv`'s rules; the line number of each row
+    dropped for a missing-value marker is appended to ``dropped``."""
     names = None if column_names is None else _distinct(path, tuple(column_names))
-    rows: list[tuple[str, ...]] = []
-    dropped = 0
+    kept = 0
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        if names is not None:
+            yield names
         try:
             for record in reader:
                 if not record or (len(record) == 1 and not record[0].strip()):
@@ -243,6 +274,7 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
                 cells = tuple(map(str.strip, record))
                 if names is None:
                     names = _distinct(path, cells)
+                    yield names
                     continue
                 if len(cells) != len(names):
                     raise ParseError(
@@ -250,18 +282,18 @@ def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> Raw
                         f"expected {len(names)}"
                     )
                 if not MISSING_MARKERS.isdisjoint(cells):
-                    dropped += 1
+                    dropped.append(reader.line_num)
                     continue
-                rows.append(cells)
+                kept += 1
+                yield cells
         except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
             raise ParseError(f"{path.name}: line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    if names is None or (column_names is not None and not rows and not dropped):
+    if names is None or (column_names is not None and not kept and not dropped):
         raise ParseError(f"{path.name}: file is empty")
-    if not rows:
+    if not kept:
         raise ParseError(f"{path.name}: no usable rows (all dropped or missing)")
-    return RawTable(column_names=names, rows=tuple(rows), n_dropped=dropped)
 
 
 def _distinct(path: Path, names: tuple[str, ...]) -> tuple[str, ...]:
@@ -269,23 +301,6 @@ def _distinct(path: Path, names: tuple[str, ...]) -> tuple[str, ...]:
         if name in names[:i]:
             raise ParseError(f"{path.name}: column name {name!r} is repeated")
     return names
-
-
-def _column(raw: RawTable, name: str) -> Iterator[str]:
-    """The cells of one column, in row order, without a list of them."""
-    try:
-        return map(itemgetter(raw.column_names.index(name)), raw.rows)
-    except ValueError:
-        raise ValueError(f"column {name!r} not present in table") from None
-
-
-def _binary_indicator(raw: RawTable, name: str, positive: str, what: str) -> np.ndarray:
-    v = np.fromiter(map(positive.__eq__, _column(raw, name)), np.int64, raw.n_rows)
-    if not v.any():
-        observed = sorted(set(_column(raw, name)))[:8]
-        raise ValueError(f"{what} positive value {positive!r} never observed "
-                         f"(observed: {observed}...)")
-    return v
 
 
 def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
@@ -298,27 +313,87 @@ def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
     NULs), then the protected 0/1 column if the schema includes it.  Each is
     min-max scaled to [0, 1] (a constant one to exactly 0.0; no entry is
     -0.0) and divided by sqrt(d), in place in the one (n, d) allocation.
-    """
-    y = _binary_indicator(raw, schema.label, schema.label_positive, "label")
-    z = _binary_indicator(raw, schema.protected, schema.protected_positive, "protected")
-    n, names, one_hot = raw.n_rows, list(schema.numeric), []
-    for name in schema.categorical:
-        codes: dict[str, int] = {}
-        idx = np.fromiter((codes.setdefault(v, len(codes)) for v in _column(raw, name)), np.intp, n)
-        one_hot.append((idx, len(codes)))
-        names.extend(f"{name}={cat}" for cat in codes)
-    if schema.include_protected_in_features:
-        names.append(schema.protected)
-    root = math.sqrt(len(names))
 
-    X = np.zeros((n, len(names)))
-    for j, name in enumerate(schema.numeric):
-        cells = _column(raw, name)
-        try:
-            X[:, j] = np.fromiter(map(float, cells), float, n)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell in column {name!r}: {exc}") from None
-    for col in X.T[:len(schema.numeric)]:  # after all parse: a bad cell outranks an inf
+    The first error found wins, in this order: a missing label column, then
+    a label positive value never observed; the same two for the protected
+    column; a missing categorical column; a numeric column, in schema order,
+    that is missing or holds a non-numeric cell; a non-finite value.
+    """
+    return _encode(raw.column_names, raw.rows, schema)
+
+
+BATCH_ROWS = 256  # rows per batch of _encode
+
+
+def _encode(
+    names: tuple[str, ...], rows: Iterable[tuple[str, ...]], schema: Schema
+) -> EncodedDataset:
+    """:func:`build_dataset` of the rows of a table with these column names.
+
+    The rows are read BATCH_ROWS at a time, and each batch is transposed and
+    appended to growable buffers while it is in cache: the label and
+    protected indicators, each categorical column's codes, and the numeric
+    columns as one row-major block, which becomes X itself when they are all
+    of its columns.  Every error of the encoding is raised only after the
+    last row is read, so an error of the parse behind ``rows`` wins.
+    """
+    def column(name):  # the first column of that name, as a tuple's index() finds
+        return names.index(name) if name in names else None
+
+    flags = [(what, name, column(name), positive, bytearray(), set())
+             for what, name, positive in (("label", schema.label, schema.label_positive),
+                                          ("protected", schema.protected,
+                                           schema.protected_positive))]
+    categorical = [(name, column(name), _codebook(), array("q")) for name in schema.categorical]
+    numeric = [(name, column(name)) for name in schema.numeric]
+    numbers = array("d")  # the numeric columns' values, row by row
+    bad: dict[str, str] = {}  # numeric column -> message for its first non-numeric cell
+    n, rows = 0, iter(rows)
+    for batch in iter(lambda: list(islice(rows, BATCH_ROWS)), []):
+        n += len(batch)
+        cells = list(zip(*batch))
+        for _, _, j, positive, is_positive, seen in flags:
+            if j is not None:
+                is_positive.extend(map(positive.__eq__, cells[j]))
+                if positive not in seen:  # the observed values its error would list
+                    seen.update(cells[j])
+        for _, j, codes, coded in categorical:
+            if j is not None:
+                coded.extend(map(codes.__getitem__, cells[j]))
+        block = np.empty((len(batch), len(numeric)))
+        for col, (name, j) in zip(block.T, numeric):
+            if j is not None and name not in bad:
+                try:
+                    col[:] = np.fromiter(map(float, cells[j]), float, len(batch))
+                except ValueError as exc:
+                    bad[name] = f"non-numeric cell in column {name!r}: {exc}"
+        numbers.frombytes(block.tobytes())
+
+    for what, name, j, positive, _, seen in flags:
+        if j is None:
+            raise _missing(name)
+        if positive not in seen:
+            raise ValueError(f"{what} positive value {positive!r} never observed "
+                             f"(observed: {sorted(seen)[:8]}...)")
+    for name, j, *_ in (*categorical, *numeric):
+        if j is None:
+            raise _missing(name)
+        if name in bad:
+            raise ParseError(bad[name])
+    y, z = (np.frombuffer(is_positive, np.uint8).astype(np.int64) for *_, is_positive, _ in flags)
+    feature_names = [*schema.numeric]
+    for name, _, codes, _ in categorical:
+        feature_names.extend(f"{name}={cat}" for cat in codes)
+    if schema.include_protected_in_features:
+        feature_names.append(schema.protected)
+    root = math.sqrt(len(feature_names))
+
+    X = np.frombuffer(numbers).reshape(n, len(numeric))
+    if len(feature_names) > len(numeric):
+        X, parsed = np.zeros((n, len(feature_names))), X
+        X[:, :len(numeric)] = parsed
+        del parsed, numbers
+    for col in X.T[:len(numeric)]:
         lo, hi = col.min(), col.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("X contains non-finite entries")
@@ -328,14 +403,26 @@ def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
             col /= root
         else:
             col.fill(0.0)
-    j = len(schema.numeric)
-    for idx, k in one_hot:
-        if k > 1:  # a one-category column is constant, so it stays 0.0
-            X[np.arange(n), j + idx] = 1.0 / root
-        j += k
+    j = len(numeric)
+    for _, _, codes, coded in categorical:
+        if len(codes) > 1:  # a one-category column is constant, so it stays 0.0
+            X[np.arange(n), j + np.frombuffer(coded, np.int64)] = 1.0 / root
+        j += len(codes)
     if schema.include_protected_in_features and z.min() < z.max():
         X[:, -1] = z / root
-    return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(names))
+    return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(feature_names))
+
+
+def _codebook() -> defaultdict:
+    """A dict that gives each new key the next code, 0, 1, ..., in the order
+    keys are first looked up, with no Python call per lookup."""
+    codes = defaultdict()
+    codes.default_factory = codes.__len__
+    return codes
+
+
+def _missing(name: str) -> ValueError:
+    return ValueError(f"column {name!r} not present in table")
 
 
 def split(

@@ -250,8 +250,8 @@ requires_adult = pytest.mark.skipif(
 
 @requires_adult
 def test_criterion_6_adult_trends():
-    ds, _, raw = load_encoded_dataset(ADULT_DATA, ADULT_SCHEMA)
-    assert raw.n_rows == 30162  # published count after dropping '?' rows
+    ds, _ = load_encoded_dataset(ADULT_DATA, ADULT_SCHEMA)
+    assert ds.n == 30162  # published count after dropping '?' rows
     start = time.monotonic()
     res = run_trend_suite(ds, master_seed=2, runs=10)
     elapsed = time.monotonic() - start

@@ -19,7 +19,7 @@ from fairdp.cli import (
     main,
     parse_keyvalue_file,
 )
-from fairdp.dataset import RawTable, RemoteFile, Schema
+from fairdp.dataset import RawTable, RemoteFile, Schema, load_csv
 from fairdp.mechanisms import compose_split_epsilon
 
 from toys import (
@@ -901,7 +901,9 @@ def test_shipped_adult_schema_loads(tmp_path):
         "50, Self-emp-not-inc, 83311, Masters, 14, Married-civ-spouse, Exec-managerial,"
         " Husband, Black, Female, 0, 0, 13, Cuba, >50K\n"
     )
-    ds, schema, raw = load_encoded_dataset(data, ADULT_SCHEMA)
+    ds, schema = load_encoded_dataset(data, ADULT_SCHEMA)
+    columns = [name.strip() for name in parse_keyvalue_file(ADULT_SCHEMA)["columns"].split(",")]
+    raw = load_csv(data, columns)
     assert (len(raw.column_names), raw.n_rows) == (15, 2)
     assert (schema.label, schema.protected) == ("income", "sex")
     assert ds.y.tolist() == [0, 1] and ds.z.tolist() == [1, 0]

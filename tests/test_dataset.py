@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairdp.dataset import (
+    BATCH_ROWS,
     SUM_BLOCK,
     EncodedDataset,
     FetchError,
@@ -23,6 +24,7 @@ from fairdp.dataset import (
     build_dataset,
     fetch_dataset,
     load_csv,
+    read_dataset,
     split,
 )
 
@@ -620,6 +622,21 @@ class TestEncodedDatasetInvariants:
         with pytest.raises(ValueError):
             EncodedDataset(X=np.ones((2, 1)), y=[0, 1], z=[0, 1], feature_names=())
 
+    @pytest.mark.parametrize("y, z, name", [([0.7, 1.0], [0, 1], "y"),
+                                            ([0, 1], [1.9, 0], "z"),
+                                            ([0.0, 1.0], [1, -0.5], "z"),
+                                            ([0.0, np.nan], [1, 0], "y")])
+    def test_values_not_exactly_0_or_1_rejected(self, y, z, name):
+        # Checked before the int64 cast, which would truncate 0.7 to 0 and 1.9 to 1.
+        with pytest.raises(ValueError, match=f"^{name} must contain only 0 and 1$"):
+            EncodedDataset(X=np.ones((2, 1)) / 2, y=y, z=z, feature_names=("a",))
+
+    def test_exact_0_and_1_of_any_type_accepted(self):
+        ds = EncodedDataset(X=np.ones((3, 1)) / 2, y=[0.0, 1.0, True], z=np.array([1, 0, 0], bool),
+                            feature_names=("a",))
+        assert ds.y.dtype == ds.z.dtype == np.int64
+        assert ds.y.tolist() == [0, 1, 1] and ds.z.tolist() == [1, 0, 0]
+
     def test_immutability(self):
         ds = EncodedDataset(X=np.ones((2, 2)) / 2, y=[0, 1], z=[1, 0],
                             feature_names=("a", "b"))
@@ -693,6 +710,11 @@ def census_shaped_table(n, seed=0):
                        protected_positive="1", numeric=tuple(cols)[:7])
 
 
+def csv_text(raw):
+    """The text of a CSV file with a header row that load_csv reads back as raw."""
+    return "".join(",".join(row) + "\n" for row in (raw.column_names, *raw.rows))
+
+
 def traced_peak(f):
     """Peak bytes that tracemalloc, which sees NumPy's buffers, traces
     during f(), and f's result."""
@@ -712,10 +734,173 @@ class TestMemory:
         peak, ds = traced_peak(lambda: build_dataset(raw, schema))
         assert peak <= 1.5 * (ds.X.nbytes + ds.y.nbytes + ds.z.nbytes)
 
+    @pytest.mark.parametrize("shape, bound", [("adult", 1.3), ("census", 2.0)])
+    def test_read_dataset_holds_no_table_of_strings(self, tmp_path, shape, bound):
+        # The file is encoded as it is parsed: every cell as a Python string
+        # would take about as much memory as X on the Adult shape.
+        raw, schema = (adult_shaped_table(n=32_561) if shape == "adult"
+                       else census_shaped_table(n=32_561))
+        path = write(tmp_path, "t.csv", csv_text(raw))
+        del raw
+        peak, ds = traced_peak(lambda: read_dataset(path, schema))
+        assert ds.n == 32_561
+        assert peak <= bound * (ds.X.nbytes + ds.y.nbytes + ds.z.nbytes)
+
     def test_linear_statistics_form_no_full_product(self):
         train, _ = split(build_dataset(*adult_shaped_table(n=32_561)), 0.2, seed=0)
         peak, _ = traced_peak(lambda: (train.logistic_c1, train.protected_cov))
         assert peak < train.X.nbytes / 4
+
+
+# --- the two set-up paths -----------------------------------------------------
+# build_dataset(load_csv(...)) encodes a finished table; read_dataset encodes
+# each batch of rows as it is parsed.  Both give the same dataset, and the
+# same first error when an input has several faults.
+
+def via_table(path, schema, column_names=None):
+    return build_dataset(load_csv(path, column_names), schema)
+
+
+SETUP_PATHS = [pytest.param(via_table, id="load_csv+build_dataset"),
+               pytest.param(read_dataset, id="read_dataset")]
+
+ORDER_SCHEMA = Schema(label="income", label_positive="yes", protected="sex",
+                      protected_positive="Male", numeric=("a", "b"), categorical=("c",))
+
+
+def order_csv(n=600, **faults):
+    """A header and n rows of the columns a, b, c, sex, income; each fault
+    (row index -> cells) replaces one row by those cells."""
+    lines = ["a,b,c,sex,income"]
+    for i in range(n):
+        lines.append(faults.get(f"row{i}", f"{i},{2 * i},k{i % 3},{('Male', 'Female')[i % 2]},"
+                                           f"{('no', 'yes')[i % 3 == 0]}"))
+    return "\n".join(lines) + "\n"
+
+
+SECOND = 2 * BATCH_ROWS + 5  # a row in a later batch than the first rows
+
+
+class TestSetupErrorOrder:
+    """Each input has two faults; the first in this order is reported: parse
+    errors, label, protected, categorical columns, numeric columns in schema
+    order, non-finite values."""
+
+    @pytest.mark.parametrize("load", SETUP_PATHS)
+    @pytest.mark.parametrize("text, schema, error, message", [
+        pytest.param(order_csv(**{f"row{SECOND}": "1,2,k,Male"}),
+                     dataclasses.replace(ORDER_SCHEMA, numeric=("a", "salary")),
+                     ParseError, f"t.csv: line {SECOND + 2} has 4 cells, expected 5",
+                     id="late ragged row before missing column"),
+        pytest.param(order_csv(), dataclasses.replace(ORDER_SCHEMA, label_positive=">50K",
+                                                      protected="gender"),
+                     ValueError, "label positive value '>50K' never observed "
+                                 "(observed: ['no', 'yes']...)",
+                     id="unseen label before missing protected column"),
+        pytest.param(order_csv(), dataclasses.replace(ORDER_SCHEMA, protected_positive="M",
+                                                      categorical=("dept",)),
+                     ValueError, "protected positive value 'M' never observed "
+                                 "(observed: ['Female', 'Male']...)",
+                     id="unseen protected before missing categorical column"),
+        pytest.param(order_csv(row1="1,x,k,Male,yes"),
+                     dataclasses.replace(ORDER_SCHEMA, categorical=("c", "dept")),
+                     ValueError, "column 'dept' not present in table",
+                     id="missing categorical before non-numeric cell"),
+        pytest.param(order_csv(row1="1,x,k,Male,yes", **{f"row{SECOND}": "y,2,k,Male,yes"}),
+                     ORDER_SCHEMA, ParseError,
+                     "non-numeric cell in column 'a': could not convert string to float: 'y'",
+                     id="earlier column on a later row first"),
+        pytest.param(order_csv(row1="1,x,k,Male,yes"),
+                     dataclasses.replace(ORDER_SCHEMA, numeric=("salary", "b")),
+                     ValueError, "column 'salary' not present in table",
+                     id="missing numeric column before a later column's bad cell"),
+        pytest.param(order_csv(row1="inf,2,k,Male,yes", **{f"row{SECOND}": "1,abc,k,Male,yes"}),
+                     ORDER_SCHEMA, ParseError,
+                     "non-numeric cell in column 'b': could not convert string to float: 'abc'",
+                     id="non-numeric cell before inf"),
+    ])
+    def test_first_fault_wins(self, tmp_path, load, text, schema, error, message):
+        with pytest.raises(ValueError) as exc:
+            load(write(tmp_path, "t.csv", text), schema)
+        assert type(exc.value) is error and str(exc.value) == message
+
+
+TEXT_CELLS = st.sampled_from(["0", "-0", "1", "2.5", " 7 ", "1e3", "abc", "inf", "?", "",
+                              '"3"', '"x,y"', '"a""b"', "|c", "k", "k ", "é"])
+GROUP_CELLS = st.sampled_from(["Male", "Female", " Male", "?"])
+LABEL_CELLS = st.sampled_from(["yes", "no", "yes", '"yes"', ""])
+
+
+@st.composite
+def csv_files(draw):
+    """Small CSV texts, with or without a header row, mixing rows, comments,
+    blank lines, quoted cells, missing markers and an occasional ragged row;
+    and a schema over their columns v, w, c, sex, income."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "ragged"]))
+        if kind == "comment":
+            lines.append("| " + draw(st.sampled_from(["note", "a,b", ""])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        else:
+            cells = [draw(TEXT_CELLS), draw(TEXT_CELLS), draw(TEXT_CELLS),
+                     draw(GROUP_CELLS), draw(LABEL_CELLS)]
+            lines.append(",".join(cells[:-1] if kind == "ragged" else cells))
+    names = ("v", "w", "c", "sex", "income")
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, ",".join(names))
+    numeric = draw(st.sampled_from([(), ("v",), ("w", "v"), ("v", "w"), ("v", "x")]))
+    categorical = draw(st.sampled_from([(), ("c",), ("c", "w")] if "w" not in numeric
+                                       else [(), ("c",)]))
+    schema = Schema(label="income", label_positive="yes", protected="sex",
+                    protected_positive="Male", numeric=numeric, categorical=categorical,
+                    include_protected_in_features=draw(st.booleans())
+                    or not (numeric or categorical))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), schema, \
+        None if header else names
+
+
+def outcome(load, path, schema, column_names):
+    try:
+        return load(path, schema, column_names).fingerprint()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSetupPathsAgree:
+    @given(csv_files())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_files(self, tmp_path_factory, case):
+        text, schema, column_names = case
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(read_dataset, path, schema, column_names) == \
+            outcome(via_table, path, schema, column_names)
+
+    @pytest.mark.parametrize("include", [False, True])
+    def test_toy_fixture(self, include):
+        schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include)
+        path = FIXTURE_DIR / "toy.csv"
+        assert read_dataset(path, schema).fingerprint() == via_table(path, schema).fingerprint()
+
+    @pytest.mark.parametrize("shape", ["adult", "census"])
+    def test_shaped_tables(self, tmp_path, shape):
+        raw, schema = (adult_shaped_table(n=BATCH_ROWS * 3 + 1) if shape == "adult"
+                       else census_shaped_table(n=BATCH_ROWS * 3 + 1, seed=3))
+        path = write(tmp_path, "t.csv", csv_text(raw))
+        ds = read_dataset(path, schema)
+        assert ds.fingerprint() == build_dataset(raw, schema).fingerprint()
+        assert ds.fingerprint() == via_table(path, schema).fingerprint()
+
+    @pytest.mark.parametrize("n", [1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1])
+    def test_batch_edges(self, tmp_path, n):
+        path = write(tmp_path, "t.csv", order_csv(n=n))
+        schema = dataclasses.replace(ORDER_SCHEMA, include_protected_in_features=True)
+        ds = read_dataset(path, schema)
+        assert ds.n == n
+        assert ds.fingerprint() == via_table(path, schema).fingerprint()
 
 
 class TestFetch:

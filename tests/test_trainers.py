@@ -7,7 +7,7 @@ import pytest
 
 from fairdp import trainers as trainers_mod
 from fairdp.cli import load_encoded_dataset
-from fairdp.dataset import EncodedDataset, split
+from fairdp.dataset import EncodedDataset, load_csv, split
 from fairdp.evaluation import accuracy, risk_difference
 from fairdp.mechanisms import (
     compose_split_delta,
@@ -263,8 +263,8 @@ class TestInputValidation:
     def test_rows_outside_unit_ball_rejected_before_noise(self, method, monkeypatch):
         # reference_encode skips the scaling: toy.csv rows reach norm 79.4, where the
         # sensitivity bounds (which assume ||x|| <= 1, x >= 0) do not hold.
-        _, schema, raw = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)
-        ds = reference_encode(raw, schema)
+        schema = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)[1]
+        ds = reference_encode(load_csv(TOY_CSV), schema)
         for name in ("l1_sensitivity_fair", "l2_sensitivity_fair", "perturb"):
             monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
         with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):
