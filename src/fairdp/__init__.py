@@ -40,9 +40,7 @@ from .optimizer import (
 )
 from .polynomial import (
     PolyObjective,
-    eval_poly,
     fair_poly,
-    gradient_poly,
     lr_poly,
 )
 from .trainers import (

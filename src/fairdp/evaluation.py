@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import EncodedDataset, split
-from .mechanisms import check_budget, split_total_delta
+from .mechanisms import check_budget, check_gaussian_delta, split_total_delta
 from .optimizer import RegularizationPolicy
 from .polynomial import check_alpha1
 from .trainers import (
@@ -300,7 +300,8 @@ def method_budgets(method: str, eps=None, delta=None, eps_s=None, eps_n=None,
     Each value given must be in range, read or not.  A private method needs
     eps, RelaxedFM and ADFC delta.  PDFC (eps) and ADFC (eps and delta) take
     whole (_s, _n) pairs or fill them from the totals: eps for both epsilons
-    and 1 - sqrt(1 - delta) for both deltas, which composes back to (eps, delta)."""
+    and 1 - sqrt(1 - delta) for both deltas, which composes back to (eps, delta).
+    A delta that calibrates Gaussian noise must also be below sqrt(2/pi)."""
     given = dict(eps=eps, delta=delta, eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n)
     for name, value in given.items():
         if value is not None:
@@ -323,6 +324,9 @@ def method_budgets(method: str, eps=None, delta=None, eps_s=None, eps_n=None,
             if pair[0] is None:
                 pair = (eps, eps) if total == "eps" else (split_total_delta(delta),) * 2
             budgets[f"{total}_s"], budgets[f"{total}_n"] = pair
+    if method in DELTA_METHODS:
+        for name in ("delta_s", "delta_n") if split_budget else ("delta",):
+            check_gaussian_delta(budgets[name])
     return budgets
 
 

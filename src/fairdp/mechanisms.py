@@ -1,8 +1,9 @@
 """Privacy machinery: sensitivity bounds, calibrated noise, the monomial
 mask for attribute-wise budgets, coefficient perturbation and budget
 composition.  The four private trainers share one path through it
-(``trainers._private_fit``): a fair sensitivity bound, ``perturb`` at one
-or two scales of one noise kind, and the recorded budget.
+(``trainers._private_fit``): ``calibrate``, the one place where a fit's
+budgets are checked, its noise is calibrated and its recorded (eps, delta)
+is set, then ``perturb`` at the record's one or two scales of one noise kind.
 
 Sensitivities are the closed-form worst-case bounds over neighboring datasets
 (one row replaced), never data-dependent quantities.  For rows in the
@@ -31,6 +32,7 @@ the first condition does not hold.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -72,6 +74,15 @@ def l2_sensitivity_fair(d: int, alpha1: float = 1.0) -> float:
 _DELTA_SUP = math.sqrt(2.0 / math.pi)
 
 
+def check_gaussian_delta(delta: float) -> None:
+    """Raise ValueError unless delta is below sqrt(2/pi) (see above)."""
+    if delta >= _DELTA_SUP:
+        raise ValueError(
+            f"delta must be below sqrt(2/pi) ~ {_DELTA_SUP:.4f} for the calibration "
+            f"to be defined, got {delta}"
+        )
+
+
 def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float:
     """Smallest sigma the extended Gaussian mechanism certifies:
 
@@ -83,11 +94,7 @@ def gaussian_sigma(epsilon: float, delta: float, l2_sensitivity: float) -> float
     """
     check_budget("epsilon", epsilon)
     check_budget("delta", delta)
-    if delta >= _DELTA_SUP:
-        raise ValueError(
-            f"delta must be below sqrt(2/pi) ~ {_DELTA_SUP:.4f} for the calibration "
-            f"to be defined, got {delta}"
-        )
+    check_gaussian_delta(delta)
     if not 0.0 < l2_sensitivity < math.inf:
         raise ValueError(f"sensitivity must be finite and positive, got {l2_sensitivity}")
     big_l = math.log(_DELTA_SUP / delta)
@@ -215,3 +222,57 @@ def split_total_delta(delta: float) -> float:
     delta_s = delta_n = 1 - sqrt(1 - delta)."""
     check_budget("delta", delta)
     return 1.0 - math.sqrt(1.0 - delta)
+
+
+# --- calibration of a private fit --------------------------------------------
+
+@dataclass(frozen=True)
+class Calibration:
+    """A private fit's noise ``kind``, the sensitivity bound it is calibrated
+    to, its scale (Laplace b or Gaussian sigma) on the monomials containing
+    w_s and on the rest, and the (epsilon, delta) the model records."""
+
+    kind: str
+    sensitivity: float
+    scale_s: float
+    scale_n: float
+    epsilon: float
+    delta: float | None
+
+
+def calibrate(gaussian: bool, split: bool, d: int, alpha1: float, eps_s: float,
+              eps_n: float, delta_s: float | None = None,
+              delta_n: float | None = None) -> Calibration:
+    """Noise and recorded budget of a private fit at dimension d and weight alpha1.
+
+    Laplace noise at the fair L1 bound over eps, or (``gaussian``) the sigma
+    of (eps, delta) at the fair L2 bound; monomials containing w_s get the
+    (eps_s[, delta_s]) scale, the rest (eps_n[, delta_n]).  Unsplit, the two
+    are one budget (named epsilon and delta) recorded as given.  ``split``
+    records the composed eps for Laplace noise; for Gaussian noise, the eps
+    of the group with the smaller sigma (every coefficient's sigma is at
+    least that one, which certifies its group's (eps, delta_i), and delta_i
+    is at most the composed delta) and the composed delta.  Every budget is
+    checked before any scale is computed; an overflowing scale names its eps.
+    """
+    names = (("eps_s", "eps_n", "delta_s", "delta_n") if split
+             else ("epsilon", "epsilon", "delta", "delta"))
+    for name, value in zip(names[:4 if gaussian else 2], (eps_s, eps_n, delta_s, delta_n)):
+        check_budget(name, value)
+    if gaussian:
+        kind, sensitivity = "gaussian", l2_sensitivity_fair(d, alpha1)
+        scale_s = gaussian_sigma(eps_s, delta_s, sensitivity)
+        scale_n = gaussian_sigma(eps_n, delta_n, sensitivity)
+    else:
+        kind, sensitivity = "laplace", l1_sensitivity_fair(d, alpha1)
+        scale_s, scale_n = sensitivity / eps_s, sensitivity / eps_n
+    for name, eps, scale in zip(names, (eps_s, eps_n), (scale_s, scale_n)):
+        if not math.isfinite(scale):
+            raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
+    epsilon, delta = eps_s, (delta_s if gaussian else None)
+    if split and gaussian:  # equal budgets give compose_split_epsilon's value bit for bit
+        epsilon = eps_s if scale_s <= scale_n else eps_n
+        delta = compose_split_delta(delta_s, delta_n)
+    elif split:
+        epsilon = compose_split_epsilon(eps_s, eps_n, d)
+    return Calibration(kind, sensitivity, scale_s, scale_n, epsilon, delta)

@@ -28,14 +28,6 @@ EIGEN_FLOOR = 1e-3  # eigenvalues of the quadratic below this are clamped up to 
 GRAD_TOL = 1e-8  # the exact solve has converged once |grad|_inf <= GRAD_TOL
 
 
-class OptimizationError(RuntimeError):
-    """Raised when the exact-loss solve starts at a non-finite objective."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
-
 @dataclass(frozen=True)
 class RegularizationPolicy:
     """Settings of the exact logistic solve: ``max_gd_iters`` caps its Newton
@@ -110,7 +102,7 @@ def minimize_logistic_exact(
     w = np.zeros(ds.d)
     obj, grad = logistic_objective(ds, w)
     if not math.isfinite(obj):
-        raise OptimizationError("objective non-finite at start", iteration=0)
+        raise ValueError("objective non-finite at start")
     grad_inf = float(np.abs(grad).max())
     iterations, step = 0, 1.0
     while iterations < policy.max_gd_iters and grad_inf > GRAD_TOL:

@@ -83,20 +83,3 @@ def fair_poly(ds: EncodedDataset, alpha1: float = 1.0) -> PolyObjective:
                          "coefficients")
     return PolyObjective(c0=base.c0, c1=c1, c2=base.c2)
 
-
-def eval_poly(p: PolyObjective, w: np.ndarray) -> float:
-    w = _check_dim(p, w)
-    return float(p.c0 + p.c1 @ w + w @ p.c2 @ w)
-
-
-def gradient_poly(p: PolyObjective, w: np.ndarray) -> np.ndarray:
-    """Gradient c1 + (C2 + C2^T) w; collapses to c1 + 2 C2 w when symmetric."""
-    w = _check_dim(p, w)
-    return p.c1 + (p.c2 + p.c2.T) @ w
-
-
-def _check_dim(p: PolyObjective, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (p.d,):
-        raise ValueError(f"w has shape {w.shape}, expected ({p.d},)")
-    return w

@@ -2,9 +2,10 @@
 
 The four private trainers are one mechanism and share one path,
 ``_private_fit``: build the quadratic objective, perturb its coefficients
-with noise calibrated to the closed-form fair sensitivity at one or two
-scales, and release the minimizer of the perturbed quadratic
-(``minimize_quadratic`` symmetrizes the ordered-pair grid):
+with noise at the one or two scales ``mechanisms.calibrate`` sets (the one
+place where noise is calibrated to the closed-form fair sensitivity and the
+recorded budget is set), and release the minimizer of the perturbed
+quadratic (``minimize_quadratic`` symmetrizes the ordered-pair grid):
 
   - FM:        plain quadratic + single-budget Laplace noise (eps-DP)
   - RelaxedFM: plain quadratic + single-budget Gaussian noise ((eps,delta)-DP)
@@ -31,15 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dataset import EncodedDataset
-from .mechanisms import (
-    check_budget,
-    compose_split_delta,
-    compose_split_epsilon,
-    gaussian_sigma,
-    l1_sensitivity_fair,
-    l2_sensitivity_fair,
-    perturb,
-)
+from .mechanisms import calibrate, perturb
 from .optimizer import RegularizationPolicy, minimize_logistic_exact, minimize_quadratic
 from .polynomial import fair_poly, lr_poly
 
@@ -115,68 +108,36 @@ def _private_fit(
     alpha1: float,
     seed: int,
 ) -> TrainedModel:
-    """The one perturb-and-solve path of the four private methods.
-
-    FM and PDFC draw Laplace noise at the fair L1 bound over eps, RelaxedFM
-    and ADFC Gaussian noise at the sigma calibrated for the fair L2 bound
-    (a delta they lack is an error, not a switch to Laplace); monomials
-    containing w_s get the (eps_s[, delta_s]) scale, the rest (eps_n[,
-    delta_n]).  PDFC/ADFC perturb the fairness-penalized quadratic and record
-    split budgets: PDFC the composed eps, ADFC the eps of the group with the
-    smaller sigma (every coefficient's sigma is at least that one, which
-    certifies its group's (eps, delta_i), and delta_i is at most the composed
-    delta); FM/RelaxedFM are the single-budget alpha1 = 0 case on the
-    plain quadratic, where the fair bounds equal the plain ones bit for bit.
-    The bounds assume rows in the nonnegative unit ball; other data, and a
-    budget out of range, is rejected before any noise scale is computed.
+    """The one perturb-and-solve path of the four private methods: PDFC and
+    ADFC perturb the fairness-penalized quadratic, FM and RelaxedFM the plain
+    one, and ``calibrate`` sets the noise and the recorded budget.  Rows
+    outside the nonnegative unit ball, where the sensitivity bounds fail, are
+    rejected before any noise scale is computed.
     """
-    split_budget, gaussian = method in SPLIT_METHODS, method in DELTA_METHODS
-    names = ("eps_s", "eps_n") if split_budget else ("epsilon", "epsilon")
-    for name, eps in zip(names, (eps_s, eps_n)):
-        check_budget(name, eps)
-    if gaussian:
-        delta_names = ("delta_s", "delta_n") if split_budget else ("delta", "delta")
-        for name, delta in zip(delta_names, (delta_s, delta_n)):
-            check_budget(name, delta)
+    split_budget = method in SPLIT_METHODS
     if not 0 <= s_index < ds.d:
         raise ValueError(f"s_index {s_index} out of range for d={ds.d}")
     ds.check_normalized()
     poly = fair_poly(ds, alpha1) if split_budget else lr_poly(ds)
-    if not gaussian:
-        kind, sensitivity = "laplace", l1_sensitivity_fair(ds.d, alpha1)
-        scale_s, scale_n = sensitivity / eps_s, sensitivity / eps_n
-    else:
-        kind, sensitivity = "gaussian", l2_sensitivity_fair(ds.d, alpha1)
-        scale_s = gaussian_sigma(eps_s, delta_s, sensitivity)
-        scale_n = gaussian_sigma(eps_n, delta_n, sensitivity)
-    for name, eps, scale in zip(names, (eps_s, eps_n), (scale_s, scale_n)):
-        if not math.isfinite(scale):
-            raise ValueError(f"{name} {eps} is too small: its noise scale overflows to {scale}")
+    cal = calibrate(method in DELTA_METHODS, split_budget, ds.d, alpha1,
+                    eps_s, eps_n, delta_s, delta_n)
     inputs = (f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}" if split_budget
               else f"epsilon {eps_s}")
     try:
         with np.errstate(over="raise"):  # a draw or noisy coefficient past the float range
-            poly = perturb(poly, kind, scale_s, scale_n, s_index, np.random.default_rng(seed))
+            poly = perturb(poly, cal.kind, cal.scale_s, cal.scale_n, s_index,
+                           np.random.default_rng(seed))
     except FloatingPointError:
         raise ValueError(f"the noise overflows the coefficients at {inputs}") from None
     w, diagnostics = _solve(poly, inputs)
-    if split_budget:
-        if kind == "laplace":
-            epsilon = compose_split_epsilon(eps_s, eps_n, ds.d)
-        else:  # equal budgets give compose_split_epsilon's value bit for bit
-            epsilon = eps_s if scale_s <= scale_n else eps_n
-        budgets = BudgetInfo(
-            epsilon=epsilon,
-            delta=None if delta_s is None else compose_split_delta(delta_s, delta_n),
-            eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n, s_index=s_index,
-        )
-    else:
-        budgets = BudgetInfo(epsilon=eps_s, delta=delta_s)
+    parts = (dict(eps_s=eps_s, eps_n=eps_n, delta_s=delta_s, delta_n=delta_n, s_index=s_index)
+             if split_budget else {})
+    budgets = BudgetInfo(epsilon=cal.epsilon, delta=cal.delta, **parts)
     return TrainedModel(
         w=w,
         method=method,
         budgets=budgets,
-        sensitivity_used=sensitivity,
+        sensitivity_used=cal.sensitivity,
         alpha1=alpha1,
         seed=seed,
         diagnostics=diagnostics,

@@ -27,7 +27,7 @@ from fairdp.mechanisms import (
     laplace_sample,
 )
 from fairdp.optimizer import minimize_quadratic
-from fairdp.polynomial import PolyObjective, eval_poly, fair_poly, gradient_poly, lr_poly
+from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
 from fairdp.trainers import (
     train_adfc,
     train_fair_lr,
@@ -37,7 +37,7 @@ from fairdp.trainers import (
 )
 
 from conftest import random_unit_rows
-from toys import FIXTURE_DIR, GOLDEN_DIR, noise_free
+from toys import FIXTURE_DIR, GOLDEN_DIR, eval_poly, gradient_poly, noise_free
 from trends import run_trend_suite
 
 

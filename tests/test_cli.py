@@ -20,7 +20,7 @@ from fairdp.cli import (
     parse_keyvalue_file,
 )
 from fairdp.dataset import RawTable, RemoteFile, Schema, load_csv
-from fairdp.mechanisms import compose_split_epsilon
+from fairdp.mechanisms import compose_split_epsilon, gaussian_sigma, split_total_delta
 
 from toys import (
     FIXTURE_DIR,
@@ -174,6 +174,22 @@ class TestTrain:
                    "--schema", TOY_SCHEMA, *flags])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {text}\n"
+
+    @pytest.mark.parametrize("flags, delta", [
+        (["--method", "relaxed-fm", "--eps", "1", "--delta", "0.9"], 0.9),
+        (["--method", "adfc", "--eps", "1", "--delta", "0.97"], split_total_delta(0.97)),
+        (["--method", "adfc", "--eps", "1", "--delta-s", "1e-3", "--delta-n", "0.8"], 0.8),
+    ])
+    def test_delta_past_the_gaussian_calibration_fails_before_data(self, tmp_path, capsys,
+                                                                    flags, delta):
+        # It used to fail only after the CSV was read and encoded, and with a
+        # missing --dataset it reported that instead.
+        with pytest.raises(ValueError) as exc:
+            gaussian_sigma(1.0, delta, 1.0)
+        rc = main(["train", "--dataset", str(tmp_path / "missing.csv"),
+                   "--schema", TOY_SCHEMA, *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
 
     @pytest.mark.parametrize("flags, text", [
         (["--method", "pdfc", "--eps", "5", "--eps-s", "0.1"],

@@ -25,7 +25,7 @@ from fairdp.evaluation import (
     run_experiment,
     score,
 )
-from fairdp.mechanisms import split_total_delta
+from fairdp.mechanisms import gaussian_sigma, split_total_delta
 from fairdp.trainers import TrainedModel
 
 from toys import toy_d3
@@ -174,6 +174,25 @@ class TestMethodBudgets:
             method_budgets(method, **given)
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("method, given, delta", [
+        ("RelaxedFM", {"delta": 0.9}, 0.9),
+        ("ADFC", {"delta": 0.97}, split_total_delta(0.97)),
+        ("ADFC", {"delta": 1e-3, "delta_s": 1e-3, "delta_n": 0.8}, 0.8),
+    ])
+    def test_delta_past_the_gaussian_calibration(self, method, given, delta):
+        # gaussian_sigma's rule and text, before any data is touched.
+        with pytest.raises(ValueError) as expected:
+            gaussian_sigma(1.0, delta, 1.0)
+        with pytest.raises(ValueError) as exc:
+            method_budgets(method, eps=1.0, **given)
+        assert str(exc.value) == str(expected.value)
+
+    def test_gaussian_calibration_limit_binds_only_deltas_that_reach_it(self):
+        # ADFC's total 0.9 divides into 1 - sqrt(0.1) ~ 0.68 per group, below
+        # sqrt(2/pi) ~ 0.80; FM reads no delta.
+        assert method_budgets("ADFC", eps=1.0, delta=0.9)["delta_s"] == split_total_delta(0.9)
+        assert method_budgets("FM", eps=1.0, delta=0.9)["delta"] is None
+
     def test_train_method_without_eps(self):
         # A library call used to fail inside the trainer with a TypeError.
         with pytest.raises(ValueError, match="^method FM requires eps$"):
@@ -240,14 +259,21 @@ class TestExperiment:
         assert [r.accuracy for r in rows[0].runs] == [r.accuracy for r in rows[1].runs]
 
     def test_failed_point_marked_not_fatal(self):
-        # delta so large the per-group share exceeds the Gaussian calibration
-        # limit: the ADFC points fail, everything else survives.
-        cfg = self.config(methods=("FairLR", "ADFC"), delta_grid=(0.999,))
+        # A delta at or above the Gaussian calibration limit where it reaches
+        # sigma (RelaxedFM's own, ADFC's per-group share) fails its points
+        # with gaussian_sigma's text; everything else survives.
+        cfg = self.config(methods=("FairLR", "RelaxedFM", "ADFC"), delta_grid=(0.9, 0.999))
         rep = run_experiment(toy_d3(), cfg)
-        adfc = [p for p in rep.points if p.point.method == "ADFC"]
-        fair = [p for p in rep.points if p.point.method == "FairLR"]
-        assert all(p.failed and "delta" in p.error for p in adfc)
-        assert all(not p.failed for p in fair)
+        failed = []
+        for p in rep.points:
+            if p.failed:
+                delta = p.point.delta if p.point.method == "RelaxedFM" else split_total_delta(
+                    p.point.delta)
+                with pytest.raises(ValueError) as expected:
+                    gaussian_sigma(1.0, delta, 1.0)
+                assert p.error == f"ValueError: {expected.value}"
+                failed.append((p.point.method, p.point.delta))
+        assert sorted(set(failed)) == [("ADFC", 0.999), ("RelaxedFM", 0.9), ("RelaxedFM", 0.999)]
 
     def test_undefined_rd_counted(self):
         # All-one protected attribute: every run's RD is undefined.

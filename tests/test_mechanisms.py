@@ -11,6 +11,7 @@ from fairdp import mechanisms
 from fairdp.dataset import EncodedDataset
 from fairdp.evaluation import DEFAULT_DELTA_GRID, DEFAULT_EPS_GRID
 from fairdp.mechanisms import (
+    calibrate,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sample,
@@ -23,7 +24,6 @@ from fairdp.mechanisms import (
     split_total_delta,
 )
 from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
-from fairdp.trainers import train_adfc
 
 from conftest import random_unit_rows
 from toys import GOLDEN_DIR, perturb_golden_inputs
@@ -152,27 +152,29 @@ class TestSensitivityFormulas:
 
 
 class TestSplitBudgetLedger:
-    # PDFC draws Laplace noise at scale Delta1/eps_s on the monomials S that
-    # contain w_s and Delta1/eps_n on the rest.  Replacing one row moves the
-    # fair coefficients by v, so the output density changes by at most
-    # exp((eps_s sum_S |v| + eps_n sum_N |v|) / Delta1); that realised loss
-    # must stay within the epsilon PDFC records.
+    # PDFC draws Laplace noise at scale b_s on the monomials S that contain
+    # w_s and b_n on the rest.  Replacing one row moves the fair coefficients
+    # by v, so the output density changes by at most
+    # exp(sum_S |v| / b_s + sum_N |v| / b_n); that realised loss must stay
+    # within the epsilon PDFC records.  Scales and record come from
+    # ``calibrate``, the code the trainers run.
     EPS_PAIRS = np.array([(10.0, 0.01), (0.01, 10.0), (1.0, 1.0), (3.0, 0.3), (0.3, 3.0)])
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_realised_loss_within_composed_epsilon(self, rng, d):
-        eps_s, eps_n = self.EPS_PAIRS.T
-        composed = np.array([compose_split_epsilon(es, en, d) for es, en in self.EPS_PAIRS])
         masks = [sensitive_mask(d, s) for s in range(d)]
         pairs = [make(rng, 5, d) for make in (neighboring_pair, one_coordinate_pair)
                  for _ in range(100)]
         for alpha1 in (0.0, 1.0, 20.0):
-            sensitivity = l1_sensitivity_fair(d, alpha1)
+            records = [calibrate(False, True, d, alpha1, es, en) for es, en in self.EPS_PAIRS]
+            assert {r.kind for r in records} == {"laplace"}
+            scale_s, scale_n, composed = (np.array([getattr(r, key) for r in records])
+                                          for key in ("scale_s", "scale_n", "epsilon"))
             for a, b in pairs:
                 pa, pb = fair_poly(a, alpha1), fair_poly(b, alpha1)
                 v = np.abs(np.concatenate([pa.c1 - pb.c1, (pa.c2 - pb.c2).ravel()]))
                 for mask in masks:
-                    loss = (eps_s * v[mask].sum() + eps_n * v[~mask].sum()) / sensitivity
+                    loss = v[mask].sum() / scale_s + v[~mask].sum() / scale_n
                     assert (loss <= composed).all(), (alpha1, loss, composed)
 
 
@@ -182,14 +184,13 @@ class TestGaussianSplitBudgetLedger:
     # coefficients by v, so the pair of output laws is the Gaussian
     # mechanism's at unit noise with sensitivity mu = ||v / sigma||_2; its
     # exact privacy profile at the epsilon ADFC records must stay within the
-    # delta it records.
+    # delta it records.  Sigmas and record come from ``calibrate``.
     @pytest.mark.parametrize("d", range(1, 7))
     def test_realised_delta_within_recorded(self, rng, d):
         masks = [sensitive_mask(d, s) for s in range(d)]
         pairs = [make(rng, 5, d) for make in (neighboring_pair, one_coordinate_pair)
                  for _ in range(100)]
         for alpha1 in (0.0, 1.0, 20.0):
-            sensitivity = l2_sensitivity_fair(d, alpha1)
             diffs = []
             for a, b in pairs:
                 pa, pb = fair_poly(a, alpha1), fair_poly(b, alpha1)
@@ -198,15 +199,13 @@ class TestGaussianSplitBudgetLedger:
             for delta in (1e-3, 1e-7):
                 part = split_total_delta(delta)
                 for eps_s, eps_n in TestSplitBudgetLedger.EPS_PAIRS:
-                    recorded = train_adfc(pairs[0][0], eps_s, eps_n, part, part, 0,
-                                          alpha1).budgets
-                    sigma_s = gaussian_sigma(eps_s, part, sensitivity)
-                    sigma_n = gaussian_sigma(eps_n, part, sensitivity)
+                    record = calibrate(True, True, d, alpha1, eps_s, eps_n, part, part)
+                    assert record.kind == "gaussian"
                     for norm_s, norm_n in diffs:
-                        mu = math.hypot(norm_s / sigma_s, norm_n / sigma_n)
+                        mu = math.hypot(norm_s / record.scale_s, norm_n / record.scale_n)
                         if mu > 0:
-                            realised = log_privacy_profile(recorded.epsilon, 1.0, mu)
-                            assert realised <= math.log(recorded.delta), (
+                            realised = log_privacy_profile(record.epsilon, 1.0, mu)
+                            assert realised <= math.log(record.delta), (
                                 alpha1, eps_s, eps_n, delta, realised)
 
 

@@ -10,6 +10,7 @@ from fairdp.cli import load_encoded_dataset
 from fairdp.dataset import EncodedDataset, load_csv, split
 from fairdp.evaluation import accuracy, risk_difference
 from fairdp.mechanisms import (
+    calibrate,
     compose_split_delta,
     compose_split_epsilon,
     gaussian_sigma,
@@ -265,7 +266,7 @@ class TestInputValidation:
         # sensitivity bounds (which assume ||x|| <= 1, x >= 0) do not hold.
         schema = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)[1]
         ds = reference_encode(load_csv(TOY_CSV), schema)
-        for name in ("l1_sensitivity_fair", "l2_sensitivity_fair", "perturb"):
+        for name in ("calibrate", "perturb"):
             monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
         with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):
             PRIVATE_TRAINERS[method](ds, 1.0)
@@ -322,15 +323,55 @@ class TestInputValidation:
 
 
 class TestModelInvariants:
-    def test_budget_bookkeeping_recomputes(self, conditioned_ds):
-        d = conditioned_ds.d
-        pdfc = train_pdfc(conditioned_ds, 0.4, 1.3, s_index=1, seed=8)
-        assert pdfc.budgets.epsilon == compose_split_epsilon(0.4, 1.3, d)
-        adfc = train_adfc(conditioned_ds, 0.4, 1.3, 1e-3, 1e-5, s_index=1, seed=8)
+    def test_budget_bookkeeping_recomputes(self):
+        d = 3
+        fm = calibrate(False, False, d, 0.0, 0.7, 0.7)
+        bound = l1_sensitivity_fair(d, 0.0)
+        assert (fm.kind, fm.sensitivity, fm.scale_s, fm.scale_n, fm.epsilon, fm.delta) \
+            == ("laplace", bound, bound / 0.7, bound / 0.7, 0.7, None)
+        relaxed = calibrate(True, False, d, 0.0, 0.7, 0.7, 1e-4, 1e-4)
+        sigma = gaussian_sigma(0.7, 1e-4, l2_sensitivity_fair(d, 0.0))
+        assert (relaxed.kind, relaxed.scale_s, relaxed.scale_n, relaxed.epsilon,
+                relaxed.delta) == ("gaussian", sigma, sigma, 0.7, 1e-4)
+        pdfc = calibrate(False, True, d, 1.0, 0.4, 1.3)
+        assert pdfc.epsilon == compose_split_epsilon(0.4, 1.3, d)
+        assert pdfc.delta is None
+        adfc = calibrate(True, True, d, 1.0, 0.4, 1.3, 1e-3, 1e-5)
         # ADFC records the eps whose (eps, delta) calibrates the smaller sigma.
-        assert gaussian_sigma(1.3, 1e-5, 1.0) < gaussian_sigma(0.4, 1e-3, 1.0)
-        assert adfc.budgets.epsilon == 1.3
-        assert adfc.budgets.delta == compose_split_delta(1e-3, 1e-5)
+        assert adfc.scale_n < adfc.scale_s
+        assert adfc.epsilon == 1.3
+        assert adfc.delta == compose_split_delta(1e-3, 1e-5)
+        # The budgets are checked before the bound (non-finite at alpha1 = inf).
+        with pytest.raises(ValueError, match="^eps_n must be finite and positive, got 0.0$"):
+            calibrate(False, True, d, math.inf, 1.0, 0.0)
+
+    CALIBRATED_FITS = {  # the fit on toy_d3, and calibrate's arguments for it
+        "FM": (lambda ds: train_fm(ds, 0.6, seed=4), (False, False, 3, 0.0, 0.6, 0.6)),
+        "RelaxedFM": (lambda ds: train_relaxed_fm(ds, 0.6, 1e-4, seed=4),
+                      (True, False, 3, 0.0, 0.6, 0.6, 1e-4, 1e-4)),
+        "PDFC": (lambda ds: train_pdfc(ds, 0.4, 1.3, s_index=1, alpha1=0.7, seed=4),
+                 (False, True, 3, 0.7, 0.4, 1.3)),
+        "ADFC": (lambda ds: train_adfc(ds, 0.4, 1.3, 1e-3, 1e-5, s_index=1, alpha1=0.7, seed=4),
+                 (True, True, 3, 0.7, 0.4, 1.3, 1e-3, 1e-5)),
+    }
+
+    @pytest.mark.parametrize("method", sorted(CALIBRATED_FITS))
+    def test_trainer_perturbs_and_records_what_calibrate_returns(self, method, monkeypatch):
+        # Ties the ledger audits, which read calibrate's record, to the fits.
+        fit, args = self.CALIBRATED_FITS[method]
+        record = calibrate(*args)
+        seen = []
+
+        def spy(poly, kind, scale_s, scale_n, *rest):
+            seen.append((kind, scale_s, scale_n))
+            return perturb(poly, kind, scale_s, scale_n, *rest)
+
+        monkeypatch.setattr(trainers_mod, "perturb", spy)
+        model = fit(toy_d3())
+        assert model.method == method
+        assert seen == [(record.kind, record.scale_s, record.scale_n)]
+        assert (model.budgets.epsilon, model.budgets.delta, model.sensitivity_used) \
+            == (record.epsilon, record.delta, record.sensitivity)
 
     def test_budgets_present_iff_private(self):
         with pytest.raises(ValueError):

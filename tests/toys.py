@@ -42,6 +42,17 @@ def manifest_for_golden(out_dir) -> str:
     return text.replace(json.dumps(dataset), json.dumps("<dataset>"))
 
 
+def eval_poly(p: PolyObjective, w) -> float:
+    """The quadratic's value c0 + c1.w + w.C2 w at w: an oracle for tests."""
+    w = np.asarray(w, dtype=float)
+    return float(p.c0 + p.c1 @ w + w @ p.c2 @ w)
+
+
+def gradient_poly(p: PolyObjective, w) -> np.ndarray:
+    """Gradient c1 + (C2 + C2^T) w; collapses to c1 + 2 C2 w when symmetric."""
+    return p.c1 + (p.c2 + p.c2.T) @ np.asarray(w, dtype=float)
+
+
 @contextmanager
 def noise_free():
     """Within the block the private trainers add no noise: their ``perturb``
