@@ -6,14 +6,17 @@ Inputs are plain comma-separated files (optional header row, cells trimmed,
 UCI convention).  A :class:`Schema` names the label column, the protected
 column and the numeric and categorical feature columns.
 
-There is one parser and one encoder.  The encoder turns rows into the feature
+There are two tokenizers and one encoder tail.  The csv module's parser
+handles every file; :func:`read_dataset` first tries a NumPy byte tokenizer,
+which reads plain files (ASCII, no quotes, no comment lines, no control byte
+but the newline) in chunks and falls back to the csv parser on anything
+else.  Both feed the tail column batches, from which it builds the feature
 matrix, already scaled so that every row lies in the nonnegative part of the
 unit ball (per-column min-max to [0, 1], then a global division by sqrt(d)),
-in a single allocation.  :func:`read_dataset` encodes a file's rows in
-batches as the parser yields them, so no table of text cells is built;
-:func:`load_csv` keeps the parsed rows as a :class:`RawTable`, and
-:func:`build_dataset` encodes such a table.  Both routes give the same
-dataset and the same first error.
+in a single allocation.  No route builds a table of text cells except
+:func:`load_csv`, which keeps the parsed rows as a :class:`RawTable` for
+:func:`build_dataset` to encode.  Every route gives the same dataset and the
+same first error.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class EncodedDataset:
         if len(self.feature_names) != d:
             raise ValueError("feature_names must have one entry per column")
         for name, v in (("y", y), ("z", z)):
-            if not np.isin(v, (0, 1)).all():  # before the cast, which would truncate 0.7 to 0
+            if not ((v == 0) | (v == 1)).all():  # before the cast, which would truncate 0.7 to 0
                 raise ValueError(f"{name} must contain only 0 and 1")
         y, z = np.asarray(y, dtype=np.int64), np.asarray(z, dtype=np.int64)
         for arr in (X, y, z):
@@ -247,9 +250,25 @@ def read_dataset(
     path: str | Path, schema: Schema, column_names: Sequence[str] | None = None
 ) -> EncodedDataset:
     """``build_dataset(load_csv(path, column_names), schema)``, bit for bit and
-    with the same errors, but each batch of rows is encoded as soon as it is
-    parsed, so no table of strings is built."""
-    rows = _parse(Path(path), column_names, [])
+    with the same errors, but the file is encoded as it is read, so no table
+    of strings is built.
+
+    A plain file, ASCII text with no control byte but the newline, no ``"``
+    and no ``|``, every row as wide as the header and no cell over the csv
+    module's field size limit, is tokenized with NumPy byte operations, a
+    chunk of whole lines at a time.  Any other file, and a plain one whose
+    encoding would fail (a missing column, a positive value never observed,
+    a cell that is not a number, a non-finite value, no row left), is read
+    again from the start by the csv module, so every error comes from that
+    one path.
+    """
+    path = Path(path)
+    books = [_codebook() for _ in schema.categorical]
+    try:
+        return _assemble(schema, books, _plain_batches(path, column_names, schema, books))
+    except _NotPlain:
+        pass
+    rows = _parse(path, column_names, [])
     return _encode(next(rows), rows, schema)
 
 
@@ -322,44 +341,48 @@ def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
     return _encode(raw.column_names, raw.rows, schema)
 
 
-BATCH_ROWS = 256  # rows per batch of _encode
+BATCH_ROWS = 256  # rows per batch of the csv path's encoder
 
 
 def _encode(
     names: tuple[str, ...], rows: Iterable[tuple[str, ...]], schema: Schema
 ) -> EncodedDataset:
-    """:func:`build_dataset` of the rows of a table with these column names.
+    """:func:`build_dataset` of the rows of a table with these column names."""
+    books = [_codebook() for _ in schema.categorical]
+    return _assemble(schema, books, _row_batches(names, rows, schema, books))
 
-    The rows are read BATCH_ROWS at a time, and each batch is transposed and
-    appended to growable buffers while it is in cache: the label and
-    protected indicators, each categorical column's codes, and the numeric
-    columns as one row-major block, which becomes X itself when they are all
-    of its columns.  Every error of the encoding is raised only after the
-    last row is read, so an error of the parse behind ``rows`` wins.
+
+def _row_batches(
+    names: tuple[str, ...], rows: Iterable[tuple[str, ...]], schema: Schema, books: list
+) -> Iterator[tuple]:
+    """The column batches (see :func:`_assemble`) of the rows of a table with
+    these column names.
+
+    The rows are read BATCH_ROWS at a time, and each batch is transposed
+    while it is in cache.  Every error of the encoding is raised only after
+    the last row is read, so an error of the parse behind ``rows`` wins.
     """
     def column(name):  # the first column of that name, as a tuple's index() finds
         return names.index(name) if name in names else None
 
-    flags = [(what, name, column(name), positive, bytearray(), set())
+    flags = [(what, name, column(name), positive, set())
              for what, name, positive in (("label", schema.label, schema.label_positive),
                                           ("protected", schema.protected,
                                            schema.protected_positive))]
-    categorical = [(name, column(name), _codebook(), array("q")) for name in schema.categorical]
+    categorical = [(name, column(name), book) for name, book in zip(schema.categorical, books)]
     numeric = [(name, column(name)) for name in schema.numeric]
-    numbers = array("d")  # the numeric columns' values, row by row
     bad: dict[str, str] = {}  # numeric column -> message for its first non-numeric cell
-    n, rows = 0, iter(rows)
+    rows = iter(rows)
     for batch in iter(lambda: list(islice(rows, BATCH_ROWS)), []):
-        n += len(batch)
         cells = list(zip(*batch))
-        for _, _, j, positive, is_positive, seen in flags:
-            if j is not None:
-                is_positive.extend(map(positive.__eq__, cells[j]))
-                if positive not in seen:  # the observed values its error would list
-                    seen.update(cells[j])
-        for _, j, codes, coded in categorical:
-            if j is not None:
-                coded.extend(map(codes.__getitem__, cells[j]))
+        for _, _, j, positive, seen in flags:
+            if j is not None and positive not in seen:  # the observed values its error would list
+                seen.update(cells[j])
+        bits = [b"" if j is None else bytes(map(positive.__eq__, cells[j]))
+                for _, _, j, positive, _ in flags]
+        codes = [np.empty(0, np.int64) if j is None else
+                 np.fromiter(map(book.__getitem__, cells[j]), np.int64, len(batch))
+                 for _, j, book in categorical]
         block = np.empty((len(batch), len(numeric)))
         for col, (name, j) in zip(block.T, numeric):
             if j is not None and name not in bad:
@@ -367,9 +390,9 @@ def _encode(
                     col[:] = np.fromiter(map(float, cells[j]), float, len(batch))
                 except ValueError as exc:
                     bad[name] = f"non-numeric cell in column {name!r}: {exc}"
-        numbers.frombytes(block.tobytes())
+        yield *bits, codes, block
 
-    for what, name, j, positive, _, seen in flags:
+    for what, name, j, positive, seen in flags:
         if j is None:
             raise _missing(name)
         if positive not in seen:
@@ -380,20 +403,45 @@ def _encode(
             raise _missing(name)
         if name in bad:
             raise ParseError(bad[name])
-    y, z = (np.frombuffer(is_positive, np.uint8).astype(np.int64) for *_, is_positive, _ in flags)
+
+
+def _assemble(schema: Schema, books: list, batches: Iterable[tuple]) -> EncodedDataset:
+    """The dataset of a file's column batches, the tail both tokenizers share.
+
+    A batch is (label indicators, protected indicators, each as 0/1 bytes,
+    one int64 code array per categorical column, a C-ordered (rows, numeric
+    columns) float block), and ``books`` holds each categorical column's
+    codebook.  The batches are appended to growable buffers; the numeric
+    block becomes X itself when the numeric columns are all of its columns,
+    and otherwise X is allocated once at its final size.  Each numeric
+    column is then min-max scaled and divided by sqrt(d) in place, and each
+    categorical column's one-hot block is written with one scatter.
+    """
+    y, z, numbers = array("B"), array("B"), array("d")
+    coded = [array("q") for _ in books]
+    n = 0
+    for y_bits, z_bits, codes, block in batches:
+        n += len(block)
+        y.frombytes(y_bits)
+        z.frombytes(z_bits)
+        for into, batch in zip(coded, codes):
+            into.frombytes(batch.view(np.uint8))
+        numbers.frombytes(block.view(np.uint8))
+    y, z = (np.frombuffer(bits, np.uint8).astype(np.int64) for bits in (y, z))
     feature_names = [*schema.numeric]
-    for name, _, codes, _ in categorical:
-        feature_names.extend(f"{name}={cat}" for cat in codes)
+    for name, book in zip(schema.categorical, books):
+        feature_names.extend(f"{name}={cat}" for cat in book)
     if schema.include_protected_in_features:
         feature_names.append(schema.protected)
     root = math.sqrt(len(feature_names))
 
-    X = np.frombuffer(numbers).reshape(n, len(numeric))
-    if len(feature_names) > len(numeric):
+    k = len(schema.numeric)
+    X = np.frombuffer(numbers).reshape(n, k)
+    if len(feature_names) > k:
         X, parsed = np.zeros((n, len(feature_names))), X
-        X[:, :len(numeric)] = parsed
+        X[:, :k] = parsed
         del parsed, numbers
-    for col in X.T[:len(numeric)]:
+    for col in X.T[:k]:
         lo, hi = col.min(), col.max()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("X contains non-finite entries")
@@ -403,14 +451,218 @@ def _encode(
             col /= root
         else:
             col.fill(0.0)
-    j = len(numeric)
-    for _, _, codes, coded in categorical:
-        if len(codes) > 1:  # a one-category column is constant, so it stays 0.0
-            X[np.arange(n), j + np.frombuffer(coded, np.int64)] = 1.0 / root
-        j += len(codes)
+    j = k
+    for book, codes in zip(books, coded):
+        if len(book) > 1:  # a one-category column is constant, so it stays 0.0
+            X[np.arange(n), j + np.frombuffer(codes, np.int64)] = 1.0 / root
+        j += len(book)
     if schema.include_protected_in_features and z.min() < z.max():
         X[:, -1] = z / root
     return EncodedDataset(X=X, y=y, z=z, feature_names=tuple(feature_names))
+
+
+# --- the byte tokenizer -------------------------------------------------------
+# read_dataset's fast path for plain files.  It never raises an error of its
+# own: wherever load_csv would differ or the encoding would fail, it raises
+# _NotPlain and the csv path reads the file instead.
+
+_CHUNK_BYTES = 1 << 17  # bytes read at a time by the byte tokenizer
+_DIGITS = 15  # the longest integer cell summed in int64; below 2**53, so exact as a float
+_PAD = bytes(_DIGITS + 1)  # NULs after a chunk, so that no cell's key or digits read past it
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # masks of k bytes
+
+
+class _NotPlain(Exception):
+    """The byte tokenizer cannot read this file as load_csv would."""
+
+
+def _plain_batches(
+    path: Path, column_names: Sequence[str] | None, schema: Schema, books: list
+) -> Iterator[tuple]:
+    """The column batches (see :func:`_assemble`) of a plain file, one per
+    chunk of whole lines read from disk, by :func:`load_csv`'s rules.
+
+    Raises _NotPlain where the file turns out not to be plain (see
+    :func:`read_dataset`), where the header or ``column_names`` repeat a
+    name or lack a column the schema names, where a cell is not a finite
+    number, and at the end if no row was kept or a positive value was never
+    observed.
+    """
+    wanted = (schema.label, schema.protected, *schema.categorical, *schema.numeric)
+    positives = (schema.label_positive, schema.protected_positive)
+
+    def columns(names):
+        if len(set(names)) < len(names) or not set(wanted) <= set(names):
+            raise _NotPlain
+        return len(names), [names.index(name) for name in wanted]
+
+    if not all(map(str.isascii, positives)):
+        raise _NotPlain  # never observed in ASCII text
+    header = column_names is None
+    width, cols = (0, []) if header else columns(tuple(column_names))
+    limit = csv.field_size_limit()
+    seen = np.zeros(2, bool)
+    packed = [[np.empty(0, np.uint64), np.empty(0, np.int64)] for _ in books]
+    n = 0
+    with path.open("rb") as fh:
+        for chunk in _line_chunks(fh):
+            arr = np.frombuffer(chunk + _PAD, np.uint8)
+            s, e, counts = _plain_cells(arr, len(chunk), limit)
+            if header and len(counts):
+                head = counts[0]
+                width, cols = columns(tuple(chunk[a:b].decode() for a, b in
+                                            zip(s[:head].tolist(), e[:head].tolist())))
+                s, e, counts, header = s[head:], e[head:], counts[1:], False
+            if not len(counts):
+                continue
+            if (counts != width).any():
+                raise _NotPlain
+            s, e = s.reshape(-1, width), e.reshape(-1, width)
+            length = e - s
+            kept = ~((length == 0) | ((length == 1) & (arr[s] == ord("?")))).any(axis=1)
+            s, e = s[kept].T, e[kept].T  # one row per column
+            if not s.shape[1]:
+                continue
+            n += s.shape[1]
+            bits = [_plain_equals(arr, s[j], e[j], value.encode())
+                    for j, value in zip(cols, positives)]
+            seen |= [flag.any() for flag in bits]
+            codes = [_plain_codes(chunk, arr, s[j], e[j], book, known)
+                     for j, book, known in zip(cols[2:], books, packed)]
+            block = np.empty((s.shape[1], len(schema.numeric)))
+            for col, j in zip(block.T, cols[2 + len(books):]):
+                col[:] = _plain_numbers(chunk, arr, s[j], e[j])
+            yield *bits, codes, block
+    if not (n and seen.all()):
+        raise _NotPlain
+
+
+def _line_chunks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file in pieces of whole lines, each about
+    _CHUNK_BYTES long (one line, if that is longer) and ending with a
+    newline."""
+    rest = b""
+    while data := fh.read(_CHUNK_BYTES):
+        data = rest + data
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            yield data[:cut]
+    if rest:
+        yield rest + b"\n"
+
+
+def _plain_cells(arr: np.ndarray, size: int, limit: int):
+    """The cells of the non-blank lines of a chunk of whole lines (the first
+    ``size`` bytes of ``arr``), as their first and past-the-end byte offsets
+    with the padding spaces trimmed, and the number of cells on each line."""
+    body = arr[:size]
+    if (body.max() > ord("~") or (body == ord('"')).any() or (body == ord("|")).any()
+            or np.count_nonzero(body < ord(" ")) != np.count_nonzero(body == ord("\n"))):
+        raise _NotPlain  # not ASCII, a quote, a comment, or a control byte other than \n
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
+    s = np.empty_like(ends)
+    s[0], s[1:] = 0, ends[:-1] + 1
+    if (ends - s).max() > limit:
+        raise _NotPlain  # the csv module's "field larger than field limit"
+    e = ends.copy()
+    pad = np.flatnonzero(arr[s] == ord(" "))
+    while pad.size:  # one pass per leading space (the separator stops it)
+        s[pad] += 1
+        pad = pad[arr[s[pad]] == ord(" ")]
+    pad = np.flatnonzero((e > s) & (arr[e - 1] == ord(" ")))
+    while pad.size:
+        e[pad] -= 1
+        pad = pad[(e[pad] > s[pad]) & (arr[e[pad] - 1] == ord(" "))]
+    last = np.flatnonzero(arr[ends] == ord("\n"))  # each line's last cell
+    counts = np.diff(last, prepend=-1)
+    blank = (counts == 1) & (s[last] == e[last])
+    if blank.any():
+        cells = np.repeat(~blank, counts)
+        s, e, counts = s[cells], e[cells], counts[~blank]
+    return s, e, counts
+
+
+def _plain_equals(arr: np.ndarray, s: np.ndarray, e: np.ndarray, value: bytes) -> np.ndarray:
+    """Per cell, 1 if its bytes are ``value`` and 0 if not, as uint8."""
+    equal = e - s == len(value)
+    for k, byte in enumerate(value):
+        equal &= arr.take(s + k, mode="clip") == byte
+    return equal.view(np.uint8)
+
+
+def _plain_codes(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray,
+                 book: defaultdict, packed: list) -> np.ndarray:
+    """The codebook's codes of a column's cells; the cells not in the book
+    yet join it in the order they first appear.
+
+    A cell of up to 8 bytes is packed NUL-padded (a plain file has no NUL)
+    into one uint64 key.  ``packed`` holds the sorted keys of the column's
+    short cells coded so far and their codes, so a chunk with no new short
+    cell and no longer one is coded by one search.  Otherwise one np.unique
+    finds the chunk's distinct short cells, longer cells are decoded one by
+    one, and ``packed`` takes the new keys.
+    """
+    length = e - s
+    keys = np.lib.stride_tricks.sliding_window_view(arr, 8)[s].view("<u8").ravel()
+    keys &= _LOW_BYTES[np.minimum(length, 8)]
+    known, known_codes = packed
+    at = np.searchsorted(known, keys)
+    if len(known) and length.max() <= 8 and (known.take(at, mode="clip") == keys).all():
+        return known_codes[at]
+    short, long = np.flatnonzero(length <= 8), np.flatnonzero(length > 8)
+    new, first, local = np.unique(keys[short], return_index=True, return_inverse=True)
+    cats = [key.to_bytes(8, "little").rstrip(b"\0").decode() for key in new.tolist()]
+    firsts = [short[first]]
+    cell_cats = np.empty(len(s), np.int64)  # each cell's index into cats
+    cell_cats[short] = local
+    if len(long):
+        texts: dict[str, int] = {}
+        ids = np.array([texts.setdefault(chunk[a:b].decode(), len(texts))
+                        for a, b in zip(s[long].tolist(), e[long].tolist())])
+        cell_cats[long] = len(cats) + ids
+        firsts.append(long[np.unique(ids, return_index=True)[1]])
+        cats.extend(texts)
+    codes = np.empty(len(cats), np.int64)
+    for i in np.argsort(np.concatenate(firsts)).tolist():
+        codes[i] = book[cats[i]]
+    known, where = np.unique(np.concatenate([known, new]), return_index=True)
+    packed[:] = known, np.concatenate([known_codes, codes[:len(new)]])[where]
+    return codes[cell_cats]
+
+
+def _plain_numbers(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The value float() reads from each cell.  A cell of 1 to 15 digits
+    after an optional "-" is summed exactly in int64 and then given its sign
+    as a float, so that "-0" reads -0.0; any other cell goes through float()
+    on its text.  Raises _NotPlain unless every value is a finite number."""
+    negative = arr[s] == ord("-")
+    start = s + negative
+    count = e - start  # its digits, if the cell is an integer
+    whole = np.flatnonzero((count > 0) & (count <= _DIGITS))  # the cells short enough
+    start, count = start[whole], count[whole]
+    magnitude = np.zeros(len(whole), np.int64)
+    integer = np.ones(len(whole), bool)  # the cell is all digits so far
+    for k in range(int(count.max(initial=0))):
+        inside = k < count
+        digit = arr[start + k] - ord("0")  # uint8: a byte that is no digit exceeds 9
+        integer &= (digit <= 9) | ~inside
+        magnitude = np.where(inside, magnitude * 10 + digit, magnitude)
+    magnitude = magnitude.astype(float)
+    value = np.empty(len(s))
+    value[whole] = np.where(negative[whole], -magnitude, magnitude)
+    other = np.ones(len(s), bool)
+    other[whole[integer]] = False
+    other = np.flatnonzero(other)
+    if len(other):
+        try:  # float() reads ASCII bytes as it reads the same text as str
+            value[other] = [float(chunk[a:b]) for a, b in
+                            zip(s[other].tolist(), e[other].tolist())]
+        except ValueError:
+            raise _NotPlain from None
+    if not np.isfinite(value).all():
+        raise _NotPlain
+    return value
 
 
 def _codebook() -> defaultdict:

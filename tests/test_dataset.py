@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fairdp import dataset
 from fairdp.dataset import (
     BATCH_ROWS,
     SUM_BLOCK,
@@ -631,6 +632,22 @@ class TestEncodedDatasetInvariants:
         with pytest.raises(ValueError, match=f"^{name} must contain only 0 and 1$"):
             EncodedDataset(X=np.ones((2, 1)) / 2, y=y, z=z, feature_names=("a",))
 
+    @pytest.mark.parametrize("values, valid", [(["1", "0"], False), ([0.7, 1], False),
+                                               ([np.nan, 1], False), ([True, False], True),
+                                               ([1, 0], True)])
+    def test_domain_check_agrees_with_isin(self, values, valid):
+        # The check compares with 0 and 1, which gives np.isin(v, (0, 1))'s
+        # verdict on each of these, text included, with no warning.
+        assert np.isin(np.asarray(values), (0, 1)).all() == valid
+        for name in ("y", "z"):
+            columns = {"y": [0, 1], "z": [1, 0], name: values}
+            if valid:
+                ds = EncodedDataset(X=np.ones((2, 1)) / 2, feature_names=("a",), **columns)
+                assert getattr(ds, name).tolist() == [int(v) for v in values]
+            else:
+                with pytest.raises(ValueError, match=f"^{name} must contain only 0 and 1$"):
+                    EncodedDataset(X=np.ones((2, 1)) / 2, feature_names=("a",), **columns)
+
     def test_exact_0_and_1_of_any_type_accepted(self):
         ds = EncodedDataset(X=np.ones((3, 1)) / 2, y=[0.0, 1.0, True], z=np.array([1, 0, 0], bool),
                             feature_names=("a",))
@@ -901,6 +918,115 @@ class TestSetupPathsAgree:
         ds = read_dataset(path, schema)
         assert ds.n == n
         assert ds.fingerprint() == via_table(path, schema).fingerprint()
+
+
+# --- read_dataset's two tokenizers --------------------------------------------
+# read_dataset tokenizes a plain file with NumPy byte operations and reads any
+# other file, or a plain one whose encoding fails, with the csv module
+# (dataset._parse).  Either way its outcome is load_csv + build_dataset's.
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The arguments of each dataset._parse call so far: the csv path's reads."""
+    calls = []
+    real = dataset._parse
+    monkeypatch.setattr(dataset, "_parse", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def read_counting(path, schema, column_names, parse_calls):
+    """read_dataset's outcome, and whether it read the file with the csv module."""
+    before = len(parse_calls)
+    result = outcome(read_dataset, path, schema, column_names)
+    return result, len(parse_calls) > before
+
+
+PLAIN_NUMBERS = ["-0", "007", " 7 ", "2.5", "1e3", "+5", "1_000", "123456789012345",
+                 "9007199254740993", "-15", "0", "42", "-3.75", "1e-300"]
+PLAIN_CELLS = st.sampled_from(PLAIN_NUMBERS * 4 + ["inf", "nan", "k ", "?", ""])
+PLAIN_CATEGORIES = st.sampled_from(["k", "k ", " k", "-0", "category", "category_a", "category_b",
+                                    "categorya", "a much longer category", "x y", "?", ""])
+
+
+@st.composite
+def plain_files(draw):
+    """Mostly plain CSV texts: padded, missing and non-numeric cells, blank
+    and space-only lines, a header row or column names, a last line with
+    or without its newline; and a schema over the columns v, w, c, sex,
+    income."""
+    rows = draw(st.lists(st.tuples(PLAIN_CELLS, PLAIN_CELLS, PLAIN_CATEGORIES,
+                                   st.sampled_from(["Male", "Female", " Female", "?"]),
+                                   st.sampled_from(["yes", "no", "no ", "?"])),
+                         min_size=1, max_size=14))
+    rows[draw(st.integers(0, len(rows) - 1))] = ("1", "2", "k", "Male", "yes")
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "   "])))
+    names = ("v", "w", "c", "sex", "income")
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, " , ".join(names))
+    numeric = draw(st.sampled_from([(), ("v",), ("w", "v")]))
+    categorical = draw(st.sampled_from([(), ("c",), ("c", "w")] if "w" not in numeric
+                                       else [(), ("c",)]))
+    schema = Schema(label="income", label_positive="yes", protected="sex",
+                    protected_positive="Male", numeric=numeric, categorical=categorical,
+                    include_protected_in_features=draw(st.booleans())
+                    or not (numeric or categorical))
+    return ("\n".join(lines) + draw(st.sampled_from(["", "\n"])), schema,
+            None if header else names, draw(st.integers(1, 48)))
+
+
+class TestTokenizersAgree:
+    def test_plain_files(self, tmp_path_factory, monkeypatch, parse_calls):
+        by_csv = []
+
+        @given(plain_files())
+        @settings(max_examples=200, deadline=None)
+        def agree(case):
+            text, schema, column_names, chunk = case
+            monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)  # rows cross chunk edges
+            path = tmp_path_factory.mktemp("csv") / "t.csv"
+            path.write_bytes(text.encode())
+            result, fell_back = read_counting(path, schema, column_names, parse_calls)
+            assert result == outcome(via_table, path, schema, column_names)
+            by_csv.append(fell_back)
+
+        agree()
+        # Most examples are plain files that encode: about one in ten has a
+        # non-finite or non-numeric cell, which sends it to the csv path.
+        assert sum(by_csv) <= len(by_csv) / 4
+
+    @pytest.mark.parametrize("text, cell", [
+        pytest.param('a,b,c,sex,income\n"3",2,k,Male,yes\n', None, id="quote"),
+        pytest.param("a,b,c,sex,income\r\n3,2,k,Male,yes\r\n", None, id="crlf"),
+        pytest.param("a,b,c,sex,income\n3,\t2,k,Male,yes\n", None, id="tab"),
+        pytest.param("a,b,c,sex,income\n3,2\x1c,k,Male,yes\n", None, id="x1c"),
+        pytest.param("a,b,c,sex,income\n3,2,é,Male,yes\n", None, id="non-ascii"),
+        pytest.param("a,b,c,sex,income\n| note\n3,2,k,Male,yes\n", None, id="comment"),
+        pytest.param("a,b,c,sex,income\n3,2,k,Male\n", None, id="ragged"),
+        pytest.param("a,b,c,sex,income\n3,2,{},Male,yes\n", "x" * 131_073, id="over-limit"),
+        pytest.param("a,b,c,sex,income\n3,2,{},Male,yes\n", "x" * 131_072, id="at-limit"),
+    ])
+    def test_triggers_take_the_csv_path(self, tmp_path, parse_calls, text, cell):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.format(cell).encode())
+        result, fell_back = read_counting(path, ORDER_SCHEMA, None, parse_calls)
+        assert result == outcome(via_table, path, ORDER_SCHEMA, None)
+        assert fell_back == (cell != "x" * 131_072)
+
+    @pytest.mark.parametrize("file", ["toy", "adult", "census"])
+    def test_shaped_files_take_the_byte_path(self, tmp_path, parse_calls, file):
+        # The set-up speed of the CLI rests on these shapes staying plain.
+        if file == "toy":
+            path, schema = FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY
+        else:
+            raw, schema = (adult_shaped_table(n=BATCH_ROWS * 3 + 1) if file == "adult"
+                           else census_shaped_table(n=BATCH_ROWS * 3 + 1))
+            path = write(tmp_path, "t.csv", csv_text(raw))
+        result, fell_back = read_counting(path, schema, None, parse_calls)
+        assert not fell_back
+        assert result == outcome(via_table, path, schema, None)
 
 
 class TestFetch:
