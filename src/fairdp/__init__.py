@@ -6,11 +6,8 @@ __version__ = "0.1.0"
 from .dataset import (
     EncodedDataset,
     ParseError,
-    RawTable,
     Schema,
-    build_dataset,
     fetch_dataset,
-    load_csv,
     read_dataset,
     split,
 )

@@ -87,7 +87,7 @@ def _canonical_method(name: str) -> str:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:  # a directory, no permission, ...
         raise CLIError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

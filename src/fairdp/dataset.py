@@ -6,17 +6,15 @@ Inputs are plain comma-separated files (optional header row, cells trimmed,
 UCI convention).  A :class:`Schema` names the label column, the protected
 column and the numeric and categorical feature columns.
 
-There are two tokenizers and one encoder tail.  The csv module's parser
-handles every file; :func:`read_dataset` first tries a NumPy byte tokenizer,
-which reads plain files (ASCII, no quotes, no comment lines, no control byte
-but the newline) in chunks and falls back to the csv parser on anything
-else.  Both feed the tail column batches, from which it builds the feature
-matrix, already scaled so that every row lies in the nonnegative part of the
-unit ball (per-column min-max to [0, 1], then a global division by sqrt(d)),
-in a single allocation.  No route builds a table of text cells except
-:func:`load_csv`, which keeps the parsed rows as a :class:`RawTable` for
-:func:`build_dataset` to encode.  Every route gives the same dataset and the
-same first error.
+:func:`read_dataset` is the one loader: two tokenizers feed one encoder tail.
+It first tries a NumPy byte tokenizer, which reads plain files (ASCII, no
+quotes, no comment lines, no control byte but the newline) in chunks, and
+falls back to the csv module's parser on anything else.  Both feed the tail
+column batches, from which it builds the feature matrix, already scaled so
+that every row lies in the nonnegative part of the unit ball (per-column
+min-max to [0, 1], then a global division by sqrt(d)), in a single
+allocation.  Neither builds a table of text cells, and both give the same
+dataset and the same first error.
 """
 
 from __future__ import annotations
@@ -50,27 +48,6 @@ class ParseError(ValueError):
 
 class FetchError(RuntimeError):
     """Dataset download or integrity check failed."""
-
-
-@dataclass(frozen=True)
-class RawTable:
-    """A parsed CSV file: trimmed text cells, missing-value rows removed."""
-
-    column_names: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    n_dropped: int = 0
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("table must have at least one row")
-        width = len(self.column_names)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -111,7 +88,7 @@ class EncodedDataset:
 
     The container itself does not insist on normalized rows (a library
     caller may build one from any matrix); :meth:`check_normalized` verifies
-    the unit-ball invariant, which :func:`build_dataset` output holds by
+    the unit-ball invariant, which :func:`read_dataset` output holds by
     construction and the private trainers require.
 
     The degree-2 objective's sufficient statistics (``logistic_c1``,
@@ -180,7 +157,7 @@ class EncodedDataset:
         outcome is computed once per dataset."""
         if self._unit_ball_error:
             raise ValueError("features must lie in the nonnegative unit ball "
-                             f"(build_dataset scales them into it): {self._unit_ball_error}")
+                             f"(read_dataset scales them into it): {self._unit_ball_error}")
 
     @cached_property
     def _unit_ball_error(self) -> str:
@@ -228,39 +205,40 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def load_csv(path: str | Path, column_names: Sequence[str] | None = None) -> RawTable:
-    """Parse a comma-separated file into a :class:`RawTable`.
-
-    The first row is the header, unless ``column_names`` is given: then the
-    file has no header row (e.g. the UCI Adult data files).  Cells are
-    whitespace-trimmed.  Rows containing a missing-value marker ("?" or an
-    empty cell) are dropped and counted in ``n_dropped``.  Blank lines and
-    lines starting with ``|`` are skipped.  A row whose cell count differs
-    from the number of column names raises :class:`ParseError` naming the line;
-    a column name given twice, or text that is not UTF-8, raises it too.
-    """
-    dropped: list[int] = []
-    rows = _parse(Path(path), column_names, dropped)
-    names = next(rows)
-    kept = tuple(rows)
-    return RawTable(column_names=names, rows=kept, n_dropped=len(dropped))
-
-
 def read_dataset(
     path: str | Path, schema: Schema, column_names: Sequence[str] | None = None
 ) -> EncodedDataset:
-    """``build_dataset(load_csv(path, column_names), schema)``, bit for bit and
-    with the same errors, but the file is encoded as it is read, so no table
-    of strings is built.
+    """The encoded table of a CSV file, rows scaled into the nonnegative unit
+    ball: the form every trainer consumes.
+
+    The first row is the header, unless ``column_names`` is given: then the
+    file has no header row (e.g. the UCI Adult data files).  A UTF-8
+    byte-order mark is skipped.  Cells are whitespace-trimmed.  Rows
+    containing a missing-value marker ("?" or an empty cell) are dropped.
+    Blank lines and lines starting with ``|`` are skipped.  A row whose cell
+    count differs from the number of column names raises :class:`ParseError`
+    naming the line; a column name given twice, text that is not UTF-8, a
+    file with no row, or one whose every row is dropped raises it too.
+
+    The features are the numeric columns, then one indicator per observed
+    category of each categorical column (first-seen order; categories are
+    exact Python strings, not a NumPy string array, which would drop trailing
+    NULs), then the protected 0/1 column if the schema includes it.  Each is
+    min-max scaled to [0, 1] (a constant one to exactly 0.0; no entry is
+    -0.0) and divided by sqrt(d), in place in the one (n, d) allocation.
+
+    The first error found wins, in this order: an error of the parse above;
+    a missing label column, then a label positive value never observed; the
+    same two for the protected column; a missing categorical column; a
+    numeric column, in schema order, that is missing or holds a non-numeric
+    cell; a non-finite value.
 
     A plain file, ASCII text with no control byte but the newline, no ``"``
     and no ``|``, every row as wide as the header and no cell over the csv
     module's field size limit, is tokenized with NumPy byte operations, a
     chunk of whole lines at a time.  Any other file, and a plain one whose
-    encoding would fail (a missing column, a positive value never observed,
-    a cell that is not a number, a non-finite value, no row left), is read
-    again from the start by the csv module, so every error comes from that
-    one path.
+    encoding would fail, is read again from the start by the csv module, so
+    every error comes from that one path.  Neither builds a table of strings.
     """
     path = Path(path)
     books = [_codebook() for _ in schema.categorical]
@@ -268,19 +246,16 @@ def read_dataset(
         return _assemble(schema, books, _plain_batches(path, column_names, schema, books))
     except _NotPlain:
         pass
-    rows = _parse(path, column_names, [])
+    rows = _parse(path, column_names)
     return _encode(next(rows), rows, schema)
 
 
-def _parse(
-    path: Path, column_names: Sequence[str] | None, dropped: list[int]
-) -> Iterator[tuple[str, ...]]:
+def _parse(path: Path, column_names: Sequence[str] | None) -> Iterator[tuple[str, ...]]:
     """Yield the column names, then each kept row of a CSV file as a tuple of
-    trimmed cells, by :func:`load_csv`'s rules; the line number of each row
-    dropped for a missing-value marker is appended to ``dropped``."""
+    trimmed cells, by :func:`read_dataset`'s rules."""
     names = None if column_names is None else _distinct(path, tuple(column_names))
-    kept = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    kept = dropped = 0
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if names is not None:
             yield names
@@ -301,7 +276,7 @@ def _parse(
                         f"expected {len(names)}"
                     )
                 if not MISSING_MARKERS.isdisjoint(cells):
-                    dropped.append(reader.line_num)
+                    dropped += 1
                     continue
                 kept += 1
                 yield cells
@@ -322,32 +297,14 @@ def _distinct(path: Path, names: tuple[str, ...]) -> tuple[str, ...]:
     return names
 
 
-def build_dataset(raw: RawTable, schema: Schema) -> EncodedDataset:
-    """The encoded table, rows scaled into the nonnegative unit ball: the form
-    every trainer consumes.
-
-    The features are the numeric columns, then one indicator per observed
-    category of each categorical column (first-seen order; categories are
-    exact Python strings, not a NumPy string array, which would drop trailing
-    NULs), then the protected 0/1 column if the schema includes it.  Each is
-    min-max scaled to [0, 1] (a constant one to exactly 0.0; no entry is
-    -0.0) and divided by sqrt(d), in place in the one (n, d) allocation.
-
-    The first error found wins, in this order: a missing label column, then
-    a label positive value never observed; the same two for the protected
-    column; a missing categorical column; a numeric column, in schema order,
-    that is missing or holds a non-numeric cell; a non-finite value.
-    """
-    return _encode(raw.column_names, raw.rows, schema)
-
-
 BATCH_ROWS = 256  # rows per batch of the csv path's encoder
 
 
 def _encode(
     names: tuple[str, ...], rows: Iterable[tuple[str, ...]], schema: Schema
 ) -> EncodedDataset:
-    """:func:`build_dataset` of the rows of a table with these column names."""
+    """:func:`read_dataset`'s dataset of the rows of a table with these
+    column names."""
     books = [_codebook() for _ in schema.categorical]
     return _assemble(schema, books, _row_batches(names, rows, schema, books))
 
@@ -463,8 +420,8 @@ def _assemble(schema: Schema, books: list, batches: Iterable[tuple]) -> EncodedD
 
 # --- the byte tokenizer -------------------------------------------------------
 # read_dataset's fast path for plain files.  It never raises an error of its
-# own: wherever load_csv would differ or the encoding would fail, it raises
-# _NotPlain and the csv path reads the file instead.
+# own: wherever it might read a file otherwise than the csv path or the
+# encoding would fail, it raises _NotPlain and the csv path reads the file.
 
 _CHUNK_BYTES = 1 << 17  # bytes read at a time by the byte tokenizer
 _DIGITS = 15  # the longest integer cell summed in int64; below 2**53, so exact as a float
@@ -473,14 +430,14 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # masks 
 
 
 class _NotPlain(Exception):
-    """The byte tokenizer cannot read this file as load_csv would."""
+    """The byte tokenizer cannot read this file as the csv path would."""
 
 
 def _plain_batches(
     path: Path, column_names: Sequence[str] | None, schema: Schema, books: list
 ) -> Iterator[tuple]:
     """The column batches (see :func:`_assemble`) of a plain file, one per
-    chunk of whole lines read from disk, by :func:`load_csv`'s rules.
+    chunk of whole lines read from disk, by :func:`read_dataset`'s rules.
 
     Raises _NotPlain where the file turns out not to be plain (see
     :func:`read_dataset`), where the header or ``column_names`` repeat a

@@ -49,10 +49,6 @@ class PolyObjective:
     def d(self) -> int:
         return self.c1.size
 
-    def to_dict(self) -> dict:
-        """JSON layout: scalar c0, list c1, row-major nested list c2."""
-        return {"c0": self.c0, "c1": self.c1.tolist(), "c2": self.c2.tolist()}
-
 
 def lr_poly(ds: EncodedDataset) -> PolyObjective:
     """Quadratic expansion of the plain logistic loss on a dataset (from its

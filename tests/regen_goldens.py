@@ -33,6 +33,11 @@ from toys import (
 )
 
 
+def poly_dict(poly):
+    """A PolyObjective's JSON layout: scalar c0, list c1, row-major nested list c2."""
+    return {"c0": poly.c0, "c1": poly.c1.tolist(), "c2": poly.c2.tolist()}
+
+
 def dump(name, obj):
     path = GOLDEN_DIR / name
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -42,7 +47,7 @@ def dump(name, obj):
 def regen_perturb():
     poly, s_index, seed = perturb_golden_inputs()
     out = perturb(poly, "laplace", 2.0, 0.5, s_index, np.random.default_rng(seed))
-    dump("perturb_d3.json", out.to_dict())
+    dump("perturb_d3.json", poly_dict(out))
 
 
 def regen_trainers():

@@ -34,6 +34,6 @@ def make_adult_like(n: int, seed: int) -> EncodedDataset:
 
     X_raw = np.column_stack([degree, fulltime, senior, skill, union, urban, tenure])
     names = ("degree", "fulltime", "senior", "skill", "union", "urban", "tenure")
-    lo = X_raw.min(axis=0)  # per-column min-max, then / sqrt(d), as build_dataset scales
+    lo = X_raw.min(axis=0)  # per-column min-max, then / sqrt(d), as read_dataset scales
     X = (X_raw - lo) / (X_raw.max(axis=0) - lo) / math.sqrt(X_raw.shape[1])
     return EncodedDataset(X=X, y=y, z=z, feature_names=names)

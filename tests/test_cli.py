@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import json
 import os
 import shlex
@@ -19,7 +18,7 @@ from fairdp.cli import (
     main,
     parse_keyvalue_file,
 )
-from fairdp.dataset import RawTable, RemoteFile, Schema, load_csv
+from fairdp.dataset import RemoteFile, Schema
 from fairdp.mechanisms import compose_split_epsilon, gaussian_sigma, split_total_delta
 
 from toys import (
@@ -329,21 +328,19 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
     ["sweep", "--methods", "fm,pdfc", "--eps", "1.0", "--runs", "2"],
 ])
 def test_one_prediction_per_fit_and_no_raw_table_held(tmp_path, monkeypatch, command):
-    # Each model is scored from one prediction, and the parsed text table is
-    # released once the data is encoded.
-    calls, live_tables = [], []
+    # Each model is scored from one prediction.  That set-up holds no table
+    # of text cells is checked in test_dataset.py's TestMemory.
+    calls = []
     real_predict = evaluation.predict_labels
 
     def counted_predict(model, X):
         calls.append(X.shape)
-        live_tables.append(sum(isinstance(o, RawTable) for o in gc.get_objects()))
         return real_predict(model, X)
 
     monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
     assert main([*command, "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == (1 if command[0] == "train" else 4)
-    assert live_tables == [0] * len(calls)
 
 
 @pytest.mark.parametrize("command", [
@@ -888,6 +885,27 @@ def test_file_that_is_not_utf8_is_named(tmp_path, capsys, target):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["dataset", "schema", "config"])
+def test_byte_order_mark_is_skipped(tmp_path, target):
+    # A file saved as "CSV UTF-8" by Excel, or by some editors, starts with
+    # the byte-order mark EF BB BF; the run is the one without it.
+    texts = {"dataset": Path(TOY_CSV).read_bytes(), "schema": Path(TOY_SCHEMA).read_bytes(),
+             "config": b"# toy run\nseed = 3\n"}
+    written = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        base = tmp_path / ("marked" if mark else "plain")
+        base.mkdir()
+        files = {"dataset": base / "d.csv", "schema": base / "s.schema", "config": base / "c.cfg"}
+        for name, path in files.items():
+            path.write_bytes((mark if name == target else b"") + texts[name])
+        assert main(["train", "--method", "pdfc", "--eps", "1", "--dataset", str(files["dataset"]),
+                     "--schema", str(files["schema"]), "--config", str(files["config"]),
+                     "--out", str(base / "out")]) == 0
+        written.append(((base / "out" / "model.json").read_bytes(),
+                        manifest_for_golden(base / "out")))
+    assert written[0] == written[1]
+
+
 def test_text_files_name_their_encoding(tmp_path):
     # Run in a child that turns a file opened in the locale's encoding into
     # an error: every text file the commands read or write names UTF-8.
@@ -919,8 +937,7 @@ def test_shipped_adult_schema_loads(tmp_path):
     )
     ds, schema = load_encoded_dataset(data, ADULT_SCHEMA)
     columns = [name.strip() for name in parse_keyvalue_file(ADULT_SCHEMA)["columns"].split(",")]
-    raw = load_csv(data, columns)
-    assert (len(raw.column_names), raw.n_rows) == (15, 2)
+    assert (len(columns), ds.n) == (15, 2)
     assert (schema.label, schema.protected) == ("income", "sex")
     assert ds.y.tolist() == [0, 1] and ds.z.tolist() == [1, 0]
     assert ds.d == 6 + 7 * 2  # six numeric columns, seven two-valued categorical ones

@@ -19,17 +19,14 @@ from fairdp.dataset import (
     EncodedDataset,
     FetchError,
     ParseError,
-    RawTable,
     RemoteFile,
     Schema,
-    build_dataset,
     fetch_dataset,
-    load_csv,
     read_dataset,
     split,
 )
 
-from toys import FIXTURE_DIR, reference_encode
+from toys import FIXTURE_DIR, parsed_table, reference_encode
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -48,45 +45,51 @@ BASIC_SCHEMA = Schema(
 
 
 class TestLoadCsv:
+    """read_dataset's parse rules, on files whose columns a, b, sex, income
+    LINES_SCHEMA reads."""
+
     def test_three_line_file(self, tmp_path):
-        path = write(tmp_path, "t.csv", "a,b\n1,2\n3,4\n")
-        table = load_csv(path)
-        assert table.column_names == ("a", "b")
-        assert table.n_rows == 2
-        assert table.n_dropped == 0
+        path = write(tmp_path, "t.csv", "a,b,sex,income\n1,x,Male,yes\n3,y,Female,no\n")
+        ds = read_dataset(path, LINES_SCHEMA)
+        assert ds.n == 2
+        assert ds.feature_names == ("a", "b=x", "b=y")
 
     def test_ragged_row_names_line(self, tmp_path):
-        path = write(tmp_path, "t.csv", "a,b\n1,2\n3,4\n5,6\n7,8,9\n")
+        path = write(tmp_path, "t.csv", "a,b,sex,income\n1,x,Male,yes\n3,y,Female,no\n"
+                                        "5,x,Male,no\n7,x,Male,no,9\n")
         with pytest.raises(ParseError, match="line 5"):
-            load_csv(path)
+            read_dataset(path, LINES_SCHEMA)
 
     def test_missing_rows_dropped_and_counted(self, tmp_path):
-        path = write(tmp_path, "t.csv", "a,b\n1,2\n?,4\n5,\n6,7\n")
-        table = load_csv(path)
-        assert table.n_rows == 2
-        assert table.n_dropped == 2
+        path = write(tmp_path, "t.csv", "a,b,sex,income\n1,x,Male,yes\n?,x,Female,no\n"
+                                        "5,,Male,no\n6,y,Female,no\n")
+        ds = read_dataset(path, LINES_SCHEMA)
+        assert ds.n == 2  # of 4 data lines: 2 dropped
+        assert ds.y.tolist() == [1, 0] and ds.z.tolist() == [1, 0]
 
     def test_cells_trimmed(self, tmp_path):
-        path = write(tmp_path, "t.csv", "a,b\n 1 ,  x y \n")
-        assert load_csv(path).rows[0] == ("1", "x y")
+        path = write(tmp_path, "t.csv", "a,b,sex,income\n 1 ,  x y , Male , yes \n"
+                                        "2,x y,Female,no\n")
+        ds = read_dataset(path, LINES_SCHEMA)
+        assert ds.feature_names == ("a", "b=x y")
+        assert ds.y.tolist() == [1, 0] and ds.z.tolist() == [1, 0]
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
-        path = write(tmp_path, "t.csv", "|banner line\na,b\n\n1,2\n")
-        table = load_csv(path)
-        assert table.column_names == ("a", "b")
-        assert table.n_rows == 1
+        path = write(tmp_path, "t.csv", "|banner line\na,b,sex,income\n\n1,x,Male,yes\n")
+        ds = read_dataset(path, LINES_SCHEMA)
+        assert ds.feature_names == ("a", "b=x")
+        assert ds.n == 1
 
     def test_no_header_generates_names(self, tmp_path):
         # Given column names, the first row is data, not a header.
-        path = write(tmp_path, "t.csv", "1,2,3\n4,5,6\n")
-        table = load_csv(path, column_names=["a", "b", "c"])
-        assert table.column_names == ("a", "b", "c")
-        assert table.n_rows == 2
+        path = write(tmp_path, "t.csv", "1,x,Male,yes\n4,y,Female,no\n")
+        ds = read_dataset(path, LINES_SCHEMA, column_names=["a", "b", "sex", "income"])
+        assert ds.n == 2
 
     def test_column_names_count_mismatch_names_line(self, tmp_path):
-        path = write(tmp_path, "t.csv", "1,2,3\n4,5,6\n")
-        with pytest.raises(ParseError, match=r"^t.csv: line 1 has 3 cells, expected 4$"):
-            load_csv(path, column_names=["a", "b", "c", "d"])
+        path = write(tmp_path, "t.csv", "1,x,Male,yes\n4,y,Female,no\n")
+        with pytest.raises(ParseError, match=r"^t.csv: line 1 has 4 cells, expected 5$"):
+            read_dataset(path, LINES_SCHEMA, column_names=["a", "b", "c", "sex", "income"])
 
     @pytest.mark.parametrize("text, names", [
         ("a,b,a\n1,2,3\n", None),
@@ -97,42 +100,56 @@ class TestLoadCsv:
         # only its first column existed.
         path = write(tmp_path, "t.csv", text)
         with pytest.raises(ParseError, match=r"^t.csv: column name 'a' is repeated$"):
-            load_csv(path, column_names=names)
+            read_dataset(path, LINES_SCHEMA, column_names=names)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_bytes(b"a,b\n1,\xff\n")
+        path.write_bytes(b"a,b,sex,income\n1,\xff,Male,yes\n")
         with pytest.raises(ParseError, match=r"^t.csv: not UTF-8 text \(invalid start byte\)$"):
-            load_csv(path)
+            read_dataset(path, LINES_SCHEMA)
 
     def test_empty_file_with_column_names(self, tmp_path):
         with pytest.raises(ParseError, match="file is empty"):
-            load_csv(write(tmp_path, "t.csv", "\n"), column_names=["a"])
+            read_dataset(write(tmp_path, "t.csv", "\n"), LINES_SCHEMA, column_names=["a"])
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_csv(write(tmp_path, "t.csv", ""))
+        with pytest.raises(ParseError, match="^t.csv: file is empty$"):
+            read_dataset(write(tmp_path, "t.csv", ""), LINES_SCHEMA)
+
+    @pytest.mark.parametrize("column_names", [None, ["age", "hours", "dept", "sex", "income"]])
+    def test_byte_order_mark_skipped(self, tmp_path, column_names):
+        # Excel's "CSV UTF-8" starts the file with EF BB BF.
+        text = (FIXTURE_DIR / "toy.csv").read_bytes()
+        if column_names:
+            text = text.partition(b"\n")[2]
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        assert read_dataset(path, BASIC_SCHEMAS_TOY, column_names).fingerprint() == TOY_FINGERPRINT
+
+
+LINES_SCHEMA = Schema(label="income", label_positive="yes", protected="sex",
+                      protected_positive="Male", numeric=("a",), categorical=("b",))
 
 
 class TestEncode:
     def make_raw(self):
-        return RawTable(
-            column_names=("age", "dept", "sex", "income"),
-            rows=(
+        return (
+            ("age", "dept", "sex", "income"),
+            [
                 ("30", "eng", "Male", "yes"),
                 ("40", "ops", "Female", "no"),
                 ("50", "hr", "Female", "yes"),
                 ("35", "eng", "Male", "no"),
-            ),
+            ],
         )
 
     def test_protected_mapping(self):
-        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
+        ds = dataset._encode(*self.make_raw(), BASIC_SCHEMA)
         np.testing.assert_array_equal(ds.z, [1, 0, 0, 1])
         np.testing.assert_array_equal(ds.y, [1, 0, 1, 0])
 
     def test_one_hot_columns_sum_to_one(self):
-        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
+        ds = dataset._encode(*self.make_raw(), BASIC_SCHEMA)
         onehot = ds.X[:, 1:] * 2.0  # age is first; entries are 1/sqrt(4) or 0
         assert onehot.shape == (4, 3)
         np.testing.assert_array_equal(onehot.sum(axis=1), np.ones(4))
@@ -140,7 +157,7 @@ class TestEncode:
         assert ds.feature_names == ("age", "dept=eng", "dept=ops", "dept=hr")
 
     def test_protected_excluded_by_default(self):
-        ds = build_dataset(self.make_raw(), BASIC_SCHEMA)
+        ds = dataset._encode(*self.make_raw(), BASIC_SCHEMA)
         assert "sex" not in ds.feature_names
 
     def test_protected_included_when_flagged(self):
@@ -152,7 +169,7 @@ class TestEncode:
             numeric=("age",),
             include_protected_in_features=True,
         )
-        ds = build_dataset(self.make_raw(), schema)
+        ds = dataset._encode(*self.make_raw(), schema)
         assert ds.feature_names[-1] == "sex"
         np.testing.assert_array_equal(ds.X[:, -1], ds.z / math.sqrt(2))
 
@@ -165,7 +182,7 @@ class TestEncode:
             numeric=("age",),
         )
         with pytest.raises(ValueError, match="label"):
-            build_dataset(self.make_raw(), schema)
+            dataset._encode(*self.make_raw(), schema)
 
     def test_missing_column_errors(self):
         schema = Schema(
@@ -176,13 +193,10 @@ class TestEncode:
             numeric=("salary",),
         )
         with pytest.raises(ValueError, match="salary"):
-            build_dataset(self.make_raw(), schema)
+            dataset._encode(*self.make_raw(), schema)
 
     def test_non_numeric_cell_errors(self):
-        raw = RawTable(
-            column_names=("age", "sex", "income"),
-            rows=(("abc", "Male", "yes"), ("30", "Female", "no")),
-        )
+        raw = ("age", "sex", "income"), [("abc", "Male", "yes"), ("30", "Female", "no")]
         schema = Schema(
             label="income",
             label_positive="yes",
@@ -191,7 +205,7 @@ class TestEncode:
             numeric=("age",),
         )
         with pytest.raises(ParseError, match="age"):
-            build_dataset(raw, schema)
+            dataset._encode(*raw, schema)
 
     def test_schema_rejects_label_as_feature(self):
         with pytest.raises(ValueError):
@@ -217,23 +231,21 @@ class TestEncode:
             dataclasses.replace(BASIC_SCHEMA, numeric=(), categorical=())
         flag_only = dataclasses.replace(BASIC_SCHEMA, numeric=(), categorical=(),
                                         include_protected_in_features=True)
-        ds = build_dataset(self.make_raw(), flag_only)
+        ds = dataset._encode(*self.make_raw(), flag_only)
         assert ds.feature_names == ("sex",)
         np.testing.assert_array_equal(ds.X[:, 0], ds.z)
 
 
 def normalize(X):
-    """build_dataset's X for a table whose feature columns are the columns of
-    X, written as the shortest text that parses back to each value."""
+    """The encoded X of a table whose feature columns are the columns of X,
+    written as the shortest text that parses back to each value."""
     n, d = X.shape
     names = tuple(f"c{j}" for j in range(d))
     groups = ["Male"] + ["Female"] * (n - 1)
-    raw = RawTable(column_names=(*names, "sex", "income"),
-                   rows=tuple((*map(repr, map(float, row)), g, "yes")
-                              for row, g in zip(X, groups)))
+    rows = [(*map(repr, map(float, row)), g, "yes") for row, g in zip(X, groups)]
     schema = Schema(label="income", label_positive="yes",
                     protected="sex", protected_positive="Male", numeric=names)
-    return build_dataset(raw, schema).X
+    return dataset._encode((*names, "sex", "income"), rows, schema).X
 
 
 class TestNormalize:
@@ -273,19 +285,16 @@ class TestNormalize:
 
 class TestBuildDataset:
     def test_normalized_invariant_holds(self, tmp_path):
-        raw = load_csv(FIXTURE_DIR / "toy.csv")
-        schema = BASIC_SCHEMAS_TOY
-        ds = build_dataset(raw, schema)
-        ds.check_normalized()
+        read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY).check_normalized()
 
     @pytest.mark.parametrize("include", [False, True])
     def test_scaling_matches_direct_formula(self, include):
         # Bit-exact: per-column min-max of the encoded matrix (the protected
         # 0/1 column included), then one division by sqrt(columns).
-        raw = load_csv(FIXTURE_DIR / "toy.csv")
+        path = FIXTURE_DIR / "toy.csv"
         schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include)
-        expected = scaled(reference_encode(raw, schema).X)
-        np.testing.assert_array_equal(build_dataset(raw, schema).X, expected)
+        expected = scaled(reference_encode(*parsed_table(path), schema).X)
+        np.testing.assert_array_equal(read_dataset(path, schema).X, expected)
 
 
 BASIC_SCHEMAS_TOY = Schema(
@@ -296,20 +305,19 @@ BASIC_SCHEMAS_TOY = Schema(
     numeric=("age", "hours"),
     categorical=("dept",),
 )
+TOY_FINGERPRINT = "4bae6472e0a916754d42b782e0d026f212e3d6c05fd2fcca4284c317c5d0f439"
 
 
 class TestGoldenPipeline:
     def test_encode_load_byte_stable(self):
-        # Golden: fingerprint of build_dataset(load(fixture)) frozen at build time.
-        raw = load_csv(FIXTURE_DIR / "toy.csv")
-        assert raw.n_dropped == 1
-        ds = build_dataset(raw, BASIC_SCHEMAS_TOY)
-        assert ds.fingerprint() == (
-            "4bae6472e0a916754d42b782e0d026f212e3d6c05fd2fcca4284c317c5d0f439"
-        )
+        # Golden: fingerprint of read_dataset(fixture) frozen at build time.
+        path = FIXTURE_DIR / "toy.csv"
+        ds = read_dataset(path, BASIC_SCHEMAS_TOY)
+        assert len(path.read_text().splitlines()) - 1 - ds.n == 1  # one row dropped
+        assert ds.fingerprint() == TOY_FINGERPRINT
 
     def test_fingerprint_hashed_once(self, monkeypatch):
-        ds = build_dataset(load_csv(FIXTURE_DIR / "toy.csv"), BASIC_SCHEMAS_TOY)
+        ds = read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY)
         first = ds.fingerprint()
         monkeypatch.setattr(hashlib, "sha256", None)  # a second hash would fail
         assert ds.fingerprint() == first
@@ -318,7 +326,7 @@ class TestGoldenPipeline:
 # --- encoder oracle -----------------------------------------------------------
 # reference_encode (in toys.py) transcribes the per-category encoder that the
 # array encoder replaced; reference_build scales its output with a masked
-# min-max and one division by sqrt(d).  Every bit of build_dataset must match.
+# min-max and one division by sqrt(d).  Every bit of the encoder must match.
 
 def scaled(X):
     """Per-column min-max to [0, 1] (a constant column to 0.0), then one
@@ -332,13 +340,15 @@ def scaled(X):
     return unit / math.sqrt(unit.shape[1])
 
 
-def reference_build(raw, schema):
-    ds = reference_encode(raw, schema)
+def reference_build(names, rows, schema):
+    ds = reference_encode(names, rows, schema)
     return EncodedDataset(X=scaled(ds.X), y=ds.y, z=ds.z, feature_names=ds.feature_names)
 
 
 def assert_matches_reference(raw, schema):
-    ds, ref = build_dataset(raw, schema), reference_build(raw, schema)
+    """The encoder's dataset of a (column names, rows) table, bit for bit the
+    oracle's."""
+    ds, ref = dataset._encode(*raw, schema), reference_build(*raw, schema)
     assert ds.X.tobytes() == ref.X.tobytes()
     assert ds.fingerprint() == ref.fingerprint()
 
@@ -373,8 +383,7 @@ def tables(draw):
         categorical.append(f"cat{i}")
     include = draw(st.booleans()) or not (numeric or categorical)
     order = draw(st.permutations(list(cols)))
-    raw = RawTable(column_names=tuple(order),
-                   rows=tuple(zip(*(cols[c] for c in order))))
+    raw = tuple(order), list(zip(*(cols[c] for c in order)))
     schema = Schema(
         label="income", label_positive="yes",
         protected="sex", protected_positive="Male",
@@ -406,8 +415,7 @@ def adult_shaped_table(n=3000, seed=0):
         cols[name] = [f"{name[:4]}-{c}" for c in codes]
     cols["sex"] = [("Male", "Female")[c] for c in gen.integers(0, 2, size=n)]
     cols["income"] = [(">50K", "<=50K")[c] for c in gen.integers(0, 2, size=n)]
-    raw = RawTable(column_names=ADULT_ORDER,
-                   rows=tuple(zip(*(cols[c] for c in ADULT_ORDER))))
+    raw = ADULT_ORDER, list(zip(*(cols[c] for c in ADULT_ORDER)))
     schema = Schema(
         label="income", label_positive=">50K",
         protected="sex", protected_positive="Male",
@@ -420,17 +428,18 @@ def unique_encode(raw, schema):
     """An encoder for categorical-only schemas that codes categories by
     np.unique over a NumPy string array, re-ranked by first occurrence: the
     shortcut the oracle must reject."""
+    column_names, rows = raw
     X, names = [], []
     for name in schema.categorical:
-        idx = raw.column_names.index(name)
-        values = np.array([row[idx] for row in raw.rows])
+        idx = column_names.index(name)
+        values = np.array([row[idx] for row in rows])
         cats, first, inverse = np.unique(values, return_index=True, return_inverse=True)
         rank = np.argsort(np.argsort(first))
-        block = np.zeros((raw.n_rows, len(cats)))
-        block[np.arange(raw.n_rows), rank[inverse]] = 1.0
+        block = np.zeros((len(rows), len(cats)))
+        block[np.arange(len(rows)), rank[inverse]] = 1.0
         X.append(block)
         names += [f"{name}={c}" for c in cats[np.argsort(first)]]
-    ds = reference_encode(raw, schema)
+    ds = reference_encode(*raw, schema)
     return EncodedDataset(X=np.column_stack(X), y=ds.y, z=ds.z, feature_names=tuple(names))
 
 
@@ -442,7 +451,7 @@ class TestEncoderOracle:
 
     def test_adult_shaped_table(self):
         raw, schema = adult_shaped_table()
-        assert build_dataset(raw, schema).d == 102
+        assert dataset._encode(*raw, schema).d == 102
         assert_matches_reference(raw, schema)
 
     @pytest.mark.parametrize("include", [False, True])
@@ -450,66 +459,64 @@ class TestEncoderOracle:
     def test_toy_fixture(self, include, numeric):
         schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include,
                                      numeric=BASIC_SCHEMAS_TOY.numeric if numeric else ())
-        assert_matches_reference(load_csv(FIXTURE_DIR / "toy.csv"), schema)
+        assert_matches_reference(parsed_table(FIXTURE_DIR / "toy.csv"), schema)
 
     def test_trailing_nul_is_its_own_category(self):
-        raw = RawTable(column_names=("dept", "sex", "income"),
-                       rows=(("x", "Male", "yes"), ("x\x00", "Female", "no"),
-                             ("x", "Female", "no")))
+        raw = ("dept", "sex", "income"), [("x", "Male", "yes"), ("x\x00", "Female", "no"),
+                                          ("x", "Female", "no")]
         schema = Schema(label="income", label_positive="yes",
                         protected="sex", protected_positive="Male",
                         categorical=("dept",))
-        ds = build_dataset(raw, schema)
+        ds = dataset._encode(*raw, schema)
         assert ds.feature_names == ("dept=x", "dept=x\x00")
         np.testing.assert_array_equal(ds.X, np.array([[1, 0], [0, 1], [1, 0]]) / math.sqrt(2))
         assert_matches_reference(raw, schema)
         # A NumPy string array strips the NUL and merges the two categories.
         assert unique_encode(raw, schema).fingerprint() != \
-            reference_encode(raw, schema).fingerprint()
+            reference_encode(*raw, schema).fingerprint()
 
     @pytest.mark.parametrize("cells", [("0", "-0"), ("-0", "0"), ("0", "-0", "0")])
     def test_zero_signs_in_constant_column(self, cells):
         # x - min is -0.0 for some orders; constant columns must read +0.0.
         groups = [("Male", "yes")] + [("Female", "no")] * (len(cells) - 1)
-        raw = RawTable(column_names=("v", "sex", "income"),
-                       rows=tuple((c, *g) for c, g in zip(cells, groups)))
+        raw = ("v", "sex", "income"), [(c, *g) for c, g in zip(cells, groups)]
         schema = Schema(label="income", label_positive="yes",
                         protected="sex", protected_positive="Male",
                         numeric=("v",))
-        X = build_dataset(raw, schema).X
+        X = dataset._encode(*raw, schema).X
         assert not np.signbit(X).any()
         assert_matches_reference(raw, schema)
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_numeric_cell_rejected(self, cell):
-        raw = RawTable(column_names=("age", "sex", "income"),
-                       rows=((cell, "Male", "yes"), ("30", "Female", "no")))
+        raw = ("age", "sex", "income"), [(cell, "Male", "yes"), ("30", "Female", "no")]
         schema = Schema(label="income", label_positive="yes",
                         protected="sex", protected_positive="Male",
                         numeric=("age",))
         with pytest.raises(ValueError, match="X contains non-finite entries"):
-            build_dataset(raw, schema)
+            dataset._encode(*raw, schema)
 
 
 def table(columns, **schema):
-    """A RawTable of the given columns (name -> cells), with a label column
-    "income" (yes, no, yes, ...) and a protected column "sex" (Male, then
-    Female) unless they are given, and a Schema with these feature columns."""
+    """A (column names, rows) table of the given columns (name -> cells),
+    with a label column "income" (yes, no, yes, ...) and a protected column
+    "sex" (Male, then Female) unless they are given, and a Schema with these
+    feature columns."""
     n = len(next(iter(columns.values())))
     cols = {"sex": ["Male"] + ["Female"] * (n - 1),
             "income": ["yes", "no"] * (n // 2) + ["yes"] * (n % 2), **columns}
-    raw = RawTable(column_names=tuple(cols), rows=tuple(zip(*cols.values())))
+    raw = tuple(cols), list(zip(*cols.values()))
     return raw, Schema(label="income", label_positive="yes",
                        protected="sex", protected_positive="Male", **schema)
 
 
 class TestBuildDatasetEdges:
-    """build_dataset against the encode-then-scale oracle, byte for byte."""
+    """The encoder against the encode-then-scale oracle, byte for byte."""
 
     def test_one_category_column_is_exact_zeros(self):
         raw, schema = table({"one": ["x"] * 4, "two": ["a", "b", "a", "b"]},
                             categorical=("one", "two"))
-        X = build_dataset(raw, schema).X
+        X = dataset._encode(*raw, schema).X
         assert X[:, 0].tobytes() == np.zeros(4).tobytes()
         assert_matches_reference(raw, schema)
 
@@ -517,7 +524,7 @@ class TestBuildDatasetEdges:
     def test_protected_feature(self, sex):
         raw, schema = table({"age": ["30", "40", "50", "60"], "sex": sex}, numeric=("age",),
                             include_protected_in_features=True)
-        ds = build_dataset(raw, schema)
+        ds = dataset._encode(*raw, schema)
         expected = ds.z / math.sqrt(2) if 0 < ds.z_bar < 1 else np.zeros(4)
         assert ds.X[:, 1].tobytes() == expected.tobytes()
         assert_matches_reference(raw, schema)
@@ -527,11 +534,11 @@ class TestBuildDatasetEdges:
     def test_zero_signs_mixed(self, cells):
         # A "-0" cell at a zero minimum reads as +0.0, as "0" would.
         raw, schema = table({"v": list(cells), "w": ["5", "-0", "0"]}, numeric=("v", "w"))
-        X = build_dataset(raw, schema).X
+        X = dataset._encode(*raw, schema).X
         assert not np.signbit(X).any()
         plain, _ = table({"v": [c.lstrip("-") for c in cells], "w": ["5", "0", "0"]},
                          numeric=("v", "w"))
-        assert X.tobytes() == build_dataset(plain, schema).X.tobytes()
+        assert X.tobytes() == dataset._encode(*plain, schema).X.tobytes()
         assert_matches_reference(raw, schema)
 
     def test_column_order(self):
@@ -540,7 +547,7 @@ class TestBuildDatasetEdges:
                              "b": ["3", "1", "2"]},
                             numeric=("b", "a"), categorical=("d", "c"),
                             include_protected_in_features=True)
-        ds = build_dataset(raw, schema)
+        ds = dataset._encode(*raw, schema)
         assert ds.feature_names == ("b", "a", "d=p", "d=q", "c=u", "c=v", "sex")
         assert_matches_reference(raw, schema)
 
@@ -553,14 +560,14 @@ class TestBuildDatasetEdges:
     def test_bad_cells(self, cell, error, message):
         raw, schema = table({"age": ["30", cell, "40"]}, numeric=("age",))
         with pytest.raises(ValueError) as exc:
-            build_dataset(raw, schema)
+            dataset._encode(*raw, schema)
         assert type(exc.value) is error and str(exc.value) == message
 
     def test_bad_cell_reported_before_non_finite_one(self):
         # Every numeric column is parsed before any is checked for finiteness.
         raw, schema = table({"a": ["inf", "1"], "b": ["2", "abc"]}, numeric=("a", "b"))
         with pytest.raises(ParseError, match="column 'b'"):
-            build_dataset(raw, schema)
+            dataset._encode(*raw, schema)
 
 
 class TestSplit:
@@ -722,14 +729,16 @@ def census_shaped_table(n, seed=0):
             for j in range(7)}
     cols["group"] = list(map(str, gen.integers(0, 2, size=n)))
     cols["y"] = list(map(str, gen.integers(0, 2, size=n)))
-    raw = RawTable(column_names=tuple(cols), rows=tuple(zip(*cols.values())))
+    raw = tuple(cols), list(zip(*cols.values()))
     return raw, Schema(label="y", label_positive="1", protected="group",
                        protected_positive="1", numeric=tuple(cols)[:7])
 
 
 def csv_text(raw):
-    """The text of a CSV file with a header row that load_csv reads back as raw."""
-    return "".join(",".join(row) + "\n" for row in (raw.column_names, *raw.rows))
+    """The text of a CSV file with a header row whose parse is the
+    (column names, rows) table raw."""
+    names, rows = raw
+    return "".join(",".join(row) + "\n" for row in (names, *rows))
 
 
 def traced_peak(f):
@@ -745,10 +754,11 @@ def traced_peak(f):
 
 class TestMemory:
     @pytest.mark.parametrize("shape", ["adult", "census"])
-    def test_build_dataset_allocates_x_once(self, shape):
+    def test_encode_allocates_x_once(self, shape):
+        # The csv path's encoder, on a table of text cells already in memory.
         raw, schema = (adult_shaped_table(n=32_561) if shape == "adult"
                        else census_shaped_table(n=32_561))
-        peak, ds = traced_peak(lambda: build_dataset(raw, schema))
+        peak, ds = traced_peak(lambda: dataset._encode(*raw, schema))
         assert peak <= 1.5 * (ds.X.nbytes + ds.y.nbytes + ds.z.nbytes)
 
     @pytest.mark.parametrize("shape, bound", [("adult", 1.3), ("census", 2.0)])
@@ -764,22 +774,22 @@ class TestMemory:
         assert peak <= bound * (ds.X.nbytes + ds.y.nbytes + ds.z.nbytes)
 
     def test_linear_statistics_form_no_full_product(self):
-        train, _ = split(build_dataset(*adult_shaped_table(n=32_561)), 0.2, seed=0)
+        raw, schema = adult_shaped_table(n=32_561)
+        train, _ = split(dataset._encode(*raw, schema), 0.2, seed=0)
         peak, _ = traced_peak(lambda: (train.logistic_c1, train.protected_cov))
         assert peak < train.X.nbytes / 4
 
 
-# --- the two set-up paths -----------------------------------------------------
-# build_dataset(load_csv(...)) encodes a finished table; read_dataset encodes
-# each batch of rows as it is parsed.  Both give the same dataset, and the
-# same first error when an input has several faults.
+# --- set-up against the oracle -----------------------------------------------
+# read_dataset encodes each batch of rows as it is parsed.  It gives the
+# oracle's dataset (reference_build of the parsed rows), and the documented
+# first error when an input has several faults.
 
-def via_table(path, schema, column_names=None):
-    return build_dataset(load_csv(path, column_names), schema)
-
-
-SETUP_PATHS = [pytest.param(via_table, id="load_csv+build_dataset"),
-               pytest.param(read_dataset, id="read_dataset")]
+def csv_path(path, schema, column_names=None):
+    """read_dataset's csv-module route, whatever the file: dataset._parse,
+    then dataset._encode."""
+    rows = dataset._parse(Path(path), column_names)
+    return dataset._encode(next(rows), rows, schema)
 
 ORDER_SCHEMA = Schema(label="income", label_positive="yes", protected="sex",
                       protected_positive="Male", numeric=("a", "b"), categorical=("c",))
@@ -803,7 +813,7 @@ class TestSetupErrorOrder:
     errors, label, protected, categorical columns, numeric columns in schema
     order, non-finite values."""
 
-    @pytest.mark.parametrize("load", SETUP_PATHS)
+    @pytest.mark.parametrize("load", [read_dataset], ids=["read_dataset"])
     @pytest.mark.parametrize("text, schema, error, message", [
         pytest.param(order_csv(**{f"row{SECOND}": "1,2,k,Male"}),
                      dataclasses.replace(ORDER_SCHEMA, numeric=("a", "salary")),
@@ -886,6 +896,16 @@ def outcome(load, path, schema, column_names):
         return type(exc), str(exc)
 
 
+def reference_outcome(path, schema, column_names=None):
+    """The outcome read_dataset must give: csv_path's error on a failing
+    input, and otherwise the fingerprint of the oracle's dataset of the
+    parsed rows."""
+    failure = outcome(csv_path, path, schema, column_names)
+    if isinstance(failure, tuple):
+        return failure
+    return reference_build(*parsed_table(path, column_names), schema).fingerprint()
+
+
 class TestSetupPathsAgree:
     @given(csv_files())
     @settings(max_examples=200, deadline=None)
@@ -894,22 +914,21 @@ class TestSetupPathsAgree:
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         path.write_text(text, encoding="utf-8")
         assert outcome(read_dataset, path, schema, column_names) == \
-            outcome(via_table, path, schema, column_names)
+            reference_outcome(path, schema, column_names)
 
     @pytest.mark.parametrize("include", [False, True])
     def test_toy_fixture(self, include):
         schema = dataclasses.replace(BASIC_SCHEMAS_TOY, include_protected_in_features=include)
         path = FIXTURE_DIR / "toy.csv"
-        assert read_dataset(path, schema).fingerprint() == via_table(path, schema).fingerprint()
+        assert read_dataset(path, schema).fingerprint() == reference_outcome(path, schema)
 
     @pytest.mark.parametrize("shape", ["adult", "census"])
     def test_shaped_tables(self, tmp_path, shape):
         raw, schema = (adult_shaped_table(n=BATCH_ROWS * 3 + 1) if shape == "adult"
                        else census_shaped_table(n=BATCH_ROWS * 3 + 1, seed=3))
         path = write(tmp_path, "t.csv", csv_text(raw))
-        ds = read_dataset(path, schema)
-        assert ds.fingerprint() == build_dataset(raw, schema).fingerprint()
-        assert ds.fingerprint() == via_table(path, schema).fingerprint()
+        assert read_dataset(path, schema).fingerprint() == \
+            reference_build(*raw, schema).fingerprint()
 
     @pytest.mark.parametrize("n", [1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1])
     def test_batch_edges(self, tmp_path, n):
@@ -917,13 +936,13 @@ class TestSetupPathsAgree:
         schema = dataclasses.replace(ORDER_SCHEMA, include_protected_in_features=True)
         ds = read_dataset(path, schema)
         assert ds.n == n
-        assert ds.fingerprint() == via_table(path, schema).fingerprint()
+        assert ds.fingerprint() == reference_outcome(path, schema)
 
 
 # --- read_dataset's two tokenizers --------------------------------------------
 # read_dataset tokenizes a plain file with NumPy byte operations and reads any
 # other file, or a plain one whose encoding fails, with the csv module
-# (dataset._parse).  Either way its outcome is load_csv + build_dataset's.
+# (csv_path).  Either way its outcome is csv_path's.
 
 @pytest.fixture
 def parse_calls(monkeypatch):
@@ -989,7 +1008,7 @@ class TestTokenizersAgree:
             path = tmp_path_factory.mktemp("csv") / "t.csv"
             path.write_bytes(text.encode())
             result, fell_back = read_counting(path, schema, column_names, parse_calls)
-            assert result == outcome(via_table, path, schema, column_names)
+            assert result == outcome(csv_path, path, schema, column_names)
             by_csv.append(fell_back)
 
         agree()
@@ -1012,7 +1031,7 @@ class TestTokenizersAgree:
         path = tmp_path / "t.csv"
         path.write_bytes(text.format(cell).encode())
         result, fell_back = read_counting(path, ORDER_SCHEMA, None, parse_calls)
-        assert result == outcome(via_table, path, ORDER_SCHEMA, None)
+        assert result == outcome(csv_path, path, ORDER_SCHEMA, None)
         assert fell_back == (cell != "x" * 131_072)
 
     @pytest.mark.parametrize("file", ["toy", "adult", "census"])
@@ -1026,7 +1045,7 @@ class TestTokenizersAgree:
             path = write(tmp_path, "t.csv", csv_text(raw))
         result, fell_back = read_counting(path, schema, None, parse_calls)
         assert not fell_back
-        assert result == outcome(via_table, path, schema, None)
+        assert result == outcome(csv_path, path, schema, None)
 
 
 class TestFetch:
@@ -1085,12 +1104,22 @@ requires_adult = pytest.mark.skipif(
 @requires_adult
 class TestAdultGoldens:
     def test_drop_counts_match_published_values(self):
-        train = load_csv(ADULT_CACHE / "adult.data", column_names=ADULT_ORDER)
-        assert train.n_rows == 30162
-        assert train.n_dropped == 2399
-        test_path = ADULT_CACHE / "adult.test"
-        if test_path.exists():
-            test = load_csv(test_path, column_names=ADULT_ORDER)
-            assert test.n_rows == 15060
-            assert test.n_dropped == 1221
-            assert train.n_rows + train.n_dropped + test.n_rows + test.n_dropped == 48842
+        # A row is dropped for a missing cell, so the drops are the data
+        # lines (neither blank nor a "|" comment) less the kept rows.
+        schema = Schema(label="income", label_positive=">50K", protected="sex",
+                        protected_positive="Male", numeric=ADULT_NUMERIC,
+                        categorical=tuple(ADULT_CATEGORICAL))
+        lines = 0
+        for name, positive, kept, dropped in (("adult.data", ">50K", 30162, 2399),
+                                              ("adult.test", ">50K.", 15060, 1221)):
+            path = ADULT_CACHE / name
+            if not path.exists():  # adult.data always is
+                continue
+            ds = read_dataset(path, dataclasses.replace(schema, label_positive=positive),
+                              column_names=ADULT_ORDER)
+            data = sum(1 for line in path.read_text(encoding="utf-8").splitlines()
+                       if line.strip() and not line.lstrip().startswith("|"))
+            assert (ds.n, data - ds.n) == (kept, dropped)
+            lines += data
+        if (ADULT_CACHE / "adult.test").exists():
+            assert lines == 48842

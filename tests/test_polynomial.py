@@ -7,6 +7,7 @@ from fairdp.dataset import EncodedDataset
 from fairdp.polynomial import PolyObjective, fair_poly, lr_poly
 
 from conftest import random_dataset, random_unit_rows
+from regen_goldens import poly_dict
 from toys import eval_poly, gradient_poly
 
 
@@ -196,6 +197,6 @@ class TestAdditivityProperty:
 
 class TestSerialization:
     def test_layout_keys(self, rng):
-        d = lr_poly(random_dataset(rng, 2, 2)).to_dict()
+        d = poly_dict(lr_poly(random_dataset(rng, 2, 2)))
         assert set(d) == {"c0", "c1", "c2"}
         assert isinstance(d["c2"][0], list)  # row-major nested lists

@@ -7,7 +7,7 @@ import pytest
 
 from fairdp import trainers as trainers_mod
 from fairdp.cli import load_encoded_dataset
-from fairdp.dataset import EncodedDataset, load_csv, split
+from fairdp.dataset import EncodedDataset, split
 from fairdp.evaluation import accuracy, risk_difference
 from fairdp.mechanisms import (
     calibrate,
@@ -32,8 +32,8 @@ from fairdp.trainers import (
 )
 
 from synthdata import make_adult_like
-from toys import (GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, noise_free, reference_encode, toy_d2,
-                  toy_d3)
+from toys import (GOLDEN_DIR, TOY_CSV, TOY_SCHEMA, noise_free, parsed_table,
+                  reference_encode, toy_d2, toy_d3)
 
 
 def load_golden(name):
@@ -265,7 +265,7 @@ class TestInputValidation:
         # reference_encode skips the scaling: toy.csv rows reach norm 79.4, where the
         # sensitivity bounds (which assume ||x|| <= 1, x >= 0) do not hold.
         schema = load_encoded_dataset(TOY_CSV, TOY_SCHEMA)[1]
-        ds = reference_encode(load_csv(TOY_CSV), schema)
+        ds = reference_encode(*parsed_table(TOY_CSV), schema)
         for name in ("calibrate", "perturb"):
             monkeypatch.setattr(trainers_mod, name, None)  # any call would fail
         with pytest.raises(ValueError, match=r"unit ball .*row norm exceeds 1: max=79\.4"):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from fairdp import trainers
+from fairdp import dataset, trainers
 from fairdp.dataset import EncodedDataset
 from fairdp.polynomial import PolyObjective
 
@@ -61,13 +61,21 @@ def noise_free():
         yield
 
 
-def reference_encode(raw, schema):
-    """An unscaled EncodedDataset of a raw table, one pass over the rows per
-    category: the encoder build_dataset's output is checked against, and a
-    dataset outside the unit ball for the trainers' domain check."""
+def parsed_table(path, column_names=None):
+    """The column names and the kept rows of a CSV file, as tuples of text
+    cells, by read_dataset's parse rules."""
+    names, *rows = dataset._parse(Path(path), column_names)
+    return names, rows
+
+
+def reference_encode(column_names, rows, schema):
+    """An unscaled EncodedDataset of a table of text cells with these column
+    names, one pass over the rows per category: the encoder read_dataset's
+    output is checked against, and a dataset outside the unit ball for the
+    trainers' domain check."""
     def column(name):
-        idx = raw.column_names.index(name)
-        return [row[idx] for row in raw.rows]
+        idx = column_names.index(name)
+        return [row[idx] for row in rows]
 
     def indicator(values, positive):
         return np.fromiter((1 if v == positive else 0 for v in values), dtype=np.int64)
