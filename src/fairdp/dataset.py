@@ -7,14 +7,15 @@ UCI convention).  A :class:`Schema` names the label column, the protected
 column and the numeric and categorical feature columns.
 
 :func:`read_dataset` is the one loader: two tokenizers feed one encoder tail.
-It first tries a NumPy byte tokenizer, which reads plain files (ASCII, no
-quotes, no comment lines, no control byte but the newline) in chunks, and
-falls back to the csv module's parser on anything else.  Both feed the tail
-column batches, from which it builds the feature matrix, already scaled so
-that every row lies in the nonnegative part of the unit ball (per-column
-min-max to [0, 1], then a global division by sqrt(d)), in a single
-allocation.  Neither builds a table of text cells, and both give the same
-dataset and the same first error.
+It first tries a NumPy byte tokenizer, which reads plain files (ASCII after
+an optional byte-order mark, no quotes, no comment lines, no control byte but
+the newline) in chunks, and falls back to the csv module's parser on anything
+else.  Both code every text column (label, protected, categorical) with one
+codebook per column and feed the tail column batches, from which it builds
+the feature matrix, already scaled so that every row lies in the nonnegative
+part of the unit ball (per-column min-max to [0, 1], then a global division
+by sqrt(d)), in a single allocation.  Neither builds a table of text cells,
+and both give the same dataset and the same first error.
 """
 
 from __future__ import annotations
@@ -233,15 +234,16 @@ def read_dataset(
     numeric column, in schema order, that is missing or holds a non-numeric
     cell; a non-finite value.
 
-    A plain file, ASCII text with no control byte but the newline, no ``"``
-    and no ``|``, every row as wide as the header and no cell over the csv
-    module's field size limit, is tokenized with NumPy byte operations, a
-    chunk of whole lines at a time.  Any other file, and a plain one whose
-    encoding would fail, is read again from the start by the csv module, so
-    every error comes from that one path.  Neither builds a table of strings.
+    A plain file, ASCII text after an optional byte-order mark with no
+    control byte but the newline, no ``"`` and no ``|``, every row as wide
+    as the header and no cell over the csv module's field size limit, is
+    tokenized with NumPy byte operations, a chunk of whole lines at a time.
+    Any other file, and a plain one whose encoding would fail, is read again
+    from the start by the csv module, so every error comes from that one
+    path.  Neither builds a table of strings.
     """
     path = Path(path)
-    books = [_codebook() for _ in schema.categorical]
+    books = [_codebook() for _ in range(2 + len(schema.categorical))]
     try:
         return _assemble(schema, books, _plain_batches(path, column_names, schema, books))
     except _NotPlain:
@@ -305,7 +307,7 @@ def _encode(
 ) -> EncodedDataset:
     """:func:`read_dataset`'s dataset of the rows of a table with these
     column names."""
-    books = [_codebook() for _ in schema.categorical]
+    books = [_codebook() for _ in range(2 + len(schema.categorical))]
     return _assemble(schema, books, _row_batches(names, rows, schema, books))
 
 
@@ -322,24 +324,16 @@ def _row_batches(
     def column(name):  # the first column of that name, as a tuple's index() finds
         return names.index(name) if name in names else None
 
-    flags = [(what, name, column(name), positive, set())
-             for what, name, positive in (("label", schema.label, schema.label_positive),
-                                          ("protected", schema.protected,
-                                           schema.protected_positive))]
-    categorical = [(name, column(name), book) for name, book in zip(schema.categorical, books)]
+    coded = [(name, column(name), book) for name, book in
+             zip((schema.label, schema.protected, *schema.categorical), books)]
     numeric = [(name, column(name)) for name in schema.numeric]
     bad: dict[str, str] = {}  # numeric column -> message for its first non-numeric cell
     rows = iter(rows)
     for batch in iter(lambda: list(islice(rows, BATCH_ROWS)), []):
         cells = list(zip(*batch))
-        for _, _, j, positive, seen in flags:
-            if j is not None and positive not in seen:  # the observed values its error would list
-                seen.update(cells[j])
-        bits = [b"" if j is None else bytes(map(positive.__eq__, cells[j]))
-                for _, _, j, positive, _ in flags]
         codes = [np.empty(0, np.int64) if j is None else
                  np.fromiter(map(book.__getitem__, cells[j]), np.int64, len(batch))
-                 for _, j, book in categorical]
+                 for _, j, book in coded]
         block = np.empty((len(batch), len(numeric)))
         for col, (name, j) in zip(block.T, numeric):
             if j is not None and name not in bad:
@@ -347,15 +341,16 @@ def _row_batches(
                     col[:] = np.fromiter(map(float, cells[j]), float, len(batch))
                 except ValueError as exc:
                     bad[name] = f"non-numeric cell in column {name!r}: {exc}"
-        yield *bits, codes, block
+        yield codes, block
 
-    for what, name, j, positive, seen in flags:
+    for what, positive, (name, j, book) in zip(
+            ("label", "protected"), (schema.label_positive, schema.protected_positive), coded):
         if j is None:
             raise _missing(name)
-        if positive not in seen:
+        if positive not in book:
             raise ValueError(f"{what} positive value {positive!r} never observed "
-                             f"(observed: {sorted(seen)[:8]}...)")
-    for name, j, *_ in (*categorical, *numeric):
+                             f"(observed: {sorted(book)[:8]}...)")
+    for name, j, *_ in (*coded[2:], *numeric):
         if j is None:
             raise _missing(name)
         if name in bad:
@@ -365,28 +360,31 @@ def _row_batches(
 def _assemble(schema: Schema, books: list, batches: Iterable[tuple]) -> EncodedDataset:
     """The dataset of a file's column batches, the tail both tokenizers share.
 
-    A batch is (label indicators, protected indicators, each as 0/1 bytes,
-    one int64 code array per categorical column, a C-ordered (rows, numeric
-    columns) float block), and ``books`` holds each categorical column's
-    codebook.  The batches are appended to growable buffers; the numeric
-    block becomes X itself when the numeric columns are all of its columns,
-    and otherwise X is allocated once at its final size.  Each numeric
-    column is then min-max scaled and divided by sqrt(d) in place, and each
+    A batch is (codes, block): an int64 code array per coded column (the
+    label, the protected column, then each categorical column, as in
+    ``books``, their codebooks) and a C-ordered (rows, numeric columns)
+    float block.  The label and protected codes become 0/1 bytes at once, by
+    comparison with the positive value's code (-1 while it is not in the
+    book); the rest is appended to growable buffers.  The numeric block
+    becomes X itself when the numeric columns are all of its columns, and
+    otherwise X is allocated once at its final size.  Each numeric column is
+    then min-max scaled and divided by sqrt(d) in place, and each
     categorical column's one-hot block is written with one scatter.
     """
     y, z, numbers = array("B"), array("B"), array("d")
-    coded = [array("q") for _ in books]
+    coded = [array("q") for _ in books[2:]]
+    positives = (schema.label_positive, schema.protected_positive)
     n = 0
-    for y_bits, z_bits, codes, block in batches:
+    for codes, block in batches:
         n += len(block)
-        y.frombytes(y_bits)
-        z.frombytes(z_bits)
-        for into, batch in zip(coded, codes):
+        for into, batch, book, positive in zip((y, z), codes, books, positives):
+            into.frombytes((batch == book.get(positive, -1)).view(np.uint8))
+        for into, batch in zip(coded, codes[2:]):
             into.frombytes(batch.view(np.uint8))
         numbers.frombytes(block.view(np.uint8))
     y, z = (np.frombuffer(bits, np.uint8).astype(np.int64) for bits in (y, z))
     feature_names = [*schema.numeric]
-    for name, book in zip(schema.categorical, books):
+    for name, book in zip(schema.categorical, books[2:]):
         feature_names.extend(f"{name}={cat}" for cat in book)
     if schema.include_protected_in_features:
         feature_names.append(schema.protected)
@@ -409,7 +407,7 @@ def _assemble(schema: Schema, books: list, batches: Iterable[tuple]) -> EncodedD
         else:
             col.fill(0.0)
     j = k
-    for book, codes in zip(books, coded):
+    for book, codes in zip(books[2:], coded):
         if len(book) > 1:  # a one-category column is constant, so it stays 0.0
             X[np.arange(n), j + np.frombuffer(codes, np.int64)] = 1.0 / root
         j += len(book)
@@ -437,31 +435,30 @@ def _plain_batches(
     path: Path, column_names: Sequence[str] | None, schema: Schema, books: list
 ) -> Iterator[tuple]:
     """The column batches (see :func:`_assemble`) of a plain file, one per
-    chunk of whole lines read from disk, by :func:`read_dataset`'s rules.
+    chunk of whole lines read from disk, by :func:`read_dataset`'s rules; a
+    UTF-8 byte-order mark is skipped, as the csv path skips it.
 
     Raises _NotPlain where the file turns out not to be plain (see
     :func:`read_dataset`), where the header or ``column_names`` repeat a
     name or lack a column the schema names, where a cell is not a finite
-    number, and at the end if no row was kept or a positive value was never
-    observed.
+    number, and at the end if no row was kept or a positive value is not in
+    its column's codebook.
     """
     wanted = (schema.label, schema.protected, *schema.categorical, *schema.numeric)
-    positives = (schema.label_positive, schema.protected_positive)
 
     def columns(names):
         if len(set(names)) < len(names) or not set(wanted) <= set(names):
             raise _NotPlain
         return len(names), [names.index(name) for name in wanted]
 
-    if not all(map(str.isascii, positives)):
-        raise _NotPlain  # never observed in ASCII text
     header = column_names is None
     width, cols = (0, []) if header else columns(tuple(column_names))
     limit = csv.field_size_limit()
-    seen = np.zeros(2, bool)
     packed = [[np.empty(0, np.uint64), np.empty(0, np.int64)] for _ in books]
     n = 0
     with path.open("rb") as fh:
+        if fh.read(3) != b"\xef\xbb\xbf":
+            fh.seek(0)
         for chunk in _line_chunks(fh):
             arr = np.frombuffer(chunk + _PAD, np.uint8)
             s, e, counts = _plain_cells(arr, len(chunk), limit)
@@ -481,16 +478,16 @@ def _plain_batches(
             if not s.shape[1]:
                 continue
             n += s.shape[1]
-            bits = [_plain_equals(arr, s[j], e[j], value.encode())
-                    for j, value in zip(cols, positives)]
-            seen |= [flag.any() for flag in bits]
-            codes = [_plain_codes(chunk, arr, s[j], e[j], book, known)
-                     for j, book, known in zip(cols[2:], books, packed)]
+            at = cols[:len(books)]  # the coded columns; their 8-byte keys in one gather
+            keys = np.ndarray((len(arr) - 7,), "<u8", arr, strides=(1,))[s[at]]
+            codes = [_plain_codes(chunk, key, a, b, book, known)
+                     for key, a, b, book, known in zip(keys, s[at], e[at], books, packed)]
             block = np.empty((s.shape[1], len(schema.numeric)))
-            for col, j in zip(block.T, cols[2 + len(books):]):
+            for col, j in zip(block.T, cols[len(books):]):
                 col[:] = _plain_numbers(chunk, arr, s[j], e[j])
-            yield *bits, codes, block
-    if not (n and seen.all()):
+            yield codes, block
+    if not n or any(positive not in book for book, positive in
+                    zip(books, (schema.label_positive, schema.protected_positive))):
         raise _NotPlain
 
 
@@ -540,28 +537,20 @@ def _plain_cells(arr: np.ndarray, size: int, limit: int):
     return s, e, counts
 
 
-def _plain_equals(arr: np.ndarray, s: np.ndarray, e: np.ndarray, value: bytes) -> np.ndarray:
-    """Per cell, 1 if its bytes are ``value`` and 0 if not, as uint8."""
-    equal = e - s == len(value)
-    for k, byte in enumerate(value):
-        equal &= arr.take(s + k, mode="clip") == byte
-    return equal.view(np.uint8)
-
-
-def _plain_codes(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray,
+def _plain_codes(chunk: bytes, keys: np.ndarray, s: np.ndarray, e: np.ndarray,
                  book: defaultdict, packed: list) -> np.ndarray:
     """The codebook's codes of a column's cells; the cells not in the book
     yet join it in the order they first appear.
 
-    A cell of up to 8 bytes is packed NUL-padded (a plain file has no NUL)
-    into one uint64 key.  ``packed`` holds the sorted keys of the column's
-    short cells coded so far and their codes, so a chunk with no new short
-    cell and no longer one is coded by one search.  Otherwise one np.unique
-    finds the chunk's distinct short cells, longer cells are decoded one by
-    one, and ``packed`` takes the new keys.
+    ``keys`` holds the 8 bytes at each cell's start as a uint64; masked in
+    place, they give a cell of up to 8 bytes its NUL-padded key (a plain file
+    has no NUL).  ``packed`` holds the sorted keys of the column's short
+    cells coded so far and their codes, so a chunk with no new short cell and
+    no longer one is coded by one search.  Otherwise one np.unique finds the
+    chunk's distinct short cells, longer cells are decoded one by one, and
+    ``packed`` takes the new keys.
     """
     length = e - s
-    keys = np.lib.stride_tricks.sliding_window_view(arr, 8)[s].view("<u8").ravel()
     keys &= _LOW_BYTES[np.minimum(length, 8)]
     known, known_codes = packed
     at = np.searchsorted(known, keys)
@@ -605,6 +594,8 @@ def _plain_numbers(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray) 
         digit = arr[start + k] - ord("0")  # uint8: a byte that is no digit exceeds 9
         integer &= (digit <= 9) | ~inside
         magnitude = np.where(inside, magnitude * 10 + digit, magnitude)
+        if not integer.any():
+            break  # every cell goes through float()
     magnitude = magnitude.astype(float)
     value = np.empty(len(s))
     value[whole] = np.where(negative[whole], -magnitude, magnitude)

@@ -172,11 +172,15 @@ def test_criterion_4_quadratic_solver_vs_gd_oracle():
         As[i, d:, d:] = np.eye(d_max - d)  # pad: decoupled, solution 0
 
     # Batched GD oracle; step per instance from the Gershgorin row-sum bound,
-    # no eigen machinery shared with the path under test.
+    # no eigen machinery shared with the path under test.  It stops once every
+    # gradient entry is at most 1e-10: each A's least eigenvalue is at least
+    # 0.05, so w is then within sqrt(20) * 1e-9 of each minimizer.
     steps = 1.0 / (4.0 * np.abs(As).sum(axis=2).max(axis=1))
     w = np.zeros((n_instances, d_max))
     for _ in range(100_000):
         grad = 2.0 * np.einsum("pij,pj->pi", As, w) + bs
+        if np.abs(grad).max() <= 1e-10:
+            break
         w -= steps[:, None] * grad
 
     worst = 0.0
@@ -186,7 +190,7 @@ def test_criterion_4_quadratic_solver_vs_gd_oracle():
         assert diag.clamped_eigenvalues == 0
         worst = max(worst, np.abs(w_solver - w[i, :d]).max())
     assert worst <= 1e-5
-    ok(4, f"closed-form vs 1e5-step GD oracle on {n_instances} instances: "
+    ok(4, f"closed-form vs GD oracle (at most 1e5 steps) on {n_instances} instances: "
           f"max |dw| = {worst:.2e}")
 
 

@@ -965,19 +965,25 @@ PLAIN_NUMBERS = ["-0", "007", " 7 ", "2.5", "1e3", "+5", "1_000", "1234567890123
 PLAIN_CELLS = st.sampled_from(PLAIN_NUMBERS * 4 + ["inf", "nan", "k ", "?", ""])
 PLAIN_CATEGORIES = st.sampled_from(["k", "k ", " k", "-0", "category", "category_a", "category_b",
                                     "categorya", "a much longer category", "x y", "?", ""])
+# Label and protected values over 8 bytes, two of each sharing their first 8.
+PLAIN_GROUPS = ["Male", "Female", " Female", "?", "Female_partner", "Female_parent"]
+PLAIN_LABELS = ["yes", "no", "no ", "?", "yes_or_more", "yes_or_less"]
 
 
 @st.composite
 def plain_files(draw):
-    """Mostly plain CSV texts: padded, missing and non-numeric cells, blank
-    and space-only lines, a header row or column names, a last line with
-    or without its newline; and a schema over the columns v, w, c, sex,
-    income."""
+    """Mostly plain CSV texts: padded, missing and non-numeric cells, label
+    and protected values longer than 8 bytes, blank and space-only lines, a
+    header row or column names, a last line with or without its newline;
+    and a schema over the columns v, w, c, sex, income whose positive values
+    are in the file, sometimes longer than 8 bytes."""
+    positives = draw(st.sampled_from(["Male", "Female_partner"])), \
+        draw(st.sampled_from(["yes", "yes_or_more"]))
     rows = draw(st.lists(st.tuples(PLAIN_CELLS, PLAIN_CELLS, PLAIN_CATEGORIES,
-                                   st.sampled_from(["Male", "Female", " Female", "?"]),
-                                   st.sampled_from(["yes", "no", "no ", "?"])),
+                                   st.sampled_from(PLAIN_GROUPS + [positives[0]] * 2),
+                                   st.sampled_from(PLAIN_LABELS + [positives[1]] * 2)),
                          min_size=1, max_size=14))
-    rows[draw(st.integers(0, len(rows) - 1))] = ("1", "2", "k", "Male", "yes")
+    rows[draw(st.integers(0, len(rows) - 1))] = ("1", "2", "k", *positives)
     lines = [",".join(row) for row in rows]
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "   "])))
@@ -988,8 +994,8 @@ def plain_files(draw):
     numeric = draw(st.sampled_from([(), ("v",), ("w", "v")]))
     categorical = draw(st.sampled_from([(), ("c",), ("c", "w")] if "w" not in numeric
                                        else [(), ("c",)]))
-    schema = Schema(label="income", label_positive="yes", protected="sex",
-                    protected_positive="Male", numeric=numeric, categorical=categorical,
+    schema = Schema(label="income", label_positive=positives[1], protected="sex",
+                    protected_positive=positives[0], numeric=numeric, categorical=categorical,
                     include_protected_in_features=draw(st.booleans())
                     or not (numeric or categorical))
     return ("\n".join(lines) + draw(st.sampled_from(["", "\n"])), schema,
@@ -1046,6 +1052,31 @@ class TestTokenizersAgree:
         result, fell_back = read_counting(path, schema, None, parse_calls)
         assert not fell_back
         assert result == outcome(csv_path, path, schema, None)
+
+    @pytest.mark.parametrize("column_names", [None, ["a", "b", "c", "sex", "income"]])
+    def test_byte_order_mark_takes_the_byte_path(self, tmp_path, parse_calls, column_names):
+        text = order_csv().encode()
+        if column_names:
+            text = text.partition(b"\n")[2]
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text)
+        result, fell_back = read_counting(path, ORDER_SCHEMA, column_names, parse_calls)
+        assert not fell_back
+        assert result == outcome(csv_path, path, ORDER_SCHEMA, column_names)
+
+    @pytest.mark.parametrize("label_positive, protected_positive", [
+        ("yës", "Male"), ("yes", "Mâle"), ("maybe", "Male"), ("yes", "Male_and_more")])
+    def test_unseen_positive_takes_the_csv_path(self, tmp_path, parse_calls,
+                                                label_positive, protected_positive):
+        # The byte path finds the positive value in no codebook, so the csv
+        # path reads the file and raises its error.
+        schema = dataclasses.replace(ORDER_SCHEMA, label_positive=label_positive,
+                                     protected_positive=protected_positive)
+        path = write(tmp_path, "t.csv", order_csv())
+        result, fell_back = read_counting(path, schema, None, parse_calls)
+        assert fell_back
+        assert result == outcome(csv_path, path, schema, None)
+        assert "never observed" in result[1]
 
 
 class TestFetch:
