@@ -26,10 +26,12 @@ import json
 import logging
 import math
 import shutil
+import threading
 import urllib.request
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -169,16 +171,67 @@ class EncodedDataset:
 
     def fingerprint(self) -> str:
         """Content hash used to tie reports to the exact encoded data; it is
-        computed once per dataset."""
+        computed once per dataset.
+
+        For a dataset from :func:`read_dataset` the hash starts on a worker
+        thread at load time, and the first call joins that thread (an error
+        of the hash is raised here); any other dataset is hashed on the
+        first call.  The value is the same either way.
+        """
         return self._fingerprint
 
     @cached_property
     def _fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for a in (self.X, self.y, self.z):
-            h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), uncopied
-        h.update("|".join(self.feature_names).encode())
-        return h.hexdigest()
+        thread, slot = self.__dict__.pop("_hashing", (None, []))
+        if thread is not None:
+            thread.join()  # returns at once in a child forked while it ran
+        if not slot:  # no worker, or one that did not finish in this process
+            return _digest(self)
+        if isinstance(slot[0], Exception):
+            raise slot[0]
+        return slot[0]
+
+    def __getstate__(self) -> dict:
+        """The instance dict for pickle and copy, without the fingerprint
+        worker: it is joined first, and its digest goes with the state."""
+        if "_hashing" in self.__dict__:
+            with suppress(Exception):  # a failed hash is left to the copy's fingerprint()
+                self.fingerprint()
+        return self.__dict__
+
+
+def _digest(ds: EncodedDataset) -> str:
+    """The SHA-256 of X, y and z's row-major bytes, then of the feature
+    names joined by ``|``."""
+    h = hashlib.sha256()
+    for a in (ds.X, ds.y, ds.z):
+        h.update(np.ascontiguousarray(a))  # the bytes of tobytes(), uncopied
+    h.update("|".join(ds.feature_names).encode())
+    return h.hexdigest()
+
+
+def _hash_in_background(ds: EncodedDataset) -> EncodedDataset:
+    """Start ``ds``'s fingerprint on a thread that ends with the hash, which
+    releases the GIL, so the hash overlaps the caller's next work; return ds.
+
+    The thread keeps the digest or the error it hit in a slot that
+    :meth:`EncodedDataset.fingerprint` reads after joining it.
+    """
+    slot: list = []
+
+    def work():
+        try:
+            slot.append(_digest(ds))
+        except Exception as exc:  # raised by fingerprint() on the calling thread
+            slot.append(exc)
+
+    thread = threading.Thread(target=work, name="fairdp-fingerprint")
+    try:
+        thread.start()
+    except RuntimeError:  # no thread to be had: fingerprint() hashes on its caller
+        return ds
+    object.__setattr__(ds, "_hashing", (thread, slot))
+    return ds
 
 
 SUM_BLOCK = 4096  # rows per product block of _weighted_row_sum
@@ -241,15 +294,21 @@ def read_dataset(
     Any other file, and a plain one whose encoding would fail, is read again
     from the start by the csv module, so every error comes from that one
     path.  Neither builds a table of strings.
+
+    Once the dataset is built, its :meth:`~EncodedDataset.fingerprint`
+    starts on a worker thread that ends with the hash, so the hash overlaps
+    the caller's next work; the first ``fingerprint()`` joins the thread,
+    and the value is the one a hash on the calling thread gives.
     """
     path = Path(path)
     books = [_codebook() for _ in range(2 + len(schema.categorical))]
     try:
-        return _assemble(schema, books, _plain_batches(path, column_names, schema, books))
+        return _hash_in_background(
+            _assemble(schema, books, _plain_batches(path, column_names, schema, books)))
     except _NotPlain:
         pass
     rows = _parse(path, column_names)
-    return _encode(next(rows), rows, schema)
+    return _hash_in_background(_encode(next(rows), rows, schema))
 
 
 def _parse(path: Path, column_names: Sequence[str] | None) -> Iterator[tuple[str, ...]]:

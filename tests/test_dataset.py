@@ -1,8 +1,12 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -321,6 +325,86 @@ class TestGoldenPipeline:
         first = ds.fingerprint()
         monkeypatch.setattr(hashlib, "sha256", None)  # a second hash would fail
         assert ds.fingerprint() == first
+
+
+class TestBackgroundHash:
+    """read_dataset starts the fingerprint on a worker thread that ends with
+    the hash; fingerprint() joins it and gives the value a lazy hash gives."""
+
+    @pytest.mark.parametrize("form", ["plain", "bom", "quoted"])
+    def test_hash_runs_off_the_calling_thread(self, tmp_path, monkeypatch, parse_calls, form):
+        text = (FIXTURE_DIR / "toy.csv").read_bytes()
+        if form == "bom":
+            text = b"\xef\xbb\xbf" + text
+        elif form == "quoted":  # the same cells, but the csv path reads them
+            text = text.replace(b",sales,", b',"sales",', 1)
+        path = tmp_path / "t.csv"
+        path.write_bytes(text)
+        hashed_on, real = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda *a: hashed_on.append(threading.get_ident()) or real(*a))
+        ds = read_dataset(path, BASIC_SCHEMAS_TOY)
+        assert ds.fingerprint() == TOY_FINGERPRINT
+        assert len(hashed_on) == 1 and hashed_on[0] != threading.get_ident()
+        assert bool(parse_calls) == (form == "quoted")
+
+    def test_no_thread_outlives_the_hash(self):
+        before = threading.active_count()
+        ds = read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY)
+        assert ds.fingerprint() == TOY_FINGERPRINT
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("copy_of", [lambda ds: pickle.loads(pickle.dumps(ds)),
+                                         copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copy_taken_while_hashing(self, monkeypatch, copy_of):
+        twin = copy_of(read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY))
+        monkeypatch.setattr(dataset, "_digest", None)  # the digest came with the copy
+        assert twin.fingerprint() == TOY_FINGERPRINT
+
+    # The test forks a process that has a running thread on purpose.
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_child_forked_while_hashing(self, monkeypatch):
+        release, caller, real = threading.Event(), threading.get_ident(), dataset._digest
+
+        def held(ds):
+            if threading.get_ident() != caller:  # the worker waits until the child is forked
+                release.wait(30)
+            return real(ds)
+
+        monkeypatch.setattr(dataset, "_digest", held)
+        before = threading.active_count()
+        ds = read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY)
+        assert threading.active_count() == before + 1  # the hash is running
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=lambda: queue.put(ds.fingerprint()))
+        child.start()
+        try:
+            forked = queue.get(timeout=30)
+        finally:
+            release.set()
+            child.join(30)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert forked == ds.fingerprint() == TOY_FINGERPRINT
+
+    def test_error_of_the_hash_raised_by_fingerprint(self, monkeypatch):
+        def fail(ds):
+            raise MemoryError("no room to hash")
+
+        monkeypatch.setattr(dataset, "_digest", fail)
+        ds = read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY)
+        with pytest.raises(MemoryError, match="no room to hash"):
+            ds.fingerprint()
+
+    def test_no_thread_to_be_had(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        ds = read_dataset(FIXTURE_DIR / "toy.csv", BASIC_SCHEMAS_TOY)
+        assert ds.fingerprint() == TOY_FINGERPRINT
 
 
 # --- encoder oracle -----------------------------------------------------------
