@@ -96,7 +96,9 @@ class EncodedDataset:
 
     The degree-2 objective's sufficient statistics (``logistic_c1``,
     ``logistic_c2``, ``protected_cov``) are computed on first use and kept;
-    none of them forms an (n, d) temporary.
+    none of them forms an (n, d) temporary.  ``logistic_c2`` is ``X.T @ X``
+    (BLAS ``syrk``), and the two linear terms are one
+    ``np.einsum("i,ij->j", w, X)`` each (see :func:`_weighted_row_sum`).
     """
 
     X: np.ndarray
@@ -234,24 +236,17 @@ def _hash_in_background(ds: EncodedDataset) -> EncodedDataset:
     return ds
 
 
-SUM_BLOCK = 4096  # rows per product block of _weighted_row_sum
-
-
 def _weighted_row_sum(w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """sum_i w_i x_i, bit for bit ``(w[:, None] * X).sum(axis=0)``: NumPy adds
-    a C-ordered product's rows in order, so a (SUM_BLOCK + 1, d) buffer whose
-    row 0 carries the running sum stands in for the (n, d) product."""
-    n, d = X.shape
-    if d == 1 or not X.flags.c_contiguous:  # NumPy sums these pairwise
+    """sum_i w_i x_i, bit for bit ``(w[:, None] * X).sum(axis=0)`` without its
+    (n, d) product.  On a C-ordered X with d > 1 both add the products row by
+    row in order, and ``np.einsum("i,ij->j", w, X)`` multiplies and then adds
+    each one; at d = 1 and on other layouts NumPy sums pairwise, so those keep
+    the product.  The einsum's bits hold where its loop does not fuse the
+    multiply-add (NumPy's x86-64-v2 baseline); an FMA build, such as aarch64
+    NEON or an x86-64-v3 baseline, gives other last bits."""
+    if X.shape[1] == 1 or not X.flags.c_contiguous:
         return (w[:, None] * X).sum(axis=0)
-    buf = np.empty((min(n, SUM_BLOCK) + 1, d))
-    head = 0  # buffer rows before the block's products: the running sum
-    for start in range(0, n, SUM_BLOCK):
-        stop = min(start + SUM_BLOCK, n)
-        np.multiply(w[start:stop, None], X[start:stop], out=buf[head:head + stop - start])
-        buf[0] = buf[:head + stop - start].sum(axis=0)
-        head = 1
-    return buf[0].copy()
+    return np.einsum("i,ij->j", w, X)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -690,7 +685,9 @@ def split(
     """Deterministic shuffle-split into train/test parts.
 
     Train gets ceil(n * (1 - test_fraction)) rows, test the remainder.  Both
-    parts recompute z_bar over their own rows.
+    parts recompute z_bar over their own rows.  Each part's X is
+    ``np.take(ds.X, idx, axis=0)``: the bytes of ``ds.X[idx]``, C-ordered
+    whatever the parent's layout, and gathered faster than by fancy indexing.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
@@ -703,17 +700,12 @@ def split(
             f"gives {ds.n - n_train} test rows"
         )
     perm = np.random.default_rng(seed).permutation(ds.n)
-    parts = []
-    for idx in (perm[:n_train], perm[n_train:]):
-        parts.append(
-            EncodedDataset(
-                X=ds.X[idx],
-                y=ds.y[idx],
-                z=ds.z[idx],
-                feature_names=ds.feature_names,
-            )
-        )
-    return parts[0], parts[1]
+    train, test = (
+        EncodedDataset(X=np.take(ds.X, idx, axis=0), y=ds.y[idx], z=ds.z[idx],
+                       feature_names=ds.feature_names)
+        for idx in (perm[:n_train], perm[n_train:])
+    )
+    return train, test
 
 
 # --- dataset fetching -------------------------------------------------------

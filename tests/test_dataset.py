@@ -19,7 +19,6 @@ from hypothesis.extra import numpy as hnp
 from fairdp import dataset
 from fairdp.dataset import (
     BATCH_ROWS,
-    SUM_BLOCK,
     EncodedDataset,
     FetchError,
     ParseError,
@@ -706,6 +705,22 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, 0.2, seed=0)  # ceil(3*0.8) == 3 leaves nothing
 
+    @pytest.mark.parametrize("d, order", [(1, "C"), (7, "C"), (102, "C"), (7, "F")])
+    def test_parts_are_the_indexed_rows(self, d, order):
+        # split gathers X with np.take: the bytes of ds.X[idx], C-ordered
+        # even from an F-ordered parent, so the parts' linear statistics
+        # take the einsum path whatever the parent's layout.
+        ds = self.make(1001, d=d, seed=d)
+        ds = EncodedDataset(X=np.asfortranarray(ds.X) if order == "F" else ds.X,
+                            y=ds.y, z=ds.z, feature_names=ds.feature_names)
+        perm = np.random.default_rng(3).permutation(ds.n)
+        for part, idx in zip(split(ds, 0.3, seed=3), (perm[:701], perm[701:])):
+            assert part.X.flags.c_contiguous
+            for name in ("X", "y", "z"):
+                got, want = getattr(part, name), getattr(ds, name)[idx]
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
 
 class TestEncodedDatasetInvariants:
     def test_value_domain_checks(self):
@@ -766,13 +781,11 @@ class TestEncodedDatasetInvariants:
         assert ds.z_bar == 0.5
 
 
-def blocked_sizes():
-    return [1, 100, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK + 17]
-
-
 class TestLinearStatistics:
-    """logistic_c1 and protected_cov sum w_i x_i a block of rows at a time,
-    bit for bit as the one-shot (w[:, None] * X).sum(axis=0)."""
+    """logistic_c1 and protected_cov are ``np.einsum("i,ij->j", w, X)`` on a
+    C-ordered X with d > 1, bit for bit the one-shot (w[:, None] * X).sum(axis=0),
+    which adds the products row by row in order.  A NumPy build whose einsum
+    fuses multiply-add (FMA) fails here, and every seeded output differs on it."""
 
     @staticmethod
     def one_hot_rows(gen, n, d):
@@ -780,20 +793,21 @@ class TestLinearStatistics:
         X[np.arange(n), gen.integers(0, d, size=n)] = 1.0 / math.sqrt(d)
         return X
 
-    @pytest.mark.parametrize("n", blocked_sizes())
+    # Rows n around 4,096, at widths d = 2, 7 and 102; d = 7 keeps its plain ids.
+    @pytest.mark.parametrize("n, d", [
+        pytest.param(n, d, id=str(n) if d == 7 else f"d{d}-{n}")
+        for d in (2, 7, 102) for n in (1, 100, 4096, 4097, 12305)])
     @pytest.mark.parametrize("kind", ["dense", "one-hot"])
-    def test_matches_one_shot_sum(self, n, kind):
+    def test_matches_one_shot_sum(self, n, d, kind):
         from conftest import random_unit_rows
         gen = np.random.default_rng(n)
-        d = 7
         X = random_unit_rows(gen, n, d) if kind == "dense" else self.one_hot_rows(gen, n, d)
         ds = EncodedDataset(X=X, y=gen.integers(0, 2, size=n), z=gen.integers(0, 2, size=n),
-                            feature_names=tuple("abcdefg"))
+                            feature_names=tuple(f"f{j}" for j in range(d)))
         for got, w in ((ds.logistic_c1, 0.5 - ds.y), (ds.protected_cov, ds.z - ds.z_bar)):
             assert got.tobytes() == (w[:, None] * ds.X).sum(axis=0).tobytes()
 
-    @pytest.mark.parametrize("shape, order", [((SUM_BLOCK + 5, 1), "C"),
-                                              ((2 * SUM_BLOCK + 5, 3), "F")])
+    @pytest.mark.parametrize("shape, order", [((4101, 1), "C"), ((8197, 3), "F")])
     def test_layouts_numpy_sums_pairwise(self, shape, order):
         gen = np.random.default_rng(0)
         X = np.asarray(gen.random(shape) / math.sqrt(shape[1]), order=order)
