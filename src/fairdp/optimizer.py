@@ -10,7 +10,10 @@ symmetrized degree-2 matrix below ``EIGEN_FLOOR`` are clamped up to it
 before the closed-form solve.  Diagnostics report how often that floor bites.
 
 The exact path minimizes the unexpanded logistic loss (the LR baseline) by
-damped Newton with a backtracking line search.
+damped Newton with a backtracking line search.  ``logistic_objective``
+returns the probabilities p = expit(X w) behind its gradient, and the
+Newton loop builds each Hessian from the p of the point it accepted, so
+every iteration scores X w once per candidate and no more.
 """
 
 from __future__ import annotations
@@ -31,10 +34,17 @@ GRAD_TOL = 1e-8  # the exact solve has converged once |grad|_inf <= GRAD_TOL
 @dataclass(frozen=True)
 class RegularizationPolicy:
     """Settings of the exact logistic solve: ``max_gd_iters`` caps its Newton
-    iterations; ``gd_step`` is accepted but no longer read."""
+    iterations and must be an integer >= 1; ``gd_step`` is accepted but no
+    longer read."""
 
     max_gd_iters: int = 5000
     gd_step: float = 0.1
+
+    def __post_init__(self):
+        if not isinstance(self.max_gd_iters, int) or isinstance(self.max_gd_iters, bool):
+            raise ValueError(f"max_gd_iters must be an integer, got {self.max_gd_iters!r}")
+        if self.max_gd_iters < 1:
+            raise ValueError("max_gd_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,25 @@ def minimize_quadratic(poly: PolyObjective) -> tuple[np.ndarray, QuadraticDiagno
     return w, diag
 
 
-def logistic_objective(ds: EncodedDataset, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact logistic loss sum_i [log(1 + exp(x_i.w)) - y_i x_i.w] and its
-    gradient; logaddexp keeps large scores from overflowing."""
+def logistic_objective(
+    ds: EncodedDataset, w: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Exact logistic loss sum_i [log(1 + exp(s_i)) - y_i s_i], s = X w, its
+    gradient X^T (p - y) and the probabilities p = expit(s) behind it.
+
+    Each log(1 + exp(s)) is max(s, 0) + log1p(exp(-|s|)), the formula
+    ``np.logaddexp(0, s)`` evaluates per element, written as array
+    operations so NumPy runs vectorized loops; it cannot overflow, and its
+    last bits may differ from logaddexp's.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         scores = ds.X @ w
-        loss = float(np.logaddexp(0.0, scores).sum() - ds.y @ scores)
-        grad = ds.X.T @ (expit(scores) - ds.y)
-    return loss, grad
+        # One expression, so no per-row array outlives the sum into expit.
+        loss = float((np.maximum(scores, 0.0) + np.log1p(np.exp(-np.abs(scores)))).sum()
+                     - ds.y @ scores)
+        p = expit(scores)
+        grad = ds.X.T @ (p - ds.y)
+    return loss, grad, p
 
 
 def minimize_logistic_exact(
@@ -91,7 +112,9 @@ def minimize_logistic_exact(
     """Damped Newton on the exact logistic loss from w = 0.
 
     The direction solves H d = grad, H = X^T diag(p(1-p)) X, by least squares:
-    one-hot designs make H singular, but the gradient lies in its range.  The
+    one-hot designs make H singular, but the gradient lies in its range.  H
+    is built from the p that ``logistic_objective`` returned for the start
+    point or the last accepted candidate; X w is not scored again.  The
     line search halves from step 1 and accepts a candidate that lowers the
     objective, or that lowers the gradient infinity-norm while raising the
     objective by at most n ulps, its rounding error near the optimum.  Stops
@@ -100,27 +123,26 @@ def minimize_logistic_exact(
     """
     policy = policy or RegularizationPolicy()
     w = np.zeros(ds.d)
-    obj, grad = logistic_objective(ds, w)
+    obj, grad, p = logistic_objective(ds, w)
     if not math.isfinite(obj):
         raise ValueError("objective non-finite at start")
     grad_inf = float(np.abs(grad).max())
     iterations, step = 0, 1.0
     while iterations < policy.max_gd_iters and grad_inf > GRAD_TOL:
         iterations += 1
-        p = expit(ds.X @ w)
         hess = (ds.X * (p * (1.0 - p))[:, None]).T @ ds.X
         direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
         trial, slack = 1.0, ds.n * math.ulp(obj)
         while trial > 0.0:  # NaN compares false, so a non-finite candidate halves
             cand = w - trial * direction
-            cand_obj, cand_grad = logistic_objective(ds, cand)
+            cand_obj, cand_grad, cand_p = logistic_objective(ds, cand)
             cand_inf = float(np.abs(cand_grad).max())
             if cand_obj < obj or (cand_obj <= obj + slack and cand_inf < grad_inf):
                 break
             trial /= 2.0
         if trial == 0.0:
             break  # no representable progress left
-        w, obj, grad, grad_inf, step = cand, cand_obj, cand_grad, cand_inf, trial
+        w, obj, grad, p, grad_inf, step = cand, cand_obj, cand_grad, cand_p, cand_inf, trial
     converged = grad_inf <= GRAD_TOL
     diag = DescentDiagnostics(
         iterations=iterations,

@@ -1,8 +1,10 @@
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 import fairdp.optimizer as optimizer_mod
 from fairdp.dataset import EncodedDataset, split
@@ -35,6 +37,41 @@ def gd_minimize_quadratic(A, b, steps=100_000):
             break
         w = w - step * grad
     return w
+
+
+def two_pass_newton(ds, max_iters):
+    """Oracle: the Newton loop as it was before ``logistic_objective``
+    returned its probabilities.  The loss is ``np.logaddexp``'s and each
+    iteration recomputes p = expit(X w) for the Hessian."""
+
+    def objective(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = ds.X @ w
+            loss = float(np.logaddexp(0.0, scores).sum() - ds.y @ scores)
+            grad = ds.X.T @ (expit(scores) - ds.y)
+        return loss, grad
+
+    w = np.zeros(ds.d)
+    obj, grad = objective(w)
+    grad_inf = float(np.abs(grad).max())
+    iterations, step = 0, 1.0
+    while iterations < max_iters and grad_inf > optimizer_mod.GRAD_TOL:
+        iterations += 1
+        p = expit(ds.X @ w)
+        hess = (ds.X * (p * (1.0 - p))[:, None]).T @ ds.X
+        direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        trial, slack = 1.0, ds.n * math.ulp(obj)
+        while trial > 0.0:
+            cand = w - trial * direction
+            cand_obj, cand_grad = objective(cand)
+            cand_inf = float(np.abs(cand_grad).max())
+            if cand_obj < obj or (cand_obj <= obj + slack and cand_inf < grad_inf):
+                break
+            trial /= 2.0
+        if trial == 0.0:
+            break
+        w, obj, grad, grad_inf, step = cand, cand_obj, cand_grad, cand_inf, trial
+    return w, iterations, step, grad_inf
 
 
 def random_spd_quadratic(rng, d, min_eig=0.05):
@@ -167,19 +204,38 @@ class TestExactLogistic:
         h = 1e-6
         for _ in range(20):
             w = rng.normal(size=3)
-            _, grad = logistic_objective(ds, w)
+            _, grad, _ = logistic_objective(ds, w)
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                lo, _ = logistic_objective(ds, w - e)
-                hi, _ = logistic_objective(ds, w + e)
+                lo, _, _ = logistic_objective(ds, w - e)
+                hi, _, _ = logistic_objective(ds, w + e)
                 assert grad[j] == pytest.approx((hi - lo) / (2 * h), rel=1e-5, abs=1e-6)
 
     def test_overflow_safe_objective(self, rng):
         ds = random_dataset(rng, 5, 2)
-        obj, grad = logistic_objective(ds, np.array([1e4, 1e4]))
+        obj, grad, _ = logistic_objective(ds, np.array([1e4, 1e4]))
         assert np.isfinite(obj)
         assert np.isfinite(grad).all()
+
+    def test_objective_parts(self, rng):
+        # p and the gradient are the plain formulas bit for bit; the loss's
+        # softplus is logaddexp's formula as array operations, so the sum
+        # agrees with the logaddexp sum to within n ulps.
+        for _ in range(10):
+            ds = random_dataset(rng, 50, 4)
+            w = rng.normal(size=4) * 5.0
+            _, grad, p = logistic_objective(ds, w)
+            np.testing.assert_array_equal(p, expit(ds.X @ w))
+            np.testing.assert_array_equal(grad, ds.X.T @ (expit(ds.X @ w) - ds.y))
+        for s in (0.0, 3.0, -3.0, 800.0, -800.0, 1e152, -1e152):
+            X = np.full((4, 1), s)
+            ds = EncodedDataset(X=X, y=[0, 1, 1, 0], z=[0, 1, 0, 1], feature_names=("a",))
+            loss, _, _ = logistic_objective(ds, np.ones(1))
+            scores = ds.X @ np.ones(1)
+            ref = float(np.logaddexp(0.0, scores).sum() - ds.y @ scores)
+            assert np.isfinite(loss)
+            assert abs(loss - ref) <= ds.n * math.ulp(ref), s
 
     def test_non_finite_objective_raises_value_error(self, rng):
         ds = random_dataset(rng, 5, 2)
@@ -210,7 +266,7 @@ class TestNewton:
         for _ in range(5):
             ds = random_dataset(rng, 300, 5)
             w, diag = minimize_logistic_exact(ds)
-            ref = minimize(lambda v: logistic_objective(ds, v), np.zeros(ds.d),
+            ref = minimize(lambda v: logistic_objective(ds, v)[:2], np.zeros(ds.d),
                            jac=True, method="BFGS", options={"gtol": 1e-10})
             assert diag.converged and diag.grad_inf <= 1e-8
             np.testing.assert_allclose(w, ref.x, atol=1e-6)
@@ -228,6 +284,33 @@ class TestNewton:
         w3 = np.array([w[0], w[1] + w[3], w[2]]) / np.sqrt(2.0)
         w_full, _ = minimize_logistic_exact(ds)
         np.testing.assert_allclose(w3, w_full, atol=1e-6)
+
+    def test_weights_match_the_two_pass_loop(self, rng):
+        # The Hessian's p comes from the accepted candidate's objective call
+        # and the loss's last bits from array exp/log1p; the weights, the
+        # iteration count, the last step and the gradient norm are the
+        # two-pass loop's bit for bit.
+        trend = RegularizationPolicy(max_gd_iters=4000, gd_step=1.0)
+        for seed in (0, 1):
+            train, _ = split(make_adult_like(100_000, seed), 0.2, derive_seed("split", seed, 0))
+            self.assert_matches_two_pass(train, trend)
+        ds = random_dataset(rng, 200, 3)
+        X = np.column_stack([ds.X, ds.X[:, 1]]) / np.sqrt(2.0)
+        self.assert_matches_two_pass(
+            EncodedDataset(X=X, y=ds.y, z=ds.z, feature_names=("a", "b", "c", "b2")))
+        for n, d in ((5, 2), (40, 6), (300, 5), (2_000, 12), (500, 40)):
+            ds = random_dataset(rng, n, d)
+            self.assert_matches_two_pass(ds)
+            scaled = EncodedDataset(X=ds.X * 1e3, y=ds.y, z=ds.z,
+                                    feature_names=ds.feature_names)
+            self.assert_matches_two_pass(scaled)
+
+    @staticmethod
+    def assert_matches_two_pass(ds, policy=RegularizationPolicy()):
+        w, diag = minimize_logistic_exact(ds, policy)
+        w_ref, iterations, step, grad_inf = two_pass_newton(ds, policy.max_gd_iters)
+        np.testing.assert_array_equal(w, w_ref)
+        assert (diag.iterations, diag.final_step, diag.grad_inf) == (iterations, step, grad_inf)
 
     def test_trend_split_converges_in_few_objective_calls(self, monkeypatch):
         # The last Newton step on this split raises the objective by about
@@ -257,3 +340,12 @@ class TestPolicy:
         assert [f.name for f in fields(p)] == ["max_gd_iters", "gd_step"]
         assert p.max_gd_iters == 5000
         assert p.gd_step == 0.1
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, True, "10", None])
+    def test_bad_iteration_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="^max_gd_iters must be"):
+            RegularizationPolicy(max_gd_iters=cap)
+
+    @pytest.mark.parametrize("cap", [1, 4000])
+    def test_iteration_cap_accepted(self, cap):
+        assert RegularizationPolicy(max_gd_iters=cap, gd_step=1.0).max_gd_iters == cap
