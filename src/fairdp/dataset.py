@@ -285,10 +285,11 @@ def read_dataset(
     A plain file, ASCII text after an optional byte-order mark with no
     control byte but the newline, no ``"`` and no ``|``, every row as wide
     as the header and no cell over the csv module's field size limit, is
-    tokenized with NumPy byte operations, a chunk of whole lines at a time.
-    Any other file, and a plain one whose encoding would fail, is read again
-    from the start by the csv module, so every error comes from that one
-    path.  Neither builds a table of strings.
+    tokenized with NumPy byte operations, a chunk of whole lines at a time
+    (a text cell of up to 8 bytes is its own key; a longer one is sliced and
+    hashed at each occurrence).  Any other file, and a plain one whose
+    encoding would fail, is read again from the start by the csv module, so
+    every error comes from that one path.  Neither builds a table of strings.
 
     Once the dataset is built, its :meth:`~EncodedDataset.fingerprint`
     starts on a worker thread that ends with the hash, so the hash overlaps
@@ -479,6 +480,7 @@ _CHUNK_BYTES = 1 << 17  # bytes read at a time by the byte tokenizer
 _DIGITS = 15  # the longest integer cell summed in int64; below 2**53, so exact as a float
 _PAD = bytes(_DIGITS + 1)  # NULs after a chunk, so that no cell's key or digits read past it
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # masks of k bytes
+_LONG = 1 << 63  # the bit that marks the key of a cell over 8 bytes
 
 
 class _NotPlain(Exception):
@@ -489,8 +491,10 @@ def _plain_batches(
     path: Path, column_names: Sequence[str] | None, schema: Schema, books: list
 ) -> Iterator[tuple]:
     """The column batches (see :func:`_assemble`) of a plain file, one per
-    chunk of whole lines read from disk, by :func:`read_dataset`'s rules; a
-    UTF-8 byte-order mark is skipped, as the csv path skips it.
+    chunk of _CHUNK_BYTES and the rest of the line they end in, by
+    :func:`read_dataset`'s rules; a UTF-8 byte-order mark is skipped, as the
+    csv path skips it.  Codes are first-seen across the file, so where the
+    chunks end changes no output.
 
     Raises _NotPlain where the file turns out not to be plain (see
     :func:`read_dataset`), where the header or ``column_names`` repeat a
@@ -508,12 +512,14 @@ def _plain_batches(
     header = column_names is None
     width, cols = (0, []) if header else columns(tuple(column_names))
     limit = csv.field_size_limit()
-    packed = [[np.empty(0, np.uint64), np.empty(0, np.int64)] for _ in books]
+    packed = [[np.empty(0, np.uint64), np.empty(0, np.int64), {}] for _ in books]
     n = 0
     with path.open("rb") as fh:
         if fh.read(3) != b"\xef\xbb\xbf":
             fh.seek(0)
-        for chunk in _line_chunks(fh):
+        while chunk := fh.read(_CHUNK_BYTES) + fh.readline():
+            if not chunk.endswith(b"\n"):  # the file's last line
+                chunk += b"\n"
             arr = np.frombuffer(chunk + _PAD, np.uint8)
             s, e, counts = _plain_cells(arr, len(chunk), limit)
             if header and len(counts):
@@ -529,8 +535,6 @@ def _plain_batches(
             length = e - s
             kept = ~((length == 0) | ((length == 1) & (arr[s] == ord("?")))).any(axis=1)
             s, e = s[kept].T, e[kept].T  # one row per column
-            if not s.shape[1]:
-                continue
             n += s.shape[1]
             at = cols[:len(books)]  # the coded columns; their 8-byte keys in one gather
             keys = np.ndarray((len(arr) - 7,), "<u8", arr, strides=(1,))[s[at]]
@@ -543,21 +547,6 @@ def _plain_batches(
     if not n or any(positive not in book for book, positive in
                     zip(books, (schema.label_positive, schema.protected_positive))):
         raise _NotPlain
-
-
-def _line_chunks(fh) -> Iterator[bytes]:
-    """The bytes of a binary file in pieces of whole lines, each about
-    _CHUNK_BYTES long (one line, if that is longer) and ending with a
-    newline."""
-    rest = b""
-    while data := fh.read(_CHUNK_BYTES):
-        data = rest + data
-        cut = data.rfind(b"\n") + 1
-        rest = data[cut:]
-        if cut:
-            yield data[:cut]
-    if rest:
-        yield rest + b"\n"
 
 
 def _plain_cells(arr: np.ndarray, size: int, limit: int):
@@ -596,39 +585,36 @@ def _plain_codes(chunk: bytes, keys: np.ndarray, s: np.ndarray, e: np.ndarray,
     """The codebook's codes of a column's cells; the cells not in the book
     yet join it in the order they first appear.
 
-    ``keys`` holds the 8 bytes at each cell's start as a uint64; masked in
-    place, they give a cell of up to 8 bytes its NUL-padded key (a plain file
-    has no NUL).  ``packed`` holds the sorted keys of the column's short
-    cells coded so far and their codes, so a chunk with no new short cell and
-    no longer one is coded by one search.  Otherwise one np.unique finds the
-    chunk's distinct short cells, longer cells are decoded one by one, and
-    ``packed`` takes the new keys.
+    Every cell gets a uint64 key: a cell of up to 8 bytes its NUL-padded
+    bytes (``keys``, the 8 bytes at each cell's start, masked in place; a
+    plain file has no NUL and no byte over 0x7f, so bit 63 is 0), a longer
+    one its index in the column's dict of long texts, with bit 63 set.
+    ``packed`` holds the sorted keys coded so far, their codes and that
+    dict.  One search finds each key; the keys it misses are coded, merged
+    into ``packed`` and searched again.
     """
     length = e - s
     keys &= _LOW_BYTES[np.minimum(length, 8)]
-    known, known_codes = packed
+    known, known_codes, texts = packed
+    long = np.flatnonzero(length > 8)
+    keys[long] = _LONG | np.array([texts.setdefault(chunk[a:b], len(texts)) for a, b in
+                                   zip(s[long].tolist(), e[long].tolist())], np.uint64)
     at = np.searchsorted(known, keys)
-    if len(known) and length.max() <= 8 and (known.take(at, mode="clip") == keys).all():
-        return known_codes[at]
-    short, long = np.flatnonzero(length <= 8), np.flatnonzero(length > 8)
-    new, first, local = np.unique(keys[short], return_index=True, return_inverse=True)
-    cats = [key.to_bytes(8, "little").rstrip(b"\0").decode() for key in new.tolist()]
-    firsts = [short[first]]
-    cell_cats = np.empty(len(s), np.int64)  # each cell's index into cats
-    cell_cats[short] = local
-    if len(long):
-        texts: dict[str, int] = {}
-        ids = np.array([texts.setdefault(chunk[a:b].decode(), len(texts))
-                        for a, b in zip(s[long].tolist(), e[long].tolist())])
-        cell_cats[long] = len(cats) + ids
-        firsts.append(long[np.unique(ids, return_index=True)[1]])
-        cats.extend(texts)
-    codes = np.empty(len(cats), np.int64)
-    for i in np.argsort(np.concatenate(firsts)).tolist():
-        codes[i] = book[cats[i]]
-    known, where = np.unique(np.concatenate([known, new]), return_index=True)
-    packed[:] = known, np.concatenate([known_codes, codes[:len(new)]])[where]
-    return codes[cell_cats]
+    new = known.take(at, mode="clip") != keys if len(known) else np.ones(len(keys), bool)
+    if new.any():
+        fresh, first = np.unique(keys[new], return_index=True)
+        cats, long_texts = fresh.tolist(), list(texts)
+        codes = np.empty(len(cats), np.int64)
+        for i in np.argsort(first).tolist():  # in the order the keys first appear
+            key = cats[i]
+            text = (long_texts[key ^ _LONG] if key & _LONG else
+                    key.to_bytes(8, "little").rstrip(b"\0"))
+            codes[i] = book[text.decode()]
+        known, where = np.unique(np.concatenate([known, fresh]), return_index=True)
+        known_codes = np.concatenate([known_codes, codes])[where]
+        packed[:2] = known, known_codes
+        at = np.searchsorted(known, keys)
+    return known_codes[at]
 
 
 def _plain_numbers(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:

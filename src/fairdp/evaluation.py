@@ -114,8 +114,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
-        if not isinstance(self.runs, int):
-            raise ValueError(f"runs must be an integer, got {self.runs!r}")
+        for name, value in (("runs", self.runs), ("master_seed", self.master_seed)):
+            if type(value) is not int:  # a bool would be recorded as true
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.eps_grid:
@@ -126,6 +127,11 @@ class ExperimentConfig:
             check_budget("epsilon grid value", e)
         for dv in self.delta_grid:
             check_budget("delta grid value", dv)
+        for name, values in (("methods", self.methods), ("eps_grid", self.eps_grid),
+                             ("delta_grid", self.delta_grid)):
+            for i, v in enumerate(values):  # a repeat would write its report rows twice
+                if v in values[:i]:
+                    raise ValueError(f"{name} repeats {v!r}")
         check_alpha1(self.alpha1)
 
     def grid(self) -> list[GridPoint]:

@@ -191,6 +191,8 @@ def check_budget(name: str, value: float | None) -> None:
     """Raise ValueError naming budget ``name`` unless ``value`` is in range:
     a delta (a name that starts with "delta") in (0, 1), an epsilon finite
     and positive."""
+    if isinstance(value, bool):  # it would be recorded as true or false
+        raise ValueError(f"{name} must be a number, got {value!r}")
     delta = name.startswith("delta")
     if value is None or not 0.0 < value < (1.0 if delta else math.inf):
         rule = "in (0, 1)" if delta else "finite and positive"

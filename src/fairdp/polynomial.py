@@ -58,6 +58,8 @@ def lr_poly(ds: EncodedDataset) -> PolyObjective:
 
 def check_alpha1(alpha1: float) -> None:
     """Raise ValueError unless the fairness weight alpha1 is finite."""
+    if isinstance(alpha1, bool):  # it would be recorded as true or false
+        raise ValueError(f"alpha1 must be a number, got {alpha1!r}")
     if not math.isfinite(alpha1):
         raise ValueError(f"alpha1 must be finite, got {alpha1}")
 

@@ -162,7 +162,8 @@ def train_pdfc(
     eps_n: float,
     s_index: int,
     alpha1: float = 1.0,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> TrainedModel:
     """Purely DP and fair training: fairness-penalized quadratic, Laplace noise
     Lap(Delta1/eps_s) on monomials containing w_s and Lap(Delta1/eps_n) elsewhere
@@ -178,7 +179,8 @@ def train_adfc(
     delta_n: float,
     s_index: int,
     alpha1: float = 1.0,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> TrainedModel:
     """Approximately DP and fair training: Gaussian noise with per-group sigmas
     calibrated from (eps_s, delta_s) and (eps_n, delta_n) at the fair L2

@@ -596,6 +596,19 @@ def test_unconvertible_flag_names_the_option(tmp_path, capsys, command, flags, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, text", [
+    (["--methods", "fm,FM"], "methods repeats 'FM'"),
+    (["--methods", "fm", "--eps", "1,1.0"], "eps_grid repeats 1.0"),
+])
+def test_repeated_sweep_value_is_an_input_error(tmp_path, capsys, flags, text):
+    # A repeat used to write its report rows twice.
+    rc = main(["sweep", *flags, "--runs", "1", "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # A value unlike the default for each option of train and sweep (--out and
 # --config aside): a config value that is lost shows in the outputs.
 OPTION_VALUES = {

@@ -1120,6 +1120,34 @@ class TestTokenizersAgree:
         # non-finite or non-numeric cell, which sends it to the csv path.
         assert sum(by_csv) <= len(by_csv) / 4
 
+    def test_codes_across_chunks(self, tmp_path, parse_calls):
+        # Codes are first-seen across the whole file: a short and a long
+        # category first seen in a later chunk, a column whose every cell is
+        # over 8 bytes and a long label value, several sharing their first 8.
+        def row(i, late):
+            c = ("k", "category_one", "k2", "category_two", *(("z", "category_late") * late))
+            return (f"{i},{c[i % len(c)]},teamname_{i % 7},{('Male', 'Female')[i % 2]},"
+                    f"{('income_at_most_50K', 'income_above_50K')[i % 3 == 0]}")
+
+        lines = ["n,c,t,sex,income"]
+        while len("\n".join(lines)) < 2 * dataset._CHUNK_BYTES:
+            lines.append(row(len(lines), late=False))
+        while len("\n".join(lines)) < 4 * dataset._CHUNK_BYTES:
+            lines.append(row(len(lines), late=True))
+        text = "\n".join(lines) + "\n"
+        assert min(text.index(",z,"), text.index(",category_late,")) > 2 * dataset._CHUNK_BYTES
+        path = write(tmp_path, "t.csv", text)
+        schema = Schema(label="income", label_positive="income_above_50K", protected="sex",
+                        protected_positive="Male", numeric=("n",), categorical=("t", "c"))
+
+        ds = read_dataset(path, schema)
+        assert not parse_calls
+        ref = csv_path(path, schema)
+        assert ds.feature_names == ref.feature_names
+        assert {"c=z", "c=category_late", "t=teamname_6"} <= set(ds.feature_names)
+        for a, b in ((ds.X, ref.X), (ds.y, ref.y), (ds.z, ref.z)):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("text, cell", [
         pytest.param('a,b,c,sex,income\n"3",2,k,Male,yes\n', None, id="quote"),
         pytest.param("a,b,c,sex,income\r\n3,2,k,Male,yes\r\n", None, id="crlf"),

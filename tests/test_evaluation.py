@@ -416,6 +416,23 @@ class TestExperiment:
         with pytest.raises(ValueError, match=message):
             self.config(**bad)
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(runs=True), "runs must be an integer, got True"),
+        (dict(master_seed=True), "master_seed must be an integer, got True"),
+        (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+        (dict(alpha1=True), "alpha1 must be a number, got True"),
+        (dict(eps_grid=(True,)), "epsilon grid value must be a number, got True"),
+        (dict(methods=("FM", "LR", "FM")), "methods repeats 'FM'"),
+        (dict(eps_grid=(1.0, 0.5, 1)), "eps_grid repeats 1"),
+        (dict(delta_grid=(1e-3, 1e-3)), "delta_grid repeats 0.001"),
+    ])
+    def test_values_that_corrupt_reports_rejected(self, bad, message):
+        # Each used to construct: a bool was written to the report as true
+        # (and True seeds other splits than 1), a repeat wrote duplicate rows.
+        with pytest.raises(ValueError) as exc:
+            self.config(**bad)
+        assert str(exc.value) == message
+
     def test_report_round_trip(self):
         rep = run_experiment(toy_d3(), self.config())
         back = ExperimentReport.from_dict(rep.to_dict())

@@ -206,8 +206,8 @@ class TestBaselines:
 PRIVATE_TRAINERS = {
     "FM": lambda ds, eps, **kw: train_fm(ds, eps, seed=0, **kw),
     "RelaxedFM": lambda ds, eps, **kw: train_relaxed_fm(ds, eps, 1e-3, seed=0, **kw),
-    "PDFC": lambda ds, eps, **kw: train_pdfc(ds, eps, 1.0, s_index=0, **kw),
-    "ADFC": lambda ds, eps, **kw: train_adfc(ds, eps, 1.0, 1e-3, 1e-3, s_index=0, **kw),
+    "PDFC": lambda ds, eps, **kw: train_pdfc(ds, eps, 1.0, s_index=0, seed=0, **kw),
+    "ADFC": lambda ds, eps, **kw: train_adfc(ds, eps, 1.0, 1e-3, 1e-3, s_index=0, seed=0, **kw),
 }
 
 
@@ -224,16 +224,16 @@ class TestInputValidation:
 
     def test_eps_n_checked_too(self):
         with pytest.raises(ValueError, match="eps_n must be finite and positive"):
-            train_pdfc(toy_d3(), 1.0, 0.0, s_index=0)
+            train_pdfc(toy_d3(), 1.0, 0.0, s_index=0, seed=0)
         with pytest.raises(ValueError, match="eps_n must be finite and positive"):
-            train_adfc(toy_d3(), 1.0, math.nan, 1e-3, 1e-3, s_index=0)
+            train_adfc(toy_d3(), 1.0, math.nan, 1e-3, 1e-3, s_index=0, seed=0)
         with pytest.raises(ValueError, match="eps_n 1e-320 is too small"):
-            train_pdfc(toy_d3(), 1.0, 1e-320, s_index=0)
+            train_pdfc(toy_d3(), 1.0, 1e-320, s_index=0, seed=0)
         with pytest.raises(ValueError, match="eps_n 1e-320 is too small"):
-            train_adfc(toy_d3(), 1.0, 1e-320, 1e-3, 1e-3, s_index=0)
+            train_adfc(toy_d3(), 1.0, 1e-320, 1e-3, 1e-3, s_index=0, seed=0)
 
     @pytest.mark.parametrize("train, args, text", [
-        (train_relaxed_fm, (1.0, None, 0), "delta must be in (0, 1), got None"),
+        (train_relaxed_fm, (1.0, None), "delta must be in (0, 1), got None"),
         (train_adfc, (1.0, 1.0, None, None, 1), "delta_s must be in (0, 1), got None"),
         (train_adfc, (1.0, 1.0, 1e-3, None, 1), "delta_n must be in (0, 1), got None"),
         (train_adfc, (1.0, 1.0, 1e-3, 1.5, 1), "delta_n must be in (0, 1), got 1.5"),
@@ -243,7 +243,7 @@ class TestInputValidation:
         # return FM's and PDFC's models under their own names.
         monkeypatch.setattr(trainers_mod, "perturb", None)  # no noise is drawn
         with pytest.raises(ValueError) as exc:
-            train(toy_d3(), *args)
+            train(toy_d3(), *args, seed=0)
         assert str(exc.value) == text
 
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
@@ -258,7 +258,7 @@ class TestInputValidation:
         args = (1.0, 1.0) if train is train_pdfc else (1.0, 1.0, 1e-3, 1e-3)
         with noise_free():
             with pytest.raises(ValueError, match=f"s_index {s_index} out of range for d=3"):
-                train(toy_d3(), *args, s_index=s_index)
+                train(toy_d3(), *args, s_index=s_index, seed=0)
 
     @pytest.mark.parametrize("method", sorted(PRIVATE_TRAINERS))
     def test_rows_outside_unit_ball_rejected_before_noise(self, method, monkeypatch):
@@ -285,14 +285,14 @@ class TestInputValidation:
     @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha1(self, alpha1):
         with pytest.raises(ValueError, match="alpha1 must be finite"):
-            train_pdfc(toy_d3(), 1.0, 1.0, s_index=0, alpha1=alpha1)
+            train_pdfc(toy_d3(), 1.0, 1.0, s_index=0, alpha1=alpha1, seed=0)
         with pytest.raises(ValueError, match="alpha1 must be finite"):
-            train_adfc(toy_d3(), 1.0, 1.0, 1e-3, 1e-3, s_index=0, alpha1=alpha1)
+            train_adfc(toy_d3(), 1.0, 1.0, 1e-3, 1e-3, s_index=0, alpha1=alpha1, seed=0)
         with pytest.raises(ValueError, match="alpha1 must be finite"):
             train_fair_lr(toy_d3(), alpha1=alpha1)
 
     @pytest.mark.parametrize("fit, inputs", [
-        (lambda ds: train_pdfc(ds, 1.0, 1.0, s_index=0, alpha1=1e300),
+        (lambda ds: train_pdfc(ds, 1.0, 1.0, s_index=0, alpha1=1e300, seed=0),
          "alpha1 1e+300, eps_s 1.0 and eps_n 1.0"),
         (lambda ds: train_fm(ds, 1e-300, seed=0), "epsilon 1e-300"),
         (lambda ds: train_relaxed_fm(ds, 1e-300, 1e-5, seed=0), "epsilon 1e-300"),
@@ -308,7 +308,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("fit, message", [
         (lambda ds: train_fair_lr(ds, alpha1=1.7e308),
          "alpha1 1.7e+308 overflows the fairness term's linear coefficients"),
-        (lambda ds: train_pdfc(ds, 1, 1, 0, alpha1=1e307),
+        (lambda ds: train_pdfc(ds, 1, 1, 0, alpha1=1e307, seed=0),
          "the noise overflows the coefficients at alpha1 1e+307, eps_s 1 and eps_n 1"),
         (lambda ds: train_relaxed_fm(ds, 1e-307, 1e-3, seed=0),
          "the noise overflows the coefficients at epsilon 1e-307"),
