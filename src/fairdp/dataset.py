@@ -11,17 +11,19 @@ It first tries a NumPy byte tokenizer, which reads plain files (ASCII after
 an optional byte-order mark, no quotes, no comment lines, no control byte but
 the newline) in chunks, and falls back to the csv module's parser on anything
 else.  Both code every text column (label, protected, categorical) with one
-codebook per column and feed the tail column batches, from which it builds
-the feature matrix, already scaled so that every row lies in the nonnegative
-part of the unit ball (per-column min-max to [0, 1], then a global division
-by sqrt(d)), in a single allocation.  Neither builds a table of text cells,
-and both give the same dataset and the same first error.
+codebook per column, read numbers as float() does (the byte tokenizer with
+one ``np.loadtxt`` call per chunk) and feed the tail column batches, from
+which it builds the feature matrix, already scaled so that every row lies
+in the nonnegative part of the unit ball (per-column min-max to [0, 1], then
+a global division by sqrt(d)), in a single allocation.  Neither builds a
+table of text cells, and both give the same dataset and the same first error.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -287,9 +289,12 @@ def read_dataset(
     as the header and no cell over the csv module's field size limit, is
     tokenized with NumPy byte operations, a chunk of whole lines at a time
     (a text cell of up to 8 bytes is its own key; a longer one is sliced and
-    hashed at each occurrence).  Any other file, and a plain one whose
-    encoding would fail, is read again from the start by the csv module, so
-    every error comes from that one path.  Neither builds a table of strings.
+    hashed at each occurrence), and the chunk's numeric cells are parsed by
+    one ``np.loadtxt`` call, which gives float()'s value.  Any other file, a
+    plain one with a numeric cell that the C reader rejects but float()
+    reads (such as ``1_000``), and a plain one whose encoding would fail, is
+    read again from the start by the csv module, so every error comes from
+    that one path.  Neither builds a table of strings.
 
     Once the dataset is built, its :meth:`~EncodedDataset.fingerprint`
     starts on a worker thread that ends with the hash, so the hash overlaps
@@ -477,8 +482,7 @@ def _assemble(schema: Schema, books: list, batches: Iterable[tuple]) -> EncodedD
 # encoding would fail, it raises _NotPlain and the csv path reads the file.
 
 _CHUNK_BYTES = 1 << 17  # bytes read at a time by the byte tokenizer
-_DIGITS = 15  # the longest integer cell summed in int64; below 2**53, so exact as a float
-_PAD = bytes(_DIGITS + 1)  # NULs after a chunk, so that no cell's key or digits read past it
+_PAD = bytes(7)  # NULs after a chunk, so that the 8-byte key of its last cell reads no further
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)  # masks of k bytes
 _LONG = 1 << 63  # the bit that marks the key of a cell over 8 bytes
 
@@ -494,7 +498,8 @@ def _plain_batches(
     chunk of _CHUNK_BYTES and the rest of the line they end in, by
     :func:`read_dataset`'s rules; a UTF-8 byte-order mark is skipped, as the
     csv path skips it.  Codes are first-seen across the file, so where the
-    chunks end changes no output.
+    chunks end changes no output.  A chunk's numeric cells are parsed by one
+    :func:`_plain_numbers` call.
 
     Raises _NotPlain where the file turns out not to be plain (see
     :func:`read_dataset`), where the header or ``column_names`` repeat a
@@ -521,12 +526,12 @@ def _plain_batches(
             if not chunk.endswith(b"\n"):  # the file's last line
                 chunk += b"\n"
             arr = np.frombuffer(chunk + _PAD, np.uint8)
-            s, e, counts = _plain_cells(arr, len(chunk), limit)
+            s, e, counts, lines = _plain_cells(arr, len(chunk), limit)
             if header and len(counts):
                 head = counts[0]
                 width, cols = columns(tuple(chunk[a:b].decode() for a, b in
                                             zip(s[:head].tolist(), e[:head].tolist())))
-                s, e, counts, header = s[head:], e[head:], counts[1:], False
+                s, e, counts, lines, header = s[head:], e[head:], counts[1:], lines[:, 1:], False
             if not len(counts):
                 continue
             if (counts != width).any():
@@ -541,8 +546,8 @@ def _plain_batches(
             codes = [_plain_codes(chunk, key, a, b, book, known)
                      for key, a, b, book, known in zip(keys, s[at], e[at], books, packed)]
             block = np.empty((s.shape[1], len(schema.numeric)))
-            for col, j in zip(block.T, cols[len(books):]):
-                col[:] = _plain_numbers(chunk, arr, s[j], e[j])
+            if block.size:  # loadtxt warns on a text with no line
+                block = _plain_numbers(chunk, lines[:, kept], cols[len(books):])
             yield codes, block
     if not n or any(positive not in book for book, positive in
                     zip(books, (schema.label_positive, schema.protected_positive))):
@@ -552,7 +557,9 @@ def _plain_batches(
 def _plain_cells(arr: np.ndarray, size: int, limit: int):
     """The cells of the non-blank lines of a chunk of whole lines (the first
     ``size`` bytes of ``arr``), as their first and past-the-end byte offsets
-    with the padding spaces trimmed, and the number of cells on each line."""
+    with the padding spaces trimmed; the number of cells on each line; and
+    each line's first and past-the-end byte offset, its newline included,
+    as the two rows of one array."""
     body = arr[:size]
     if (body.max() > ord("~") or (body == ord('"')).any() or (body == ord("|")).any()
             or np.count_nonzero(body < ord(" ")) != np.count_nonzero(body == ord("\n"))):
@@ -573,11 +580,13 @@ def _plain_cells(arr: np.ndarray, size: int, limit: int):
         pad = pad[(e[pad] > s[pad]) & (arr[e[pad] - 1] == ord(" "))]
     last = np.flatnonzero(arr[ends] == ord("\n"))  # each line's last cell
     counts = np.diff(last, prepend=-1)
+    stop = ends[last] + 1
+    lines = np.stack((np.concatenate(([0], stop[:-1])), stop))
     blank = (counts == 1) & (s[last] == e[last])
     if blank.any():
         cells = np.repeat(~blank, counts)
-        s, e, counts = s[cells], e[cells], counts[~blank]
-    return s, e, counts
+        s, e, counts, lines = s[cells], e[cells], counts[~blank], lines[:, ~blank]
+    return s, e, counts, lines
 
 
 def _plain_codes(chunk: bytes, keys: np.ndarray, s: np.ndarray, e: np.ndarray,
@@ -617,40 +626,27 @@ def _plain_codes(chunk: bytes, keys: np.ndarray, s: np.ndarray, e: np.ndarray,
     return known_codes[at]
 
 
-def _plain_numbers(chunk: bytes, arr: np.ndarray, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The value float() reads from each cell.  A cell of 1 to 15 digits
-    after an optional "-" is summed exactly in int64 and then given its sign
-    as a float, so that "-0" reads -0.0; any other cell goes through float()
-    on its text.  Raises _NotPlain unless every value is a finite number."""
-    negative = arr[s] == ord("-")
-    start = s + negative
-    count = e - start  # its digits, if the cell is an integer
-    whole = np.flatnonzero((count > 0) & (count <= _DIGITS))  # the cells short enough
-    start, count = start[whole], count[whole]
-    magnitude = np.zeros(len(whole), np.int64)
-    integer = np.ones(len(whole), bool)  # the cell is all digits so far
-    for k in range(int(count.max(initial=0))):
-        inside = k < count
-        digit = arr[start + k] - ord("0")  # uint8: a byte that is no digit exceeds 9
-        integer &= (digit <= 9) | ~inside
-        magnitude = np.where(inside, magnitude * 10 + digit, magnitude)
-        if not integer.any():
-            break  # every cell goes through float()
-    magnitude = magnitude.astype(float)
-    value = np.empty(len(s))
-    value[whole] = np.where(negative[whole], -magnitude, magnitude)
-    other = np.ones(len(s), bool)
-    other[whole[integer]] = False
-    other = np.flatnonzero(other)
-    if len(other):
-        try:  # float() reads ASCII bytes as it reads the same text as str
-            value[other] = [float(chunk[a:b]) for a, b in
-                            zip(s[other].tolist(), e[other].tolist())]
-        except ValueError:
-            raise _NotPlain from None
-    if not np.isfinite(value).all():
+def _plain_numbers(chunk: bytes, lines: np.ndarray, usecols: list[int]) -> np.ndarray:
+    """The (rows, numeric) block of float()'s values of these columns of the
+    chunk's ``lines`` (first and past-the-end offsets): one ``np.loadtxt``
+    call over the chunk, or over just those lines where they are not all of
+    it.  NumPy's C reader rounds as float() does.  Raises _NotPlain unless
+    every value is finite, and where the reader rejects a cell that float()
+    reads, such as "1_000"."""
+    start, stop = lines
+    if (stop - start).sum() < len(chunk):  # leave out a header, blank or dropped line
+        edge = np.zeros(len(chunk) + 1, np.int8)
+        edge[start] += 1
+        edge[stop] -= 1
+        chunk = np.frombuffer(chunk, np.uint8)[np.cumsum(edge[:-1], dtype=np.int8) > 0].tobytes()
+    try:
+        block = np.loadtxt(io.BytesIO(chunk), delimiter=",", usecols=usecols, comments=None,
+                           dtype=float, ndmin=2)
+    except ValueError:
+        raise _NotPlain from None
+    if not np.isfinite(block).all():
         raise _NotPlain
-    return value
+    return block
 
 
 def _codebook() -> defaultdict:

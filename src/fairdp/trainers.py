@@ -27,6 +27,9 @@ Every trainer is a pure function of (dataset, parameters, seed).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -97,6 +100,22 @@ def _solve(poly, inputs: str) -> tuple[np.ndarray, dict]:
     return w, asdict(diag)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int, which ``json`` writes and a NumPy int64 is not."""
+    if not isinstance(value, bool):  # it would be recorded as true or false
+        with suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a Python float, which ``json`` writes and a NumPy float32 is not."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        with suppress(OverflowError):  # an int past the float range
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _private_fit(
     ds: EncodedDataset,
     method: str,
@@ -112,17 +131,25 @@ def _private_fit(
     ADFC perturb the fairness-penalized quadratic, FM and RelaxedFM the plain
     one, and ``calibrate`` sets the noise and the recorded budget.  Rows
     outside the nonnegative unit ball, where the sensitivity bounds fail, are
-    rejected before any noise scale is computed.
+    rejected before any noise scale is computed.  The seed and ``s_index``
+    are used and recorded as Python ints, the budgets and alpha1 as floats.
     """
     split_budget = method in SPLIT_METHODS
+    inputs = (f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}" if split_budget
+              else f"epsilon {eps_s}")  # as the caller wrote them
+    names = (("eps_s", "eps_n", "delta_s", "delta_n") if split_budget
+             else ("epsilon", "epsilon", "delta", "delta"))
+    given = (eps_s, eps_n, delta_s, delta_n)
+    eps_s, eps_n, delta_s, delta_n = (None if value is None else _real(name, value)
+                                      for name, value in zip(names, given))
+    alpha1, seed = _real("alpha1", alpha1), _integer("seed", seed)
+    s_index = _integer("s_index", s_index)
     if not 0 <= s_index < ds.d:
         raise ValueError(f"s_index {s_index} out of range for d={ds.d}")
     ds.check_normalized()
     poly = fair_poly(ds, alpha1) if split_budget else lr_poly(ds)
     cal = calibrate(method in DELTA_METHODS, split_budget, ds.d, alpha1,
                     eps_s, eps_n, delta_s, delta_n)
-    inputs = (f"alpha1 {alpha1}, eps_s {eps_s} and eps_n {eps_n}" if split_budget
-              else f"epsilon {eps_s}")
     try:
         with np.errstate(over="raise"):  # a draw or noisy coefficient past the float range
             poly = perturb(poly, cal.kind, cal.scale_s, cal.scale_n, s_index,
@@ -206,6 +233,7 @@ def train_lr(
 
 def train_fair_lr(ds: EncodedDataset, alpha1: float = 1.0) -> TrainedModel:
     """No-noise limit of the fair trainers: minimize the clean penalized quadratic."""
+    alpha1 = _real("alpha1", alpha1)
     w, diagnostics = _solve(fair_poly(ds, alpha1), f"alpha1 {alpha1}")
     return TrainedModel(
         w=w,

@@ -220,9 +220,15 @@ def test_bench_adult_schema_loads(tmp_path):
         [column for column, k in GEN.CARDINALITY.items() for _ in range(k)]
     assert set(one_hot) == {f"{column}={column[:4]}-{i}"
                             for column, k in GEN.CARDINALITY.items() for i in range(k)}
+    # The encoded bits of the seed-0 file: a parse change that moved them would
+    # otherwise show only as the benchmark's output check failing.
+    assert ds.fingerprint() == \
+        "88856717835b6dc2b1b87b11f570a9a86cb9d8aeb56f30c62fd6ce2328987729"
 
 
 def test_bench_census_schema_loads(tmp_path):
     ds = _load_bench_input(tmp_path, GEN.write_census, GEN.CENSUS_SCHEMA)
     assert ds.d == GEN.CENSUS_D == 7
     assert ds.feature_names == GEN.CENSUS_FEATURES
+    assert ds.fingerprint() == \
+        "a19b9206a6cb8f8005de188e75898407c2197d0c25fb716d3a3eb81df56cd77b"

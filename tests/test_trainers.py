@@ -8,7 +8,7 @@ import pytest
 from fairdp import trainers as trainers_mod
 from fairdp.cli import load_encoded_dataset
 from fairdp.dataset import EncodedDataset, split
-from fairdp.evaluation import accuracy, risk_difference
+from fairdp.evaluation import accuracy, risk_difference, train_method
 from fairdp.mechanisms import (
     calibrate,
     compose_split_delta,
@@ -281,6 +281,44 @@ class TestInputValidation:
         for _ in range(2):  # the second call reads the cached outcome
             with pytest.raises(ValueError, match=problem):
                 train_fm(ds, 1.0, seed=0)
+
+    @pytest.mark.parametrize("fit, message", [
+        (lambda ds: train_method(ds, "FM", True, eps=1.0), "seed must be an integer, got True"),
+        (lambda ds: train_fm(ds, 1.0, seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda ds: train_pdfc(ds, 1.0, 1.0, s_index=np.True_, seed=0),
+         "s_index must be an integer, got np.True_"),
+        (lambda ds: train_adfc(ds, 1.0, 1.0, 1e-3, 1e-3, s_index=0.0, seed=0),
+         "s_index must be an integer, got 0.0"),
+        (lambda ds: train_relaxed_fm(ds, "1", 1e-3, seed=0), "epsilon must be a number, got '1'"),
+        (lambda ds: train_adfc(ds, 1.0, 1.0, 1e-3, np.True_, s_index=0, seed=0),
+         "delta_n must be a number, got np.True_"),
+    ], ids=["seed-bool", "seed-float", "s_index-numpy-bool", "s_index-float", "epsilon-str",
+            "delta_n-numpy-bool"])
+    def test_bad_seed_index_or_budget_names_it(self, fit, message):
+        # seed=True used to train with seed 1 and record true; seed=1.0 failed
+        # in NumPy's SeedSequence with a TypeError naming no argument.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit(toy_d3())
+
+    @pytest.mark.parametrize("fit, plain", [
+        (lambda ds: train_fm(ds, np.float32(2.0), seed=np.int64(7)),
+         lambda ds: train_fm(ds, 2.0, seed=7)),
+        (lambda ds: train_relaxed_fm(ds, np.float64(0.5), np.float32(0.25), seed=np.uint8(3)),
+         lambda ds: train_relaxed_fm(ds, 0.5, 0.25, seed=3)),
+        (lambda ds: train_pdfc(ds, np.float32(0.5), 1, s_index=np.int64(1),
+                               alpha1=np.float32(1.5), seed=np.int64(11)),
+         lambda ds: train_pdfc(ds, 0.5, 1.0, s_index=1, alpha1=1.5, seed=11)),
+        (lambda ds: train_adfc(ds, 0.5, 1.0, np.float32(0.125), 1e-3, s_index=np.int32(2),
+                               alpha1=2, seed=13),
+         lambda ds: train_adfc(ds, 0.5, 1.0, 0.125, 1e-3, s_index=2, alpha1=2.0, seed=13)),
+        (lambda ds: train_fair_lr(ds, alpha1=np.float32(0.5)),
+         lambda ds: train_fair_lr(ds, alpha1=0.5)),
+    ], ids=["FM", "RelaxedFM", "PDFC", "ADFC", "FairLR"])
+    def test_numbers_are_recorded_as_python_numbers(self, fit, plain):
+        # A NumPy int64 or float32 seed, s_index, budget or alpha1 used to be
+        # recorded as given, so json.dumps(model.to_dict()) raised TypeError.
+        # Each value here is exact in float32, so the models are the same.
+        assert json.dumps(fit(toy_d3()).to_dict()) == json.dumps(plain(toy_d3()).to_dict())
 
     @pytest.mark.parametrize("alpha1", [math.nan, math.inf, -math.inf])
     def test_nonfinite_alpha1(self, alpha1):
