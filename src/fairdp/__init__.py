@@ -17,6 +17,7 @@ from .evaluation import (
     accuracy,
     risk_difference,
     run_experiment,
+    score,
     train_method,
 )
 from .mechanisms import (

@@ -2,17 +2,25 @@
 protocol with aggregation into plot-ready reports.
 
 An experiment takes a grid of (method, epsilon, delta) points and, for each
-run index r, splits the dataset 80-20 afresh (``TEST_FRACTION``), then
-trains every point on that split and evaluates on the held-out part.  All
-randomness is derived from one master seed, so a report is a pure function
-of (dataset, config).
+run index r, splits the dataset 80-20 afresh (``TEST_FRACTION``), trains
+every point on that split, then scores all of the run's models on the
+held-out part in one blocked pass (:func:`score_all`).  All randomness is
+derived from one master seed, so a report is a pure function of
+(dataset, config).
+
+:func:`predict_labels` is the one reference for a model's labels.
+:func:`score` predicts once; :func:`score_all` forms ``X @ W`` for a block of
+rows and every model at a time and re-predicts, over all rows, any model
+whose scores come near enough to 0 that their sign could depend on the
+summation order.  Both count hits and positives exactly and share
+:func:`_rates`, so their (accuracy, risk difference) are equal bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,6 +36,8 @@ from .trainers import (
     PRIVATE_METHODS,
     SPLIT_METHODS,
     TrainedModel,
+    _integer,
+    _real,
     train_adfc,
     train_fair_lr,
     train_fm,
@@ -39,6 +49,7 @@ from .trainers import (
 DEFAULT_EPS_GRID = (1e-2, 10 ** -1.5, 1e-1, 1.0, 10 ** 0.5, 1e1)
 DEFAULT_DELTA_GRID = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 TEST_FRACTION = 0.2  # the held-out share of every split, sweeps and train alike
+SCORE_BLOCK = 1 << 13  # entries of one block of score_all's scores (rows x models)
 
 
 def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
@@ -50,6 +61,26 @@ def predict_labels(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     return (X @ model.w >= 0.0).astype(np.int64)
 
 
+def _indicators(test: EncodedDataset) -> np.ndarray:
+    """The (3, n) 0/1 rows y = 1, every row and z = 1 of the test rows.  Their
+    product with 0/1 labels counts the true positives, the positives and the
+    positives with z = 1, exactly: each sum is an integer below 2**53."""
+    return np.stack([test.y == 1, np.ones(test.n, dtype=bool), test.z == 1]).astype(float)
+
+
+def _rates(totals, counts) -> tuple[float, float | None]:
+    """Accuracy and risk difference from the row sums of the indicators
+    (``totals``) and their product with the labels (``counts``).  Each rate
+    is one float64 division of two integers: the bits of the ``.mean()`` of
+    the 0/1 array its count was taken over."""
+    n_y1, n, n1 = map(int, totals)
+    tp, pos, pos1 = map(int, counts)
+    acc = (tp + (n - n_y1) - (pos - tp)) / n  # true positives plus true negatives
+    if n1 in (0, n):
+        return acc, None
+    return acc, abs(pos1 / n1 - (pos - pos1) / (n - n1))
+
+
 def score(model: TrainedModel, test: EncodedDataset) -> tuple[float, float | None]:
     """Accuracy and risk difference |P(label=1 | z=1) - P(label=1 | z=0)| on
     the test rows, from one prediction.  The risk difference is None when
@@ -59,11 +90,58 @@ def score(model: TrainedModel, test: EncodedDataset) -> tuple[float, float | Non
     if test.n < 1:
         raise ValueError("empty test set")
     labels = predict_labels(model, test.X)
-    acc = float((labels == test.y).mean())
-    in_group = test.z == 1
-    if not in_group.any() or in_group.all():
-        return acc, None
-    return acc, float(abs(labels[in_group].mean() - labels[~in_group].mean()))
+    indicators = _indicators(test)
+    return _rates(indicators.sum(axis=1).tolist(), (indicators @ labels).tolist())
+
+
+def score_all(models: list[TrainedModel],
+              test: EncodedDataset) -> list[tuple[float, float | None]]:
+    """:func:`score` of each model, bit for bit, from one blocked pass over
+    the test rows.
+
+    Each block of rows is multiplied by the d x K stack of weights at once;
+    a block holds about ``SCORE_BLOCK`` scores, so no n x K array is formed.
+    That product sums in another order than ``predict_labels``' ``X @ w``,
+    and both are within gamma_d * sum_j |x_j w_j| <= gamma_d ||x|| ||w|| of the
+    exact score (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.1), gamma_d ~ d * eps / 2.  A score farther from 0 than the slack
+    4 (d + 2) eps max_r ||x_r|| ||w|| + d tiny, over twice that, therefore has
+    the sign of the reference score.  Both norms are rounded up: the row
+    norms past underflow (d tiny under the root), and w is scaled by its
+    largest entry, so its norm neither underflows nor overflows.  Where
+    ||x|| ||w|| is not below half the largest float, a sum could overflow in
+    one order and not in the other, so the slack is infinite.  A model with
+    any score within its slack, or not a number, is predicted again with
+    :func:`predict_labels` over all rows: a product over fewer rows need not
+    reproduce that call's bits.
+    """
+    if not models:
+        return []
+    X = test.X
+    n, d = X.shape
+    for model in models:
+        if model.d != d:
+            raise ValueError(f"X has shape {X.shape}, expected (n, {model.d})")
+    W = np.stack([model.w for model in models], axis=1)
+    fmax, eps, tiny = np.finfo(float).max, np.finfo(float).eps, np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound flags its model
+        big = np.abs(W).max(axis=0)
+        w_norm = big * np.sqrt(np.square(W / np.where(big > 0, big, 1.0)).sum(axis=0))
+        x_norm = math.sqrt(np.einsum("ij,ij->i", X, X).max() + d * tiny)
+        bound = x_norm * w_norm  # >= sum_j |x_j w_j| >= |every partial sum|
+        slack = np.where(bound < fmax / 2, 4 * (d + 2) * eps * bound + d * tiny, np.inf)
+    indicators = _indicators(test)
+    counts = np.zeros((3, len(models)))
+    closest = np.full(len(models), np.inf)  # the smallest |score| of each model
+    rows = max(1, SCORE_BLOCK // len(models))
+    for start in range(0, n, rows):
+        scores = X[start:start + rows] @ W
+        closest = np.minimum(closest, np.abs(scores).min(axis=0))
+        counts += indicators[:, start:start + rows] @ (scores >= 0.0)
+    for k in np.flatnonzero(~(closest > slack)):
+        counts[:, k] = indicators @ predict_labels(models[k], X)
+    totals = indicators.sum(axis=1).tolist()
+    return [_rates(totals, column) for column in counts.T.tolist()]
 
 
 def accuracy(model: TrainedModel, test: EncodedDataset) -> float:
@@ -96,6 +174,14 @@ class GridPoint:
             raise ValueError(f"unknown method {self.method!r}")
 
 
+def _real_as_given(name: str, value):
+    """``value`` checked by the trainers' rule (an int past the float range
+    fails it too); a Python int stays as given, so ``eps_grid=(1,)`` is
+    still written as ``1``."""
+    real = _real(name, value)
+    return value if type(value) is int else real
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     methods: tuple[str, ...]
@@ -114,19 +200,23 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} (choose from {METHODS})")
-        for name, value in (("runs", self.runs), ("master_seed", self.master_seed)):
-            if type(value) is not int:  # a bool would be recorded as true
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # Numbers as the trainers take them: a bool or a non-number is an
+        # error naming the field, and a NumPy scalar, which json cannot
+        # write, is kept as the Python number of the same value.
+        for name in ("runs", "master_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "alpha1", _real_as_given("alpha1", self.alpha1))
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.eps_grid:
             raise ValueError("epsilon grid is empty")
         if not self.delta_grid:
             raise ValueError("delta grid is empty")
-        for e in self.eps_grid:
-            check_budget("epsilon grid value", e)
-        for dv in self.delta_grid:
-            check_budget("delta grid value", dv)
+        for name, label in (("eps_grid", "epsilon grid value"), ("delta_grid", "delta grid value")):
+            object.__setattr__(self, name, tuple(_real_as_given(label, v)
+                                                 for v in getattr(self, name)))
+            for v in getattr(self, name):
+                check_budget(label, v)
         for name, values in (("methods", self.methods), ("eps_grid", self.eps_grid),
                              ("delta_grid", self.delta_grid)):
             for i, v in enumerate(values):  # a repeat would write its report rows twice
@@ -365,7 +455,9 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
     """Run the full sweep and aggregate mean +- sample std per grid point.
 
     Equivalent grid points (same effective parameters) are trained once and
-    their rows replicated.  A failing point is marked failed with its error
+    their rows replicated.  Each run splits once, trains every live key on
+    the train part, then scores all of the run's models in one
+    :func:`score_all` pass.  A failing point is marked failed with its error
     and does not abort the sweep.
     """
     points = config.grid()
@@ -386,7 +478,12 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
         except Exception as exc:  # noqa: BLE001 - fails every key, not the sweep
             outcomes.update(dict.fromkeys(live, exc))
             break
-        for k in live:
+        # Each model's weights move into one array made before the fits: the
+        # run's small weight buffers, kept between the fits' temporaries,
+        # fragmented the heap and raised a default sweep's peak RSS by ~1 MB.
+        weights = np.empty((len(live), ds.d))
+        trained = {}  # key -> (run seed, model)
+        for k, w in zip(live, weights):
             method, eps, dlt, alpha1, s_attr = k
             run_seed = derive_seed("train", config.master_seed, r, *k)
             try:
@@ -394,15 +491,23 @@ def run_experiment(ds: EncodedDataset, config: ExperimentConfig) -> ExperimentRe
                     train_ds, method, run_seed, eps=eps, delta=dlt,
                     alpha1=alpha1, s_attr=s_attr, policy=config.policy,
                 )
-                acc, rd = score(model, test_ds)
-                outcomes[k].append(RunResult(
-                    accuracy=acc, risk_difference=rd,
-                    seed=run_seed,
-                    method=method,
-                    params={"epsilon": eps, "delta": dlt, "alpha1": alpha1, "s_attr": s_attr},
-                ))
+                w[:] = model.w
+                trained[k] = run_seed, replace(model, w=w)
             except Exception as exc:  # noqa: BLE001 - point-level isolation
                 outcomes[k] = exc
+        try:
+            scores = score_all([model for _, model in trained.values()], test_ds)
+        except Exception as exc:  # noqa: BLE001 - fails the run's keys, not the sweep
+            outcomes.update(dict.fromkeys(trained, exc))
+            continue
+        for (k, (run_seed, _)), (acc, rd) in zip(trained.items(), scores):
+            method, eps, dlt, alpha1, s_attr = k
+            outcomes[k].append(RunResult(
+                accuracy=acc, risk_difference=rd,
+                seed=run_seed,
+                method=method,
+                params={"epsilon": eps, "delta": dlt, "alpha1": alpha1, "s_attr": s_attr},
+            ))
 
     aggregates = []
     for p in points:

@@ -328,19 +328,27 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys, command):
     ["sweep", "--methods", "fm,pdfc", "--eps", "1.0", "--runs", "2"],
 ])
 def test_one_prediction_per_fit_and_no_raw_table_held(tmp_path, monkeypatch, command):
-    # Each model is scored from one prediction.  That set-up holds no table
-    # of text cells is checked in test_dataset.py's TestMemory.
+    # train scores its model from one prediction; a sweep scores each run's
+    # models in one batch.  That set-up holds no table of text cells is
+    # checked in test_dataset.py's TestMemory.
     calls = []
-    real_predict = evaluation.predict_labels
+    real_predict, real_score_all = evaluation.predict_labels, evaluation.score_all
 
     def counted_predict(model, X):
-        calls.append(X.shape)
+        calls.append("predict_labels")
         return real_predict(model, X)
 
+    def counted_score_all(models, test):
+        calls.append(("score_all", len(models)))
+        return real_score_all(models, test)
+
     monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
+    monkeypatch.setattr(evaluation, "score_all", counted_score_all)
     assert main([*command, "--dataset", TOY_CSV, "--schema", TOY_SCHEMA,
                  "--out", str(tmp_path)]) == 0
-    assert len(calls) == (1 if command[0] == "train" else 4)
+    # The sweep's two keys (FM and PDFC at eps 1) score far from 0 on every
+    # toy row, so neither is predicted again.
+    assert calls == (["predict_labels"] if command[0] == "train" else [("score_all", 2)] * 2)
 
 
 @pytest.mark.parametrize("command", [

@@ -1,12 +1,15 @@
 import dataclasses
 import functools
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from fairdp import evaluation
+from fairdp import cli, evaluation
 from fairdp.dataset import EncodedDataset
 from fairdp.evaluation import (
     DEFAULT_DELTA_GRID,
@@ -24,6 +27,7 @@ from fairdp.evaluation import (
     risk_difference,
     run_experiment,
     score,
+    score_all,
 )
 from fairdp.mechanisms import gaussian_sigma, split_total_delta
 from fairdp.trainers import TrainedModel
@@ -119,6 +123,120 @@ class TestScore:
         ds = EncodedDataset(X=X, y=[1, 0, 0, 1, 1], z=z, feature_names=("a", "b"))
         model = fixed_model([1.0, -1.0])
         assert score(model, ds) == (accuracy(model, ds), risk_difference(model, ds))
+
+
+def _bench_gen():
+    path = Path(__file__).parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def adult_test_part(tmp_path_factory):
+    """The held-out part of a 3,000-row file in the benchmark's Adult shape
+    (d = 102), and its train part."""
+    gen = _bench_gen()
+    tmp = tmp_path_factory.mktemp("adult")
+    gen.write_adult_like(tmp / "adult.csv", 3000, 5)
+    (tmp / "adult.schema").write_text(gen.ADULT_SCHEMA)
+    ds = cli.load_encoded_dataset(str(tmp / "adult.csv"), str(tmp / "adult.schema"))[0]
+    assert ds.d == gen.ADULT_D
+    train, test = evaluation.split(ds, evaluation.TEST_FRACTION, 11)
+    return train, test
+
+
+def counted_predictions(monkeypatch):
+    """Replace ``evaluation.predict_labels`` by a spy; the list it returns
+    gets (model, X shape) per call."""
+    calls = []
+    real_predict = evaluation.predict_labels
+
+    def counted_predict(model, X):
+        calls.append((model, X.shape))
+        return real_predict(model, X)
+
+    monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
+    return calls
+
+
+class TestScoreAll:
+    """score_all is score's bits from one blocked product per run; only a
+    model with a score near 0 is predicted again, over all rows."""
+
+    @pytest.mark.parametrize("block", [evaluation.SCORE_BLOCK, 64, 1])
+    def test_equals_score_on_the_adult_shape(self, adult_test_part, monkeypatch, block):
+        train, test = adult_test_part
+        rng = np.random.default_rng(3)
+        models = [fixed_model(rng.normal(scale=scale, size=test.d))
+                  for scale in (1e-300, 1e-3, 1.0, 1e3, 1e150) for _ in range(6)]
+        models += [fixed_model(np.zeros(test.d)),
+                   fixed_model(np.where(rng.random(test.d) < 0.5, 1.0, -1.0))]
+        models += [evaluation.train_method(train, method, seed, eps=eps, delta=1e-3)
+                   for method in ("FM", "RelaxedFM", "PDFC", "ADFC")
+                   for seed, eps in enumerate((0.01, 1.0, 10.0))]
+        expected = [score(m, test) for m in models]
+        monkeypatch.setattr(evaluation, "SCORE_BLOCK", block)
+        assert score_all(models, test) == expected
+        assert score_all(models[:1], test) == expected[:1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_score_on_random_and_toy_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        from conftest import random_dataset
+
+        for test in (toy_d3(), random_dataset(rng, 200, 5), random_dataset(rng, 40, 1)):
+            models = [fixed_model(rng.normal(size=test.d)) for _ in range(9)]
+            assert score_all(models, test) == [score(m, test) for m in models]
+
+    def test_undefined_risk_difference(self):
+        X = np.array([[0.5, 0.1], [0.1, 0.5]])
+        ds = EncodedDataset(X=X, y=[1, 0], z=[1, 1], feature_names=("a", "b"))
+        models = [fixed_model([1.0, -1.0]), fixed_model([-1.0, 2.0])]
+        assert score_all(models, ds) == [score(m, ds) for m in models] == [(1.0, None), (0.0, None)]
+
+    def test_near_zero_scores_are_predicted_again_over_all_rows(self, monkeypatch):
+        # Row 0 is [a, a]: w = [1, -1] scores exactly 0 there (label 1).  The
+        # +-1 ulp models score the smallest subnormal of either sign on row 1.
+        a = 0.3
+        X = np.array([[a, a], [1.0, 0.0], [0.4, 0.6], [0.2, 0.7]])
+        ds = EncodedDataset(X=X, y=[1, 0, 1, 0], z=[0, 1, 1, 0], feature_names=("a", "b"))
+        ulp = np.nextafter(0.0, 1.0)
+        exact_zero = fixed_model([1.0, -1.0])
+        plus, minus = fixed_model([ulp, 1.0]), fixed_model([-ulp, 1.0])
+        clear = [fixed_model([1.0, 2.0]), fixed_model([-2.0, -1.0])]
+        models = [clear[0], exact_zero, plus, clear[1], minus]
+        assert predict_labels(exact_zero, X)[0] == 1
+        assert predict_labels(plus, X)[1] == 1 and predict_labels(minus, X)[1] == 0
+        expected = [score(m, ds) for m in models]
+        calls = counted_predictions(monkeypatch)
+        assert score_all(models, ds) == expected
+        assert [(id(m), shape) for m, shape in calls] == [
+            (id(m), X.shape) for m in (exact_zero, plus, minus)]
+
+    def test_clear_scores_predict_nothing_again(self, adult_test_part, monkeypatch):
+        train, test = adult_test_part
+        models = [evaluation.train_method(train, method, seed, eps=eps, delta=1e-3)
+                  for method in ("FM", "PDFC", "ADFC") for seed, eps in enumerate((0.1, 10.0))]
+        expected = [score(m, test) for m in models]
+        calls = counted_predictions(monkeypatch)
+        assert score_all(models, test) == expected
+        assert calls == []
+
+    def test_non_finite_weights_are_predicted_again(self, monkeypatch):
+        ds = toy_d3()
+        models = [fixed_model([np.nan, 1.0, 1.0]), fixed_model([np.inf, 1.0, 1.0]),
+                  fixed_model([1e308, 1e308, 1e308]), fixed_model([1e307, 1e307, 1e307])]
+        expected = [score(m, ds) for m in models]
+        calls = counted_predictions(monkeypatch)
+        assert score_all(models, ds) == expected
+        assert [m for m, _ in calls] == models[:3]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match=r"expected \(n, 2\)"):
+            score_all([fixed_model([1.0, 2.0, 3.0]), fixed_model([1.0, 2.0])], toy_d3())
+        assert score_all([], toy_d3()) == []
 
 
 class TestSplitBudgets:
@@ -335,22 +453,36 @@ class TestExperiment:
         assert checks == [7] * cfg.runs  # once per 7-row train part, not per fit
 
     def test_one_prediction_per_key_and_run(self, monkeypatch):
-        # Accuracy and risk difference come from one set of labels.
-        calls = []
-        real_predict = evaluation.predict_labels
+        # Each run trains every key, then scores all of its models in one
+        # score_all call; the report is unchanged.
+        batches = []
+        real_score_all = evaluation.score_all
 
-        def counted_predict(model, X):
-            calls.append(X.shape)
-            return real_predict(model, X)
+        def counted_score_all(models, test):
+            batches.append((len(models), test.n))
+            return real_score_all(models, test)
 
         cfg = self.config(methods=("FairLR", "FM", "PDFC", "ADFC"))
         expected = run_experiment(toy_d3(), cfg).to_dict()
-        monkeypatch.setattr(evaluation, "predict_labels", counted_predict)
+        monkeypatch.setattr(evaluation, "score_all", counted_score_all)
         rep = run_experiment(toy_d3(), cfg)
         keys = {evaluation._effective_key(p, cfg.alpha1, cfg.s_attr) for p in cfg.grid()}
         assert len(keys) == 7  # FairLR 1, FM 2, PDFC 2, ADFC 2
-        assert len(calls) == len(keys) * cfg.runs
+        assert batches == [(len(keys), 1)] * cfg.runs  # one held-out toy row per run
         assert rep.to_dict() == expected
+
+    def test_scoring_error_fails_the_run_keys_only(self, monkeypatch):
+        # A key whose training failed keeps its own error; a failing batch
+        # fails the keys it would have scored, not the sweep.
+        def bad_score_all(models, test):
+            raise RuntimeError("cannot score")
+
+        monkeypatch.setattr(evaluation, "score_all", bad_score_all)
+        rep = run_experiment(toy_d3(), self.config(methods=("FairLR", "RelaxedFM"),
+                                                   delta_grid=(0.9,)))
+        errors = {p.point.method: p.error for p in rep.points}
+        assert errors["FairLR"] == "RuntimeError: cannot score"
+        assert errors["RelaxedFM"].startswith("ValueError: ")
 
     def test_failure_at_later_run_isolated(self, monkeypatch):
         calls = []
@@ -432,6 +564,46 @@ class TestExperiment:
         with pytest.raises(ValueError) as exc:
             self.config(**bad)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        (dict(eps_grid=("1",)), "epsilon grid value must be a number, got '1'"),
+        (dict(delta_grid=(1e-3, None)), "delta grid value must be a number, got None"),
+        (dict(alpha1="1"), "alpha1 must be a number, got '1'"),
+        (dict(runs="2"), "runs must be an integer, got '2'"),
+        (dict(master_seed=np.float64(3.0)), "master_seed must be an integer, got np.float64(3.0)"),
+        (dict(eps_grid=(10 ** 400,)), f"epsilon grid value must be a number, got {10 ** 400!r}"),
+        (dict(alpha1=-10 ** 400), f"alpha1 must be a number, got {-10 ** 400!r}"),
+    ])
+    def test_non_numbers_rejected_naming_the_field(self, bad, message):
+        # "1" used to raise a TypeError from the range check, an int past the
+        # float range an OverflowError (alpha1) or every point's error (eps).
+        with pytest.raises(ValueError) as exc:
+            self.config(**bad)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("given, plain", [
+        (dict(eps_grid=(np.float32(0.5), np.float64(5.0))), dict(eps_grid=(0.5, 5.0))),
+        (dict(delta_grid=(np.float32(0.25),)), dict(delta_grid=(0.25,))),
+        (dict(alpha1=np.float32(0.5)), dict(alpha1=0.5)),
+        (dict(master_seed=np.int64(3), runs=np.int32(2)), dict(master_seed=3, runs=2)),
+    ])
+    def test_numpy_scalars_kept_as_python_numbers(self, given, plain):
+        # NumPy scalars used to reach the report, which json could not write,
+        # and an int64 seed was rejected although the trainers take one.
+        config, reference = self.config(**given), self.config(**plain)
+        assert config == reference
+        for name in plain:
+            values = getattr(config, name)
+            for v in values if isinstance(values, tuple) else (values,):
+                assert type(v) in (int, float)
+        report = run_experiment(toy_d3(), config).to_dict()
+        assert json.dumps(report) == json.dumps(run_experiment(toy_d3(), reference).to_dict())
+
+    def test_python_ints_stay_as_given(self):
+        config = self.config(eps_grid=(1, 0.5), alpha1=2)
+        assert [type(v) for v in config.eps_grid] == [int, float]
+        assert type(config.alpha1) is int
+        assert '"epsilon": 1,' in json.dumps(run_experiment(toy_d3(), config).to_dict())
 
     def test_report_round_trip(self):
         rep = run_experiment(toy_d3(), self.config())
